@@ -425,58 +425,9 @@ def cmd_rero_bound(args) -> int:
     return EXIT_OK
 
 
-def rero_soundness_grid(n_trials: int = 500, seed: int = 0):
-    """Gaussian mean-release mechanism over a 3x3x3 grid; yields per-cell results."""
-    g = np.random.default_rng(seed)
-    fixed = g.uniform(0, 1, size=(9, 2))
-    n = fixed.shape[0] + 1
-    priors = [
-        rero.FiniteDiscretePrior(g.uniform(0, 1, size=(5, 2)), g.dirichlet(np.ones(5)))
-        for _ in range(3)
-    ]
-    for noise in (0.02, 0.05, 0.15):
-        for eta in (0.05, 0.15, 0.4):
-            for pi, prior in enumerate(priors):
-                diam = max(
-                    float(np.linalg.norm(a - b)) for a in prior.points for b in prior.points
-                )
-                rho = accounting.gaussian_mechanism_zcdp(diam / n, noise)
-                kappa, _ = rero.kappa_monte_carlo(prior, rero.l2_error, eta, prior.points)
-                gamma = 1.0 if kappa >= 1.0 else rero.zcdp_to_rero(rho, kappa, eta).gamma
-
-                def mechanism(points, rng, noise=noise):
-                    return points.mean(axis=0) + rng.normal(0.0, noise, size=points.shape[1])
-
-                def likelihood(theta, zs, noise=noise):
-                    mu = (fixed.sum(axis=0)[None, :] + zs) / n
-                    sq = ((np.asarray(theta)[None, :] - mu) ** 2).sum(axis=1)
-                    return np.exp(-sq / (2 * noise ** 2))
-
-                def attack_fn(theta, prior=prior, eta=eta, likelihood=likelihood):
-                    return rero.map_attack_finite(
-                        prior, likelihood, theta, rero.l2_error, eta
-                    )
-
-                rate, (lo, hi) = rero.empirical_rero(
-                    mechanism, prior, attack_fn, fixed, rero.l2_error, eta,
-                    n_trials=n_trials, seed=_derive(seed, ("cell", noise, eta, pi)),
-                )
-                ci_half = max(0.0, hi - rate)
-                yield {
-                    "noise": noise,
-                    "eta": eta,
-                    "prior": pi,
-                    "kappa": kappa,
-                    "gamma": gamma,
-                    "rate": rate,
-                    "ci_half": ci_half,
-                    "sound": rate <= gamma + 3 * ci_half + 1e-12,
-                }
-
-
 def cmd_rero_check(args) -> int:
     violations = 0
-    for cell in rero_soundness_grid(n_trials=args.trials, seed=args.seed):
+    for cell in rero.rero_soundness_grid(n_trials=args.trials, seed=args.seed):
         status = "ok" if cell["sound"] else "VIOLATION"
         print(
             "noise=%(noise)g eta=%(eta)g prior=%(prior)d kappa=%(kappa).4f "

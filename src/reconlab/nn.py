@@ -7,6 +7,7 @@ all randomness drawn from labeled child streams of the three seeds.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -150,16 +151,22 @@ class ModelParams:
         return float(np.linalg.norm(self.flatten() - other.flatten()))
 
     @staticmethod
-    def unflatten(arch: MlpArchitecture, vec: np.ndarray) -> "ModelParams":
+    def view(arch: MlpArchitecture, flat: np.ndarray) -> "ModelParams":
+        """Params whose weights and biases are views into flat, laid out as
+        flatten() writes them; writing to flat updates every layer."""
         ws = arch.layer_widths
         weights, biases, off = [], [], 0
         for i in range(arch.num_layers):
             n = ws[i] * ws[i + 1]
-            weights.append(vec[off : off + n].reshape(ws[i], ws[i + 1]).copy())
+            weights.append(flat[off : off + n].reshape(ws[i], ws[i + 1]))
             off += n
-            biases.append(vec[off : off + ws[i + 1]].copy())
+            biases.append(flat[off : off + ws[i + 1]])
             off += ws[i + 1]
         return ModelParams(arch, weights, biases)
+
+    @staticmethod
+    def unflatten(arch: MlpArchitecture, vec: np.ndarray) -> "ModelParams":
+        return ModelParams.view(arch, np.array(vec, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -201,17 +208,23 @@ class TrainConfig:
         return replace(self, **kwargs)
 
 
+@functools.lru_cache(maxsize=8)
+def _init_flat(arch: MlpArchitecture, seed: int) -> np.ndarray:
+    """init_params as a read-only flat vector, shared by every model trained
+    from the same (arch, seed), as all shadows of one release are."""
+    rng = Rng(seed)
+    flat = np.zeros(arch.parameter_count)
+    ws = arch.layer_widths
+    for i, w in enumerate(ModelParams.view(arch, flat).weights):
+        g = rng.child(("init", i)).generator
+        w[...] = g.normal(0.0, 1.0 / np.sqrt(ws[i]), size=w.shape)
+    flat.flags.writeable = False
+    return flat
+
+
 def init_params(arch: MlpArchitecture, seed: int) -> ModelParams:
     """Lecun-normal weights (std = 1/sqrt(fan_in)), zero biases."""
-    rng = Rng(seed)
-    weights, biases = [], []
-    ws = arch.layer_widths
-    for i in range(arch.num_layers):
-        fan_in = ws[i]
-        g = rng.child(("init", i)).generator
-        weights.append(g.normal(0.0, 1.0 / np.sqrt(fan_in), size=(ws[i], ws[i + 1])))
-        biases.append(np.zeros(ws[i + 1]))
-    return ModelParams(arch, weights, biases)
+    return ModelParams.unflatten(arch, _init_flat(arch, seed))
 
 
 def _forward_cached(params: ModelParams, X: np.ndarray):
@@ -246,63 +259,79 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return s - np.log(np.exp(s).sum(axis=1, keepdims=True))
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    return np.exp(_log_softmax(np.atleast_2d(logits)))
+def _backprop(params: ModelParams, activations, pre, delta, grad: ModelParams) -> None:
+    """Backpropagate delta (the loss gradient at the output pre-activations)
+    through the layers, writing each layer's gradient into grad in place."""
+    _, dact = ACTIVATIONS[params.arch.activation]
+    for i in range(params.arch.num_layers - 1, -1, -1):
+        np.matmul(activations[i].T, delta, out=grad.weights[i])
+        np.sum(delta, axis=0, out=grad.biases[i])
+        if i > 0:
+            delta = (delta @ params.weights[i].T) * dact(pre[i - 1])
 
 
-def loss_and_grad(params: ModelParams, X: np.ndarray, y: np.ndarray):
-    """Mean cross-entropy over the batch and its backprop gradient."""
+def loss_and_grad(params: ModelParams, X: np.ndarray, y: np.ndarray,
+                  grad: ModelParams = None):
+    """Mean cross-entropy over the batch and its backprop gradient.
+
+    If grad is given (a ModelParams, such as views into a flat buffer), the
+    gradient is written into it and it is returned, so a training loop can
+    reuse one buffer.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.atleast_1d(np.asarray(y, dtype=np.int64))
     if X.shape[0] == 0:
         raise ValueError("empty batch")
+    if grad is None:
+        grad = ModelParams.view(params.arch, np.empty(params.arch.parameter_count))
     n = X.shape[0]
     activations, pre = _forward_cached(params, X)
     logp = _log_softmax(activations[-1])
     loss = float(-logp[np.arange(n), y].mean())
     if not np.isfinite(loss):
         raise DivergenceError("non-finite loss")
-
-    _, dact = ACTIVATIONS[params.arch.activation]
-    probs = np.exp(logp)
-    delta = probs
+    delta = np.exp(logp)
     delta[np.arange(n), y] -= 1.0
     delta /= n
-
-    gw = [None] * params.arch.num_layers
-    gb = [None] * params.arch.num_layers
-    for i in range(params.arch.num_layers - 1, -1, -1):
-        gw[i] = activations[i].T @ delta
-        gb[i] = delta.sum(axis=0)
-        if i > 0:
-            delta = (delta @ params.weights[i].T) * dact(pre[i - 1])
-    return loss, ModelParams(params.arch, gw, gb)
+    _backprop(params, activations, pre, delta, grad)
+    return loss, grad
 
 
-def per_example_grads(params: ModelParams, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-example gradients of the summed cross-entropy, flattened, shape (n, P)."""
+def per_example_grads(params: ModelParams, X: np.ndarray, y: np.ndarray,
+                      out: np.ndarray = None) -> np.ndarray:
+    """Per-example gradients of the summed cross-entropy, flattened, shape (n, P).
+
+    If out is given (a float64 (n, P) array), the gradients are written into
+    it and it is returned, so a training loop can reuse one buffer.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.atleast_1d(np.asarray(y, dtype=np.int64))
     n = X.shape[0]
+    if out is None:
+        out = np.empty((n, params.arch.parameter_count))
     activations, pre = _forward_cached(params, X)
     _, dact = ACTIVATIONS[params.arch.activation]
-    probs = np.exp(_log_softmax(activations[-1]))
-    delta = probs
+    delta = np.exp(_log_softmax(activations[-1]))
     delta[np.arange(n), y] -= 1.0
 
-    parts = [None] * params.arch.num_layers
+    ws = params.arch.layer_widths
+    ends = np.cumsum(params.arch.layer_parameter_counts())
     for i in range(params.arch.num_layers - 1, -1, -1):
-        gw = np.einsum("ni,nj->nij", activations[i], delta)
-        parts[i] = np.concatenate([gw.reshape(n, -1), delta], axis=1)
+        w_end = ends[i] - ws[i + 1]
+        w_start = w_end - ws[i] * ws[i + 1]
+        gw = out[:, w_start:w_end].reshape(n, ws[i], ws[i + 1])
+        np.einsum("ni,nj->nij", activations[i], delta, out=gw)
+        out[:, w_end : ends[i]] = delta
         if i > 0:
             delta = (delta @ params.weights[i].T) * dact(pre[i - 1])
-    return np.concatenate(parts, axis=1)
+    return out
 
 
-def _momentum_step(params, velocity, grad_vec, lr, mu):
+def _momentum_step(theta, velocity, grad_vec, lr, mu):
+    """Heavy-ball update of theta and velocity in place."""
     velocity *= mu
     velocity += grad_vec
-    return params - lr * velocity
+    theta -= lr * velocity
 
 
 def train(dataset, arch: MlpArchitecture, config: TrainConfig) -> ModelParams:
@@ -311,8 +340,10 @@ def train(dataset, arch: MlpArchitecture, config: TrainConfig) -> ModelParams:
         return train_dp(dataset, arch, config)
     X, y = dataset.X, dataset.y
     n = len(y)
-    params = init_params(arch, config.init_seed)
-    theta = params.flatten()
+    theta = _init_flat(arch, config.init_seed).copy()
+    params = ModelParams.view(arch, theta)
+    grad_vec = np.empty_like(theta)
+    grad = ModelParams.view(arch, grad_vec)
     velocity = np.zeros_like(theta)
     lr, mu = config.learning_rate, config.momentum
 
@@ -320,28 +351,27 @@ def train(dataset, arch: MlpArchitecture, config: TrainConfig) -> ModelParams:
     shuffle_rng = Rng(config.shuffle_seed)
 
     for epoch in range(config.epochs):
-        p = ModelParams.unflatten(arch, theta)
         if full_batch:
-            _, g = loss_and_grad(p, X, y)
-            theta = _momentum_step(theta, velocity, g.flatten(), lr, mu)
+            loss_and_grad(params, X, y, grad)
+            _momentum_step(theta, velocity, grad_vec, lr, mu)
         else:
             bs = int(config.batch_size)
             perm = shuffle_rng.child(("epoch", epoch)).permutation(n)
             for start in range(0, n, bs):
                 idx = perm[start : start + bs]
-                p = ModelParams.unflatten(arch, theta)
-                _, g = loss_and_grad(p, X[idx], y[idx])
-                theta = _momentum_step(theta, velocity, g.flatten(), lr, mu)
+                loss_and_grad(params, X[idx], y[idx], grad)
+                _momentum_step(theta, velocity, grad_vec, lr, mu)
         if not np.isfinite(theta).all():
             raise DivergenceError(f"non-finite parameters at epoch {epoch}")
-    return ModelParams.unflatten(arch, theta)
+    return params
 
 
 def clip_rows(grads: np.ndarray, clip_norm: float) -> np.ndarray:
-    """Scale each row to l2 norm <= clip_norm."""
-    norms = np.linalg.norm(grads, axis=1)
+    """Scale each row of grads in place to l2 norm <= clip_norm; returns grads."""
+    norms = np.sqrt(np.add.reduce(grads * grads, axis=1))
     scale = np.minimum(1.0, clip_norm / np.maximum(norms, 1e-300))
-    return grads * scale[:, None]
+    grads *= scale[:, None]
+    return grads
 
 
 def train_dp(dataset, arch: MlpArchitecture, config: TrainConfig) -> ModelParams:
@@ -353,21 +383,22 @@ def train_dp(dataset, arch: MlpArchitecture, config: TrainConfig) -> ModelParams
     n = len(y)
     C = float(config.clip_norm)
 
-    theta = init_params(arch, config.init_seed).flatten()
+    theta = _init_flat(arch, config.init_seed).copy()
+    params = ModelParams.view(arch, theta)
+    per_example = np.empty((n, theta.size))
     velocity = np.zeros_like(theta)
     noise_rng = Rng(config.noise_seed)
     lr, mu = config.learning_rate, config.momentum
 
     for step in range(config.epochs):
-        p = ModelParams.unflatten(arch, theta)
-        g = clip_rows(per_example_grads(p, X, y), C).sum(axis=0)
+        g = clip_rows(per_example_grads(params, X, y, out=per_example), C).sum(axis=0)
         if sigma > 0:
             g = g + noise_rng.child(("noise", step)).normal(0.0, sigma * C, size=g.shape)
         g /= n
-        theta = _momentum_step(theta, velocity, g, lr, mu)
+        _momentum_step(theta, velocity, g, lr, mu)
         if not np.isfinite(theta).all():
             raise DivergenceError(f"non-finite parameters at step {step}")
-    return ModelParams.unflatten(arch, theta)
+    return params
 
 
 def zero_grad_fraction(params: ModelParams, x: np.ndarray, y: int):

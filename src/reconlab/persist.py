@@ -48,7 +48,7 @@ def load_model(path: str):
     vec = np.frombuffer(body, dtype="<f8")
     if vec.size != arch.parameter_count:
         raise ValueError("parameter count mismatch")
-    return nn.ModelParams.unflatten(arch, vec.copy()), fields
+    return nn.ModelParams.unflatten(arch, vec), fields
 
 
 def config_hash(text: str) -> str:

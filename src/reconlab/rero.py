@@ -16,14 +16,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats as sps
 
-from .rng import Rng
+from .accounting import gaussian_mechanism_zcdp
+from .rng import Rng, _derive
 
 __all__ = [
     "UniformBallPrior",
     "GaussianPrior",
     "FiniteDiscretePrior",
     "two_point_prior",
-    "EmpiricalSampler",
     "l2_error",
     "zero_one_error",
     "ReRoBound",
@@ -40,6 +40,7 @@ __all__ = [
     "prop_gamma",
     "map_attack_finite",
     "empirical_rero",
+    "rero_soundness_grid",
 ]
 
 
@@ -85,6 +86,7 @@ class FiniteDiscretePrior:
 
     points: np.ndarray
     masses: np.ndarray
+    _balls: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=np.float64))
@@ -104,6 +106,20 @@ class FiniteDiscretePrior:
         idx = rng.generator.choice(len(self.masses), size=n, p=self.masses)
         return self.points[idx]
 
+    def balls(self, error_fn, eta: float) -> np.ndarray:
+        """(m, m) masks: row c marks the points within eta of point c.
+
+        Cached per (error_fn, eta), keyed on the function object itself, so
+        repeated queries of one prior compute the masks once.
+        """
+        key = (error_fn, eta)
+        masks = self._balls.get(key)
+        if masks is None:
+            masks = np.stack([error_fn(self.points, c) <= eta for c in self.points])
+            masks.flags.writeable = False
+            self._balls[key] = masks
+        return masks
+
 
 def two_point_prior(p: float, z0, z1) -> FiniteDiscretePrior:
     """Prior assigning probability p to z0 and 1-p to z1."""
@@ -114,16 +130,6 @@ def two_point_prior(p: float, z0, z1) -> FiniteDiscretePrior:
     if np.array_equal(z0, z1):
         raise ValueError("two-point prior requires distinct points")
     return FiniteDiscretePrior(np.stack([z0, z1]), np.array([p, 1.0 - p]))
-
-
-@dataclass(frozen=True)
-class EmpiricalSampler:
-    """Adapter for arbitrary seeded samplers: fn(generator, n) -> (n, d) array."""
-
-    fn: object
-
-    def sample(self, rng: Rng, n: int) -> np.ndarray:
-        return np.atleast_2d(self.fn(rng.generator, n))
 
 
 # ------------------------------------------------------------- error fns
@@ -326,9 +332,7 @@ def map_attack_finite(prior: FiniteDiscretePrior, likelihood_fn, theta,
     if total <= 0:
         raise ValueError("zero total posterior mass")
     post /= total
-    scores = np.array([
-        post[error_fn(prior.points, c) <= eta].sum() for c in prior.points
-    ])
+    scores = [post[ball].sum() for ball in prior.balls(error_fn, eta)]
     return prior.points[int(np.argmax(scores))]
 
 
@@ -353,3 +357,51 @@ def empirical_rero(mechanism, prior, attack_fn, fixed: np.ndarray, error_fn,
         if float(error_fn(z[None, :], guess)[0]) <= eta:
             successes += 1
     return successes / n_trials, wilson_interval(successes, n_trials, confidence)
+
+
+def rero_soundness_grid(n_trials: int = 500, seed: int = 0):
+    """Gaussian mean-release mechanism over a 3x3x3 grid; yields per-cell results."""
+    g = np.random.default_rng(seed)
+    fixed = g.uniform(0, 1, size=(9, 2))
+    fixed_sum = fixed.sum(axis=0)[None, :]
+    n = fixed.shape[0] + 1
+    priors = [
+        FiniteDiscretePrior(g.uniform(0, 1, size=(5, 2)), g.dirichlet(np.ones(5)))
+        for _ in range(3)
+    ]
+    for noise in (0.02, 0.05, 0.15):
+        for eta in (0.05, 0.15, 0.4):
+            for pi, prior in enumerate(priors):
+                diam = max(
+                    float(np.linalg.norm(a - b)) for a in prior.points for b in prior.points
+                )
+                rho = gaussian_mechanism_zcdp(diam / n, noise)
+                kappa, _ = kappa_monte_carlo(prior, l2_error, eta, prior.points)
+                gamma = 1.0 if kappa >= 1.0 else zcdp_to_rero(rho, kappa, eta).gamma
+
+                def mechanism(points, rng, noise=noise):
+                    return points.mean(axis=0) + rng.normal(0.0, noise, size=points.shape[1])
+
+                def likelihood(theta, zs, noise=noise):
+                    mu = (fixed_sum + zs) / n
+                    sq = ((np.asarray(theta)[None, :] - mu) ** 2).sum(axis=1)
+                    return np.exp(-sq / (2 * noise ** 2))
+
+                def attack_fn(theta, prior=prior, eta=eta, likelihood=likelihood):
+                    return map_attack_finite(prior, likelihood, theta, l2_error, eta)
+
+                rate, (lo, hi) = empirical_rero(
+                    mechanism, prior, attack_fn, fixed, l2_error, eta,
+                    n_trials=n_trials, seed=_derive(seed, ("cell", noise, eta, pi)),
+                )
+                ci_half = max(0.0, hi - rate)
+                yield {
+                    "noise": noise,
+                    "eta": eta,
+                    "prior": pi,
+                    "kappa": kappa,
+                    "gamma": gamma,
+                    "rate": rate,
+                    "ci_half": ci_half,
+                    "sound": rate <= gamma + 3 * ci_half + 1e-12,
+                }

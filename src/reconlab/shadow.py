@@ -26,7 +26,6 @@ __all__ = [
     "RecoNNConfig",
     "RecoNN",
     "featurize",
-    "apply_norm",
     "gen_shadow_models",
     "gen_shadows",
     "build_shadow_set",
@@ -101,10 +100,6 @@ class NormStats:
 
     def inverse(self, v: np.ndarray) -> np.ndarray:
         return np.asarray(v) * self.effective_std() + self.mean
-
-
-def apply_norm(v: np.ndarray, stats: NormStats) -> np.ndarray:
-    return stats.apply(v)
 
 
 @dataclass
@@ -251,22 +246,17 @@ class RecoNN:
         return 1.0 / (1.0 + np.exp(-logits))
 
 
-def _reconn_loss_grad(params: nn.ModelParams, F: np.ndarray, T: np.ndarray):
-    """Mean (|o-t| + (o-t)^2) over batch and coords, sigmoid output, exact backprop."""
+def _reconn_loss_grad(params: nn.ModelParams, F: np.ndarray, T: np.ndarray,
+                      grad: nn.ModelParams) -> float:
+    """Mean (|o-t| + (o-t)^2) over batch and coords, sigmoid output, exact
+    backprop; the gradient is written into grad."""
     acts, pre = nn._forward_cached(params, F)
     out = 1.0 / (1.0 + np.exp(-acts[-1]))
     diff = out - T
     loss = float(np.mean(np.abs(diff) + diff ** 2))
     delta = (np.sign(diff) + 2.0 * diff) * out * (1.0 - out) / diff.size
-    _, dact = nn.ACTIVATIONS[params.arch.activation]
-    gw = [None] * params.arch.num_layers
-    gb = [None] * params.arch.num_layers
-    for i in range(params.arch.num_layers - 1, -1, -1):
-        gw[i] = acts[i].T @ delta
-        gb[i] = delta.sum(axis=0)
-        if i > 0:
-            delta = (delta @ params.weights[i].T) * dact(pre[i - 1])
-    return loss, nn.ModelParams(params.arch, gw, gb)
+    nn._backprop(params, acts, pre, delta, grad)
+    return loss
 
 
 def train_reconn(shadow_set: ShadowSet, config: RecoNNConfig = RecoNNConfig()) -> RecoNN:
@@ -280,6 +270,9 @@ def train_reconn(shadow_set: ShadowSet, config: RecoNNConfig = RecoNNConfig()) -
     T = shadow_set.targets
 
     theta = nn.init_params(arch, _derive(config.seed, "reconn-init")).flatten()
+    params = nn.ModelParams.view(arch, theta)
+    gv = np.empty_like(theta)
+    grad = nn.ModelParams.view(arch, gv)
     cache = np.zeros_like(theta)
     shuffle = Rng(_derive(config.seed, "reconn-shuffle"))
     lr, rho, eps = config.learning_rate, config.rms_decay, config.rms_eps
@@ -288,14 +281,12 @@ def train_reconn(shadow_set: ShadowSet, config: RecoNNConfig = RecoNNConfig()) -
         perm = shuffle.child(("epoch", epoch)).permutation(k)
         for start in range(0, k, config.batch_size):
             idx = perm[start : start + config.batch_size]
-            p = nn.ModelParams.unflatten(arch, theta)
-            loss, g = _reconn_loss_grad(p, F[idx], T[idx])
+            loss = _reconn_loss_grad(params, F[idx], T[idx], grad)
             if not np.isfinite(loss):
                 raise nn.DivergenceError(f"reconstructor diverged at epoch {epoch}")
-            gv = g.flatten()
             cache = rho * cache + (1.0 - rho) * gv * gv
-            theta = theta - lr * gv / (np.sqrt(cache) + eps)
-    return RecoNN(nn.ModelParams.unflatten(arch, theta))
+            theta -= lr * gv / (np.sqrt(cache) + eps)
+    return RecoNN(params)
 
 
 def attack(phi: RecoNN, released, featurizer: Featurizer, stats: NormStats) -> np.ndarray:

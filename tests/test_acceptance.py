@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from reconlab import accounting, glm, metrics, mia, nn, rero, shadow
-from reconlab.cli import rero_soundness_grid
+from reconlab.rero import rero_soundness_grid
 from reconlab.data import SplitSpec, synth_classification, split
 from reconlab.rng import Rng, _derive
 

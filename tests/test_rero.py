@@ -200,6 +200,89 @@ def test_map_attack_two_point_gaussian_posterior():
     assert np.array_equal(out, z0)
 
 
+def _brute_force_map(prior, lik, error_fn, eta):
+    post = prior.masses * lik
+    post = post / post.sum()
+    scores = [post[error_fn(prior.points, c) <= eta].sum() for c in prior.points]
+    return prior.points[int(np.argmax(scores))]
+
+
+def test_map_attack_ties_break_to_lowest_index():
+    prior = rero.FiniteDiscretePrior(np.array([[0.0], [5.0], [10.0], [15.0]]),
+                                     np.array([0.1, 0.4, 0.1, 0.4]))
+    out = rero.map_attack_finite(prior, lambda t, zs: np.ones(4), None, rero.l2_error, 0.5)
+    assert np.array_equal(out, [5.0])
+    flat = rero.FiniteDiscretePrior(prior.points, np.full(4, 0.25))
+    out = rero.map_attack_finite(flat, lambda t, zs: np.ones(4), None, rero.l2_error, 0.5)
+    assert np.array_equal(out, [0.0])
+
+
+def test_map_attack_ball_cache_keyed_by_eta_and_error_fn():
+    # eta 0.5 keeps every ball a singleton (masses decide, tie to index 0);
+    # eta 1.5 under l2 puts three points in the ball around 1.0; under the
+    # 0/1 error every ball holds all points. A cache that ignored eta or
+    # error_fn would return a stale answer somewhere in this sequence.
+    prior = rero.FiniteDiscretePrior(np.array([[0.0], [1.0], [2.0], [10.0]]),
+                                     np.array([0.3, 0.2, 0.2, 0.3]))
+    lik = np.ones(4)
+
+    def likelihood(theta, zs):
+        return lik
+
+    queries = [
+        (rero.l2_error, 0.5, 0.0),
+        (rero.l2_error, 1.5, 1.0),
+        (rero.zero_one_error, 1.5, 0.0),
+        (rero.l2_error, 1.5, 1.0),
+        (rero.l2_error, 0.5, 0.0),
+    ]
+    for error_fn, eta, want in queries:
+        out = rero.map_attack_finite(prior, likelihood, None, error_fn, eta)
+        assert np.array_equal(out, [want])
+        assert np.array_equal(out, _brute_force_map(prior, lik, error_fn, eta))
+    # fresh function objects, each dropped after use, may reuse a freed id
+    for scale, want in ((1.0, 1.0), (100.0, 0.0), (1.0, 1.0), (100.0, 0.0)):
+        out = rero.map_attack_finite(prior, likelihood, None,
+                                     lambda a, b, s=scale: s * rero.l2_error(a, b), 1.5)
+        assert np.array_equal(out, [want])
+
+
+def _linf_error(a, b):
+    return np.abs(np.atleast_2d(a) - np.asarray(b)[None, :]).max(axis=1)
+
+
+def test_map_attack_matches_brute_force_on_random_priors():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    error_fns = [rero.l2_error, rero.zero_one_error, _linf_error]
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(
+        m=st.integers(1, 12),
+        d=st.integers(1, 3),
+        data=st.data(),
+    )
+    def check(m, d, data):
+        # small integer coordinates and weights make exact ties and
+        # duplicate points common
+        coords = data.draw(st.lists(st.integers(0, 3), min_size=m * d, max_size=m * d))
+        weights = np.array(data.draw(st.lists(st.integers(1, 4), min_size=m, max_size=m)),
+                           dtype=np.float64)
+        lik = np.array(data.draw(st.lists(st.integers(0, 3), min_size=m, max_size=m)),
+                       dtype=np.float64)
+        hypothesis.assume((weights * lik).sum() > 0)
+        prior = rero.FiniteDiscretePrior(np.array(coords, dtype=np.float64).reshape(m, d),
+                                         weights / weights.sum())
+        queries = data.draw(st.lists(
+            st.tuples(st.sampled_from(error_fns), st.sampled_from([0.0, 0.5, 1.0, 1.5, 3.0])),
+            min_size=1, max_size=6))
+        for error_fn, eta in queries:
+            out = rero.map_attack_finite(prior, lambda t, zs: lik, None, error_fn, eta)
+            assert np.array_equal(out, _brute_force_map(prior, lik, error_fn, eta))
+
+    check()
+
+
 def test_empirical_rero_perfect_mechanism():
     # the mechanism reveals z and the attack inverts it: rate 1
     prior = rero.FiniteDiscretePrior(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))

@@ -1,6 +1,19 @@
 import numpy as np
+import pytest
 
 from reconlab.rng import Rng, _derive
+
+EDGE_KEYS = [0, 1, 2 ** 63, 2 ** 64 - 1]
+
+
+def _philox(key):
+    """The generator an Rng must match: Philox keyed directly."""
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def _draws(g):
+    """Consecutive draws from a Generator or an Rng."""
+    return [g.normal(size=7), g.permutation(11), g.integers(0, 1000, size=5)]
 
 
 def test_same_seed_same_stream():
@@ -44,3 +57,25 @@ def test_child_seed_matches_derive():
 def test_permutation_is_permutation():
     p = Rng(1).permutation(100)
     assert sorted(p.tolist()) == list(range(100))
+
+
+@pytest.mark.parametrize("key", EDGE_KEYS)
+def test_generator_matches_philox_keyed_directly(key):
+    for got, want in zip(_draws(Rng(key).generator), _draws(_philox(key))):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("key", EDGE_KEYS)
+def test_child_matches_philox_keyed_by_derived_seed(key):
+    got = _draws(Rng(key).child(("trial", 3)))
+    for a, b in zip(got, _draws(_philox(_derive(key, ("trial", 3))))):
+        assert np.array_equal(a, b)
+
+
+def test_parent_stream_continues_across_child_calls():
+    parent = Rng(9)
+    parent.child("before-first-draw")
+    first = parent.normal(size=3)
+    parent.child("k").normal(size=10)
+    rest = parent.normal(size=3)
+    assert np.array_equal(np.concatenate([first, rest]), _philox(9).normal(size=6))
