@@ -34,18 +34,19 @@ kappa, _ = rero.kappa_monte_carlo(prior, rero.l2_error, eta, prior.points)
 gamma = rero.zcdp_to_rero(rho, kappa, eta).gamma
 
 
-def mechanism(points, rng):
-    return points.mean(axis=0) + rng.normal(0.0, noise, size=points.shape[1])
+def mechanism(fixed, zs, rngs):
+    # one noisy mean of fixed + z per trial; row t draws from rngs[t]
+    noise_draws = np.stack([r.normal(0.0, noise, size=zs.shape[1]) for r in rngs])
+    return (fixed.sum(axis=0) + zs) / n + noise_draws
 
 
-def likelihood(theta, zs):
+def likelihood(thetas, zs):
     mu = (fixed.sum(axis=0)[None, :] + zs) / n
-    return np.exp(-((np.asarray(theta)[None, :] - mu) ** 2).sum(axis=1)
-                  / (2 * noise ** 2))
+    return np.exp(-((thetas[:, None, :] - mu) ** 2).sum(axis=2) / (2 * noise ** 2))
 
 
-def attack(theta):
-    return rero.map_attack_finite(prior, likelihood, theta, rero.l2_error, eta)
+def attack(thetas):
+    return rero.map_attack_finite(prior, likelihood, thetas, rero.l2_error, eta)
 
 
 rate, (lo, hi) = rero.empirical_rero(mechanism, prior, attack, fixed,

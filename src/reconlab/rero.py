@@ -60,9 +60,9 @@ class UniformBallPrior:
         return x * r
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianPrior:
-    """Isotropic Gaussian N(center, sigma^2 I_d)."""
+    """Isotropic Gaussian N(center, sigma^2 I_d). Compares by identity."""
 
     center: np.ndarray
     sigma: float
@@ -80,31 +80,41 @@ class GaussianPrior:
         return self.center + rng.generator.normal(0.0, self.sigma, size=(n, self.d))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteDiscretePrior:
-    """Finitely supported prior: points (m, d) with masses summing to 1."""
+    """Finitely supported prior: points (m, d) with masses summing to 1.
+
+    Compares and hashes by identity, so a prior can key a dict.
+    """
 
     points: np.ndarray
     masses: np.ndarray
-    _balls: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _cdf: np.ndarray = field(init=False, repr=False)
+    _balls: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=np.float64))
         m = np.asarray(self.masses, dtype=np.float64)
         if pts.shape[0] != m.shape[0]:
             raise ValueError("points/masses length mismatch")
-        if m.min() < 0 or abs(m.sum() - 1.0) > 1e-9:
-            raise ValueError("masses must be nonnegative and sum to 1")
+        if not np.all(np.isfinite(m)) or m.min() < 0 or abs(m.sum() - 1.0) > 1e-9:
+            raise ValueError("masses must be finite, nonnegative and sum to 1")
+        cdf = m.cumsum()
+        cdf /= cdf[-1]
+        cdf.flags.writeable = False
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "masses", m)
+        object.__setattr__(self, "_cdf", cdf)
 
     @property
     def d(self) -> int:
         return self.points.shape[1]
 
     def sample(self, rng: Rng, n: int) -> np.ndarray:
-        idx = rng.generator.choice(len(self.masses), size=n, p=self.masses)
-        return self.points[idx]
+        """The draws of ``Generator.choice(m, size=n, p=masses)``, from a CDF
+        built once per prior rather than once per call."""
+        u = rng.generator.random(n)
+        return self.points[self._cdf.searchsorted(u, side="right")]
 
     def balls(self, error_fn, eta: float) -> np.ndarray:
         """(m, m) masks: row c marks the points within eta of point c.
@@ -135,13 +145,15 @@ def two_point_prior(p: float, z0, z1) -> FiniteDiscretePrior:
 # ------------------------------------------------------------- error fns
 
 def l2_error(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Euclidean distance; broadcasts over rows of a."""
-    diff = np.atleast_2d(a) - np.asarray(b)[None, :]
+    """Euclidean distance per row of a: to b if b is one point (d,), to the
+    matching row of b if b is (n, d)."""
+    diff = np.atleast_2d(a) - np.asarray(b)
     return np.linalg.norm(diff, axis=1)
 
 
 def zero_one_error(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    diff = np.atleast_2d(a) - np.asarray(b)[None, :]
+    """0 where a row of a equals b (or b's matching row), else 1."""
+    diff = np.atleast_2d(a) - np.asarray(b)
     return (np.any(diff != 0.0, axis=1)).astype(np.float64)
 
 
@@ -320,20 +332,24 @@ def prop_gamma(d: int, eta: float, privacy: dict, prior_kind: str,
 
 def map_attack_finite(prior: FiniteDiscretePrior, likelihood_fn, theta,
                       error_fn, eta: float) -> np.ndarray:
-    """Exact MAP reconstruction over a finite prior.
+    """Exact MAP reconstruction over a finite prior, for one release or a batch.
 
     likelihood_fn(theta, points) returns the mechanism's output density at
-    theta for each candidate true point. The returned guess maximizes the
-    posterior mass of the eta-ball around it; ties break to the lowest index.
+    theta for each candidate true point: shape (m,) for one release, or
+    (T, m) for T releases. The guess maximizes the posterior mass of the
+    eta-ball around it, ties breaking to the lowest index; it is (d,) for an
+    (m,) likelihood and (T, d) for a (T, m) one, row t answering release t.
     """
     lik = np.asarray(likelihood_fn(theta, prior.points), dtype=np.float64)
-    post = prior.masses * lik
-    total = post.sum()
-    if total <= 0:
+    post = prior.masses * np.atleast_2d(lik)
+    total = post.sum(axis=1, keepdims=True)
+    if np.any(total <= 0):
         raise ValueError("zero total posterior mass")
     post /= total
-    scores = [post[ball].sum() for ball in prior.balls(error_fn, eta)]
-    return prior.points[int(np.argmax(scores))]
+    scores = np.stack([post[:, ball].sum(axis=1) for ball in prior.balls(error_fn, eta)],
+                      axis=1)
+    guesses = prior.points[scores.argmax(axis=1)]
+    return guesses if lik.ndim == 2 else guesses[0]
 
 
 def empirical_rero(mechanism, prior, attack_fn, fixed: np.ndarray, error_fn,
@@ -341,21 +357,27 @@ def empirical_rero(mechanism, prior, attack_fn, fixed: np.ndarray, error_fn,
                    confidence: float = 0.99):
     """Monte-Carlo estimate of Pr[l(Z, R(theta)) <= eta] with per-trial seeds.
 
-    mechanism(dataset_points, rng) -> theta; attack_fn(theta) -> guess.
-    Returns (rate, (lo, hi)) with a Wilson interval.
+    Trial i draws its target z_i from the stream ``Rng(seed).child(("trial",
+    i)).child("z")`` and gets the mechanism stream ``.child("mech")`` of the
+    same trial. The rest runs once over all trials:
+    ``mechanism(fixed, zs, rngs) -> thetas`` releases one output per row of
+    zs (T, d), trained on fixed plus that row, drawing row t's randomness
+    from rngs[t]; ``attack_fn(thetas) -> guesses`` (T, d); and
+    ``error_fn(zs, guesses)`` pairs rows. Returns (rate, (lo, hi)) with a
+    Wilson interval.
     """
     if n_trials < 100:
         raise ValueError("n_trials must be >= 100")
     fixed = np.atleast_2d(np.asarray(fixed, dtype=np.float64))
     root = Rng(seed)
-    successes = 0
+    zs, rngs = [], []
     for i in range(n_trials):
         trial = root.child(("trial", i))
-        z = prior.sample(trial.child("z"), 1)[0]
-        theta = mechanism(np.vstack([fixed, z[None, :]]), trial.child("mech"))
-        guess = attack_fn(theta)
-        if float(error_fn(z[None, :], guess)[0]) <= eta:
-            successes += 1
+        zs.append(prior.sample(trial.child("z"), 1))
+        rngs.append(trial.child("mech"))
+    zs = np.concatenate(zs)
+    guesses = attack_fn(mechanism(fixed, zs, rngs))
+    successes = int(np.count_nonzero(error_fn(zs, guesses) <= eta))
     return successes / n_trials, wilson_interval(successes, n_trials, confidence)
 
 
@@ -379,16 +401,19 @@ def rero_soundness_grid(n_trials: int = 500, seed: int = 0):
                 kappa, _ = kappa_monte_carlo(prior, l2_error, eta, prior.points)
                 gamma = 1.0 if kappa >= 1.0 else zcdp_to_rero(rho, kappa, eta).gamma
 
-                def mechanism(points, rng, noise=noise):
-                    return points.mean(axis=0) + rng.normal(0.0, noise, size=points.shape[1])
+                def mechanism(_fixed, zs, rngs, noise=noise):
+                    # (fixed_sum + z) / n is bitwise vstack([fixed, z]).mean(axis=0):
+                    # numpy reduces axis 0 row by row, in the same order
+                    draws = np.stack([r.normal(0.0, noise, size=zs.shape[1]) for r in rngs])
+                    return (fixed_sum + zs) / n + draws
 
-                def likelihood(theta, zs, noise=noise):
+                def likelihood(thetas, zs, noise=noise):
                     mu = (fixed_sum + zs) / n
-                    sq = ((np.asarray(theta)[None, :] - mu) ** 2).sum(axis=1)
+                    sq = ((thetas[:, None, :] - mu) ** 2).sum(axis=2)
                     return np.exp(-sq / (2 * noise ** 2))
 
-                def attack_fn(theta, prior=prior, eta=eta, likelihood=likelihood):
-                    return map_attack_finite(prior, likelihood, theta, l2_error, eta)
+                def attack_fn(thetas, prior=prior, eta=eta, likelihood=likelihood):
+                    return map_attack_finite(prior, likelihood, thetas, l2_error, eta)
 
                 rate, (lo, hi) = empirical_rero(
                     mechanism, prior, attack_fn, fixed, l2_error, eta,

@@ -274,6 +274,7 @@ def train_reconn(shadow_set: ShadowSet, config: RecoNNConfig = RecoNNConfig()) -
     gv = np.empty_like(theta)
     grad = nn.ModelParams.view(arch, gv)
     cache = np.zeros_like(theta)
+    denom = np.empty_like(theta)
     shuffle = Rng(_derive(config.seed, "reconn-shuffle"))
     lr, rho, eps = config.learning_rate, config.rms_decay, config.rms_eps
 
@@ -284,8 +285,18 @@ def train_reconn(shadow_set: ShadowSet, config: RecoNNConfig = RecoNNConfig()) -
             loss = _reconn_loss_grad(params, F[idx], T[idx], grad)
             if not np.isfinite(loss):
                 raise nn.DivergenceError(f"reconstructor diverged at epoch {epoch}")
-            cache = rho * cache + (1.0 - rho) * gv * gv
-            theta -= lr * gv / (np.sqrt(cache) + eps)
+            # RMSProp in place, in the operation order of
+            # cache = rho*cache + (1-rho)*gv*gv; theta -= lr*gv / (sqrt(cache) + eps).
+            # gv is scratch once cache is updated: the next backprop overwrites all of it
+            np.multiply(1.0 - rho, gv, out=denom)
+            denom *= gv
+            cache *= rho
+            cache += denom
+            np.sqrt(cache, out=denom)
+            denom += eps
+            gv *= lr
+            gv /= denom
+            theta -= gv
     return RecoNN(params)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from reconlab import rero
-from reconlab.rng import Rng
+from reconlab.rng import Rng, _derive
 
 
 # ---------------------------------------------------------------- priors
@@ -24,11 +24,49 @@ def test_finite_prior_validation():
         rero.two_point_prior(1.5, np.zeros(2), np.ones(2))
 
 
+def test_finite_prior_rejects_non_finite_masses():
+    for bad in ([np.nan, 0.5, 0.5], [np.inf, 0.0, 0.0], [0.5, 0.5, -np.inf]):
+        with pytest.raises(ValueError):
+            rero.FiniteDiscretePrior(np.zeros((3, 1)), np.array(bad))
+
+
+def test_priors_compare_and_hash_by_identity():
+    points, masses = np.array([[0.0], [1.0]]), np.array([0.5, 0.5])
+    a = rero.FiniteDiscretePrior(points, masses)
+    b = rero.FiniteDiscretePrior(points, masses)
+    assert a == a and a != b
+    g0, g1 = rero.GaussianPrior(np.zeros(2), 1.0), rero.GaussianPrior(np.zeros(2), 1.0)
+    assert g0 == g0 and g0 != g1
+    assert len({a: 0, b: 1, g0: 2, g1: 3}) == 4
+
+
+@pytest.mark.parametrize("masses", [
+    [0.2, 0.3, 0.5],
+    [0.0, 0.3, 0.0, 0.5, 0.2, 0.0],
+    [1.0, 0.0],
+    np.random.default_rng(0).dirichlet(np.ones(5)),
+])
+@pytest.mark.parametrize("key", [0, 1, 2 ** 64 - 1])
+@pytest.mark.parametrize("n", [1, 7, 1000])
+def test_finite_prior_sample_equals_generator_choice(masses, key, n):
+    masses = np.asarray(masses, dtype=np.float64)
+    m = len(masses)
+    prior = rero.FiniteDiscretePrior(np.arange(m, dtype=np.float64)[:, None], masses)
+    want = np.random.Generator(np.random.Philox(key=key)).choice(m, size=n, p=masses)
+    got = prior.sample(Rng(key), n)
+    assert got.shape == (n, 1)
+    assert np.array_equal(got[:, 0], want)
+
+
 def test_error_fns():
     a = np.array([[0.0, 0.0], [3.0, 4.0]])
     b = np.zeros(2)
     assert np.allclose(rero.l2_error(a, b), [0.0, 5.0])
     assert np.allclose(rero.zero_one_error(a, b), [0.0, 1.0])
+    # a (n, d) b pairs rows
+    b2 = np.array([[0.0, 1.0], [3.0, 4.0]])
+    assert np.allclose(rero.l2_error(a, b2), [1.0, 0.0])
+    assert np.array_equal(rero.zero_one_error(a, b2), [1.0, 0.0])
 
 
 # ---------------------------------------------------------------- kappas
@@ -144,6 +182,45 @@ def test_gamma_monotone_in_privacy_and_kappa():
     assert gs == sorted(gs)
     gs = [rero.zcdp_to_rero(0.1, k, 0.1).gamma for k in (1e-6, 1e-4, 1e-2)]
     assert gs == sorted(gs)
+
+
+def test_gamma_monotone_and_clamped_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    unit = st.floats(1e-12, 1.0, exclude_max=True)
+    nonneg = st.floats(0.0, 20.0)
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(k=st.tuples(unit, unit), e=st.tuples(nonneg, nonneg),
+                      alpha=st.floats(1.0, 1e6, exclude_min=True))
+    def check(k, e, alpha):
+        (k0, k1), (e0, e1) = sorted(k), sorted(e)
+        pairs = [
+            (rero.puredp_to_rero(e0, k0, 0.1), rero.puredp_to_rero(e1, k0, 0.1)),
+            (rero.puredp_to_rero(e0, k0, 0.1), rero.puredp_to_rero(e0, k1, 0.1)),
+            (rero.rdp_to_rero(alpha, e0, k0, 0.1), rero.rdp_to_rero(alpha, e1, k0, 0.1)),
+            (rero.rdp_to_rero(alpha, e0, k0, 0.1), rero.rdp_to_rero(alpha, e0, k1, 0.1)),
+            (rero.zcdp_to_rero(e0, k0, 0.1), rero.zcdp_to_rero(e1, k0, 0.1)),
+            (rero.zcdp_to_rero(e0, k0, 0.1), rero.zcdp_to_rero(e0, k1, 0.1)),
+        ]
+        for lo, hi in pairs:
+            assert 0.0 <= lo.gamma <= hi.gamma <= 1.0, (lo, hi)
+
+    check()
+
+
+def test_thm2_tends_to_cor1_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(kappa=st.floats(1e-6, 1.0), eps=st.floats(0.0, 10.0))
+    def check(kappa, eps):
+        lim = rero.rdp_to_rero(1e8, eps, kappa, 0.1).gamma
+        direct = rero.puredp_to_rero(eps, kappa, 0.1).gamma
+        assert abs(lim - direct) <= 1e-6 * direct
+
+    check()
 
 
 def test_thm3_examples():
@@ -283,13 +360,55 @@ def test_map_attack_matches_brute_force_on_random_priors():
     check()
 
 
+def test_map_attack_batch_equals_loop_of_single_releases():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    error_fns = [rero.l2_error, rero.zero_one_error, _linf_error]
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(
+        m=st.integers(1, 12),
+        d=st.integers(1, 3),
+        t=st.integers(1, 6),
+        error_fn=st.sampled_from(error_fns),
+        eta=st.sampled_from([0.0, 0.5, 1.0, 1.5, 3.0]),
+        data=st.data(),
+    )
+    def check(m, d, t, error_fn, eta, data):
+        # small integers give exact ties in masses, likelihoods and scores
+        coords = data.draw(st.lists(st.integers(0, 3), min_size=m * d, max_size=m * d))
+        weights = np.array(data.draw(st.lists(st.integers(1, 4), min_size=m, max_size=m)),
+                           dtype=np.float64)
+        lik = np.array(data.draw(st.lists(st.lists(st.integers(1, 3), min_size=m, max_size=m),
+                                          min_size=t, max_size=t)), dtype=np.float64)
+        prior = rero.FiniteDiscretePrior(np.array(coords, dtype=np.float64).reshape(m, d),
+                                         weights / weights.sum())
+        batch = rero.map_attack_finite(prior, lambda th, zs: lik[th], np.arange(t),
+                                       error_fn, eta)
+        assert batch.shape == (t, d)
+        for i in range(t):
+            one = rero.map_attack_finite(prior, lambda th, zs: lik[th], i, error_fn, eta)
+            assert one.shape == (d,)
+            assert one.tobytes() == batch[i].tobytes()
+            assert np.array_equal(one, _brute_force_map(prior, lik[i], error_fn, eta))
+
+    check()
+
+
+def test_map_attack_batch_rejects_a_zero_mass_row():
+    prior = rero.FiniteDiscretePrior(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
+    lik = np.array([[1.0, 0.0], [0.0, 0.0]])
+    with pytest.raises(ValueError):
+        rero.map_attack_finite(prior, lambda t, zs: lik, None, rero.l2_error, 0.5)
+
+
 def test_empirical_rero_perfect_mechanism():
     # the mechanism reveals z and the attack inverts it: rate 1
     prior = rero.FiniteDiscretePrior(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
     rate, _ = rero.empirical_rero(
-        mechanism=lambda points, rng: points[-1],
+        mechanism=lambda fixed, zs, rngs: zs,
         prior=prior,
-        attack_fn=lambda theta: theta,
+        attack_fn=lambda thetas: thetas,
         fixed=np.zeros((3, 1)),
         error_fn=rero.l2_error,
         eta=0.01,
@@ -305,9 +424,9 @@ def test_empirical_rero_oblivious_attack_near_kappa():
     )
     best = prior.points[0]  # mass 0.5 within eta = 0.1
     rate, (lo, hi) = rero.empirical_rero(
-        mechanism=lambda points, rng: np.zeros(1),
+        mechanism=lambda fixed, zs, rngs: np.zeros((len(zs), 1)),
         prior=prior,
-        attack_fn=lambda theta: best,
+        attack_fn=lambda thetas: np.broadcast_to(best, thetas.shape),
         fixed=np.zeros((3, 1)),
         error_fn=rero.l2_error,
         eta=0.1,
@@ -319,10 +438,15 @@ def test_empirical_rero_oblivious_attack_near_kappa():
 
 def test_empirical_rero_reproducible():
     prior = rero.UniformBallPrior(2)
+
+    def mechanism(fixed, zs, rngs):
+        noise = np.stack([r.normal(0, 0.1, size=2) for r in rngs])
+        return (fixed.sum(axis=0) + zs) / (len(fixed) + 1) + noise
+
     kwargs = dict(
-        mechanism=lambda points, rng: points.mean(axis=0) + rng.normal(0, 0.1, size=2),
+        mechanism=mechanism,
         prior=prior,
-        attack_fn=lambda theta: theta,
+        attack_fn=lambda thetas: thetas,
         fixed=np.zeros((3, 2)),
         error_fn=rero.l2_error,
         eta=0.5,
@@ -330,6 +454,61 @@ def test_empirical_rero_reproducible():
         seed=7,
     )
     assert rero.empirical_rero(**kwargs) == rero.empirical_rero(**kwargs)
+
+
+def test_empirical_rero_hands_mechanism_the_trial_streams():
+    # trial i's target comes from child ("trial", i) -> "z" of the seed's
+    # stream, and row i of the mechanism's streams is the same trial's "mech"
+    seen = {}
+
+    def mechanism(fixed, zs, rngs):
+        seen["fixed"], seen["zs"] = fixed, zs
+        seen["seeds"] = [r.seed for r in rngs]
+        return zs
+
+    prior = rero.UniformBallPrior(3)
+    rero.empirical_rero(mechanism, prior, lambda thetas: thetas, np.ones((4, 3)),
+                        rero.l2_error, 0.1, n_trials=100, seed=5)
+    root = Rng(5)
+    want_zs = np.concatenate([prior.sample(root.child(("trial", i)).child("z"), 1)
+                              for i in range(100)])
+    assert seen["fixed"].shape == (4, 3)
+    assert seen["zs"].tobytes() == want_zs.tobytes()
+    assert seen["seeds"] == [root.child(("trial", i)).child("mech").seed for i in range(100)]
+
+
+def _grid_rates_per_trial(n_trials, seed):
+    """The soundness grid as one trial at a time: vstack + mean, Generator.choice,
+    a 1-D likelihood and a 1-D MAP guess per trial."""
+    g = np.random.default_rng(seed)
+    fixed = g.uniform(0, 1, size=(9, 2))
+    n = fixed.shape[0] + 1
+    priors = [(g.uniform(0, 1, size=(5, 2)), g.dirichlet(np.ones(5))) for _ in range(3)]
+    rates = []
+    for noise in (0.02, 0.05, 0.15):
+        for eta in (0.05, 0.15, 0.4):
+            for pi, (points, masses) in enumerate(priors):
+                root = Rng(_derive(seed, ("cell", noise, eta, pi)))
+                successes = 0
+                for i in range(n_trials):
+                    trial = root.child(("trial", i))
+                    z = points[trial.child("z").generator.choice(5, size=1, p=masses)][0]
+                    theta = (np.vstack([fixed, z[None, :]]).mean(axis=0)
+                             + trial.child("mech").normal(0.0, noise, size=2))
+                    mu = (fixed.sum(axis=0)[None, :] + points) / n
+                    lik = np.exp(-((theta[None, :] - mu) ** 2).sum(axis=1) / (2 * noise ** 2))
+                    post = masses * lik
+                    post /= post.sum()
+                    scores = [post[rero.l2_error(points, c) <= eta].sum() for c in points]
+                    guess = points[int(np.argmax(scores))]
+                    successes += float(np.linalg.norm(z - guess)) <= eta
+                rates.append(successes / n_trials)
+    return rates
+
+
+def test_soundness_grid_rates_match_per_trial_reference():
+    got = [c["rate"] for c in rero.rero_soundness_grid(n_trials=100, seed=3)]
+    assert got == _grid_rates_per_trial(100, 3)
 
 
 def test_wilson_interval_sane():
