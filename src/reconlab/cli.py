@@ -2,7 +2,8 @@
 
 Reproduces the attack protocols end-to-end from flat key=value config
 files, persists artifacts, and emits CSV report tables. Exit codes: 0 on
-success, 2 on validation errors, 3 on numerical failure.
+success, 2 on validation errors and on missing or corrupt files, 3 on
+numerical failure.
 """
 
 from __future__ import annotations
@@ -527,7 +528,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, data.FormatError, ValueError) as e:
+    except (ConfigError, data.FormatError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     except (nn.DivergenceError, glm.GlmError) as e:

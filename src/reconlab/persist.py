@@ -13,7 +13,15 @@ import numpy as np
 
 from . import nn
 
-__all__ = ["save_model", "load_model", "config_hash", "write_csv"]
+__all__ = [
+    "save_model",
+    "load_model",
+    "header_field",
+    "int_tuple",
+    "f8_array",
+    "config_hash",
+    "write_csv",
+]
 
 
 def save_model(path: str, params: nn.ModelParams, metadata: dict = None) -> None:
@@ -30,25 +38,52 @@ def save_model(path: str, params: nn.ModelParams, metadata: dict = None) -> None
 
 
 def load_model(path: str):
-    """Returns (params, metadata)."""
+    """Returns (params, metadata). A corrupt file raises ValueError naming it."""
     with open(path, "rb") as f:
         blob = f.read()
     head, _, body = blob.partition(b"\n\n")
     fields = {}
-    for line in head.decode().splitlines():
+    for line in head.decode(errors="replace").splitlines():
         key, _, val = line.partition("=")
         fields[key] = val
-    if fields.get("format") != "reconlab-model-v1":
+    if fields.pop("format", None) != "reconlab-model-v1":
         raise ValueError(f"not a reconlab model file: {path}")
-    arch = nn.MlpArchitecture(
-        tuple(int(w) for w in fields.pop("layer_widths").split(",")),
-        fields.pop("activation"),
-    )
-    fields.pop("format")
-    vec = np.frombuffer(body, dtype="<f8")
-    if vec.size != arch.parameter_count:
-        raise ValueError("parameter count mismatch")
+    widths = header_field(fields, "layer_widths", path, int_tuple)
+    activation = header_field(fields, "activation", path)
+    try:
+        arch = nn.MlpArchitecture(widths, activation)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+    del fields["layer_widths"], fields["activation"]
+    vec = f8_array(body, (arch.parameter_count,), path)
     return nn.ModelParams.unflatten(arch, vec), fields
+
+
+def header_field(fields: dict, key: str, path: str, parse=str):
+    """``parse`` of a header field's value, or a ValueError naming the file
+    and the field when it is missing or does not parse."""
+    if key not in fields:
+        raise ValueError(f"{path}: header has no {key!r} field")
+    try:
+        return parse(fields[key])
+    except ValueError as e:
+        raise ValueError(f"{path}: bad {key!r} field: {e}") from None
+
+
+def int_tuple(text: str) -> tuple:
+    """Comma-separated integers, as header fields write them."""
+    return tuple(int(v) for v in text.split(",") if v)
+
+
+def f8_array(blob: bytes, shape: tuple, path: str) -> np.ndarray:
+    """Little-endian float64 bytes as a read-only array of ``shape``, or a
+    ValueError naming the file and the expected and actual sizes."""
+    want = 8 * int(np.prod(shape))
+    if len(blob) != want:
+        raise ValueError(
+            f"{path}: expected {want} bytes (float64 {shape}), found {len(blob)}"
+        )
+    return np.frombuffer(blob, dtype="<f8").reshape(shape)
 
 
 def config_hash(text: str) -> str:

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sps
 
 from .accounting import gaussian_mechanism_zcdp
 from .rng import Rng, _derive
@@ -171,9 +170,11 @@ class ReRoBound:
 
 def wilson_interval(successes: int, trials: int, confidence: float = 0.99):
     """Wilson score interval for a binomial proportion."""
+    from scipy.special import ndtri  # the kernel of norm.ppf; kept off the import path
+
     if trials <= 0:
         raise ValueError("trials must be positive")
-    z = sps.norm.ppf(0.5 + confidence / 2.0)
+    z = ndtri(0.5 + confidence / 2.0)
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
@@ -210,7 +211,11 @@ def kappa_gaussian_bound(eta: float, sigma: float, d: int) -> float:
 
 def kappa_gaussian_exact(eta: float, sigma: float, d: int) -> float:
     """Exact kappa of the isotropic Gaussian prior: Pr[chi2_d <= (eta/sigma)^2]."""
-    return float(sps.chi2.cdf((eta / sigma) ** 2, df=d))
+    from scipy.special import chdtr  # the kernel of chi2.cdf; kept off the import path
+
+    if not d > 0:
+        raise ValueError("d must be positive")  # chi2 is undefined; chdtr(0, x) gives 1
+    return float(chdtr(d, (eta / sigma) ** 2))
 
 
 def kappa_two_point(p: float) -> float:

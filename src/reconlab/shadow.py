@@ -9,12 +9,11 @@ released model is then pushed through the same featurizer and network.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import nn
+from . import nn, persist
 from .data import DataPoint, LabeledDataset
 from .metrics import mse
 from .rng import Rng, _derive
@@ -137,25 +136,38 @@ class ShadowSet:
 
     @staticmethod
     def load(prefix: str) -> "ShadowSet":
+        """A missing file raises OSError; a corrupt one ValueError naming it."""
+        path = prefix + ".header"
         fields = {}
-        with open(prefix + ".header") as f:
+        with open(path) as f:
             for line in f:
                 key, _, val = line.strip().partition("=")
                 fields[key] = val
-        k = int(fields["k"])
-        flen = int(fields["feature_len"])
-        tlen = int(fields["target_len"])
-        layers = tuple(int(i) for i in fields["layers"].split(",") if i)
+
+        def field(key, parse=str):
+            return persist.header_field(fields, key, path, parse)
+
+        def floats(text):
+            return np.array([float(v) for v in text.split(",")])
+
+        def matrix(suffix, shape):
+            with open(prefix + suffix, "rb") as f:
+                return persist.f8_array(f.read(), shape, prefix + suffix)
+
+        k = field("k", int)
+        flen = field("feature_len", int)
+        tlen = field("target_len", int)
+        mode = field("mode")
+        layers = field("layers", persist.int_tuple)
         probe = None
-        if fields["mode"] == "blackbox":
-            pr, pc = (int(v) for v in fields["probe_shape"].split(","))
-            probe = np.fromfile(prefix + ".probe.bin", dtype="<f8").reshape(pr, pc)
-        featurizer = Featurizer(fields["mode"], layers, probe)
-        mat = np.fromfile(prefix + ".bin", dtype="<f8").reshape(k, flen + tlen)
-        stats = NormStats(
-            np.array([float(v) for v in fields["norm_mean"].split(",")]),
-            np.array([float(v) for v in fields["norm_std"].split(",")]),
-        )
+        if mode == "blackbox":
+            probe = matrix(".probe.bin", field("probe_shape", persist.int_tuple))
+        try:
+            featurizer = Featurizer(mode, layers, probe)
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
+        mat = matrix(".bin", (k, flen + tlen))
+        stats = NormStats(field("norm_mean", floats), field("norm_std", floats))
         return ShadowSet(mat[:, :flen].copy(), mat[:, flen:].copy(), featurizer, stats)
 
 
@@ -196,6 +208,8 @@ def gen_shadow_models(fixed: LabeledDataset, shadow_pool: LabeledDataset,
         for i in range(len(shadow_pool))
     ]
     if workers > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_train_one, jobs, chunksize=max(1, len(jobs) // (4 * workers))))
     return [_train_one(j) for j in jobs]

@@ -1,5 +1,7 @@
 import hashlib
 import os
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -131,6 +133,75 @@ def test_attack_end_to_end(cfg_path, tmp_path):
     summary = open(os.path.join(results, "summary.txt")).read()
     assert "mean_attack_mse=" in summary
     assert "oracle_threshold=" in summary
+
+
+@pytest.fixture(scope="module")
+def artifacts(cfg_path, tmp_path_factory):
+    root = tmp_path_factory.mktemp("artifacts")
+    released, shadows = str(root / "released"), str(root / "shadows")
+    assert main(["train-released", "--config", cfg_path, "--out", released]) == 0
+    assert main(["gen-shadows", "--config", cfg_path, "--out", shadows]) == 0
+    return released, shadows
+
+
+def _attack_with(cfg_path, artifacts, tmp_path, capsys, corrupt):
+    """Run ``attack`` on copies of the artifacts after ``corrupt(released, shadows)``."""
+    released = shutil.copytree(artifacts[0], tmp_path / "released")
+    shadows = shutil.copytree(artifacts[1], tmp_path / "shadows")
+    corrupt(released, shadows)
+    capsys.readouterr()
+    rc = main(["attack", "--config", cfg_path, "--shadows", str(shadows),
+               "--released", str(released), "--out", str(tmp_path / "results")])
+    return rc, capsys.readouterr().err
+
+
+def _truncate(path, nbytes):
+    blob = path.read_bytes()
+    path.write_bytes(blob[:-nbytes])
+
+
+def _drop_header_line(path, prefix):
+    head, sep, body = path.read_bytes().partition(b"\n\n")
+    kept = [ln for ln in head.split(b"\n") if not ln.startswith(prefix)]
+    path.write_bytes(b"\n".join(kept) + sep + body)
+
+
+def test_attack_missing_shadows_dir_exits_2(cfg_path, artifacts, tmp_path, capsys):
+    rc, err = _attack_with(cfg_path, artifacts, tmp_path, capsys,
+                           lambda r, s: shutil.rmtree(s))
+    assert rc == 2 and "shadows.header" in err
+
+
+def test_attack_missing_model_exits_2(cfg_path, artifacts, tmp_path, capsys):
+    rc, err = _attack_with(cfg_path, artifacts, tmp_path, capsys,
+                           lambda r, s: (r / "target_0000.model").unlink())
+    assert rc == 2 and "target_0000.model" in err
+
+
+def test_attack_truncated_shadows_bin_exits_2(cfg_path, artifacts, tmp_path, capsys):
+    rc, err = _attack_with(cfg_path, artifacts, tmp_path, capsys,
+                           lambda r, s: _truncate(s / "shadows.bin", 3))
+    size = (Path(artifacts[1]) / "shadows.bin").stat().st_size
+    assert rc == 2 and "shadows.bin" in err
+    assert f"expected {size} bytes" in err and f"found {size - 3}" in err
+
+
+def test_attack_truncated_model_exits_2(cfg_path, artifacts, tmp_path, capsys):
+    rc, err = _attack_with(cfg_path, artifacts, tmp_path, capsys,
+                           lambda r, s: _truncate(r / "target_0001.model", 8))
+    assert rc == 2 and "target_0001.model" in err and "expected" in err
+
+
+def test_attack_shadow_header_missing_field_exits_2(cfg_path, artifacts, tmp_path, capsys):
+    rc, err = _attack_with(cfg_path, artifacts, tmp_path, capsys,
+                           lambda r, s: _drop_header_line(s / "shadows.header", b"norm_std="))
+    assert rc == 2 and "shadows.header" in err and "'norm_std'" in err
+
+
+def test_attack_model_header_missing_field_exits_2(cfg_path, artifacts, tmp_path, capsys):
+    rc, err = _attack_with(cfg_path, artifacts, tmp_path, capsys,
+                           lambda r, s: _drop_header_line(r / "target_0002.model", b"activation="))
+    assert rc == 2 and "target_0002.model" in err and "'activation'" in err
 
 
 # ------------------------------------------------------------ glm-attack

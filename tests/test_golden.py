@@ -1,10 +1,11 @@
 """Golden references: pinned outputs that refactors and speedups must keep.
 
 The files under ``tests/golden/`` hold float reprs of trained parameters
-(GD, SGD and DP-GD on a tiny architecture) and the per-cell success rates of
-the ReRo soundness grid. Parameters are compared bitwise when the numpy/BLAS
-build matches the one they were recorded on, and within 1e-10 relative
-otherwise. Rates are counts over trials and are always compared exactly.
+(GD, SGD and DP-GD on a tiny architecture), the per-cell success rates of
+the ReRo soundness grid and one closed-form GLM reconstruction (logistic,
+lambda = 0.1). Parameters and the reconstruction are compared bitwise when
+the numpy/BLAS build matches the one they were recorded on, and within 1e-10
+relative otherwise. Rates are counts over trials and are always compared exactly.
 
 Re-record only for a change that alters these outputs on purpose:
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reconlab import data, nn
+from reconlab import data, glm, nn
 from reconlab.rero import rero_soundness_grid
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -31,6 +32,7 @@ CONFIGS = {
                            noise_multiplier=0.7, init_seed=3, shuffle_seed=4, noise_seed=5),
 }
 GRID = {"n_trials": 100, "seed": 0}
+GLM = {"family": "logistic", "lam": 0.1, "d": 5, "n": 60, "seed": 8}
 
 
 def build() -> dict:
@@ -59,6 +61,18 @@ def grid_rates() -> list:
     ]
 
 
+def glm_reconstruction() -> np.ndarray:
+    """(x_hat, y_hat) of the target planted last in a seeded instance, as one vector."""
+    g = np.random.default_rng(GLM["seed"])
+    n, d = GLM["n"], GLM["d"]
+    X = np.hstack([np.ones((n + 1, 1)), g.normal(size=(n + 1, d))])
+    Y = g.integers(0, 2, size=n + 1).astype(float)
+    spec = glm.GlmSpec(GLM["family"], GLM["lam"])
+    theta = glm.fit_glm(X, Y, spec)
+    x_hat, y_hat = glm.reconstruct_glm(theta, X[:-1], Y[:-1], spec)
+    return np.append(x_hat, y_hat)
+
+
 def _load(name: str) -> dict:
     with open(GOLDEN / name) as f:
         return json.load(f)
@@ -70,6 +84,8 @@ def record() -> None:
     for name, payload in (
         ("train_params.json", {"build": build(), "arch": list(ARCH.layer_widths), "params": params}),
         ("rero_grid_rates.json", {"grid": GRID, "cells": grid_rates()}),
+        ("glm_reconstruction.json",
+         {"build": build(), "instance": GLM, "x_y": [float(v) for v in glm_reconstruction()]}),
     ):
         with open(GOLDEN / name, "w") as f:
             json.dump(payload, f, indent=1)
@@ -80,9 +96,12 @@ def record() -> None:
 def test_trained_params_match_golden(name):
     golden = _load("train_params.json")
     want = np.array(golden["params"][name])
-    got = trained_params()[name]
+    _assert_matches(golden["build"], trained_params()[name], want)
+
+
+def _assert_matches(recorded_build: dict, got: np.ndarray, want: np.ndarray) -> None:
     assert got.shape == want.shape
-    if golden["build"] == build():
+    if recorded_build == build():
         assert got.tobytes() == want.tobytes()
     else:
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
@@ -92,6 +111,12 @@ def test_rero_grid_rates_match_golden():
     golden = _load("rero_grid_rates.json")
     assert golden["grid"] == GRID
     assert grid_rates() == golden["cells"]
+
+
+def test_glm_reconstruction_matches_golden():
+    golden = _load("glm_reconstruction.json")
+    assert golden["instance"] == GLM
+    _assert_matches(golden["build"], glm_reconstruction(), np.array(golden["x_y"]))
 
 
 if __name__ == "__main__":

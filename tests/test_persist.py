@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from reconlab import nn, persist
+from reconlab import nn, persist, shadow
 
 
 def test_model_roundtrip(tmp_path):
@@ -29,8 +29,11 @@ def test_model_rejects_truncated_body(tmp_path):
     persist.save_model(path, params)
     blob = open(path, "rb").read()
     open(path, "wb").write(blob[:-8])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as e:
         persist.load_model(path)
+    want = 8 * arch.parameter_count
+    assert path in str(e.value) and f"expected {want} bytes" in str(e.value)
+    assert f"found {want - 8}" in str(e.value)
 
 
 def test_config_hash_stable():
@@ -46,3 +49,64 @@ def test_write_csv_has_provenance_line(tmp_path):
     assert lines[0] == "# config_hash=deadbeef"
     assert lines[1] == "a,b"
     assert lines[2:] == ["1,2", "3,4"]
+
+
+def _saved_model(tmp_path):
+    path = str(tmp_path / "m.model")
+    persist.save_model(path, nn.init_params(nn.MlpArchitecture((4, 3)), 0))
+    return path
+
+
+@pytest.mark.parametrize("field,line,named", [
+    ("layer_widths", b"", "'layer_widths'"),
+    ("activation", b"", "'activation'"),
+    ("layer_widths", b"layer_widths=4,x", "'layer_widths'"),
+    ("activation", b"activation=foo", "'foo'"),
+])
+def test_model_header_missing_or_bad_field_names_it(tmp_path, field, line, named):
+    path = _saved_model(tmp_path)
+    head, sep, body = open(path, "rb").read().partition(b"\n\n")
+    kept = [ln for ln in head.split(b"\n") if not ln.startswith(field.encode() + b"=")]
+    open(path, "wb").write(b"\n".join(kept + [line] if line else kept) + sep + body)
+    with pytest.raises(ValueError) as e:
+        persist.load_model(path)
+    assert path in str(e.value) and named in str(e.value)
+
+
+def _saved_shadow_set(tmp_path):
+    g = np.random.default_rng(0)
+    feats = g.normal(size=(6, 5))
+    featurizer = shadow.Featurizer("blackbox", probe=g.normal(size=(3, 4)))
+    ss = shadow.ShadowSet(feats, g.uniform(size=(6, 2)), featurizer, shadow.NormStats.fit(feats))
+    prefix = str(tmp_path / "shadows")
+    ss.save(prefix)
+    return prefix
+
+
+@pytest.mark.parametrize("suffix", [".bin", ".probe.bin"])
+def test_truncated_shadow_matrix_names_file_and_sizes(tmp_path, suffix):
+    prefix = _saved_shadow_set(tmp_path)
+    path = prefix + suffix
+    blob = open(path, "rb").read()
+    open(path, "wb").write(blob[:-9])
+    with pytest.raises(ValueError) as e:
+        shadow.ShadowSet.load(prefix)
+    msg = str(e.value)
+    assert path in msg and str(len(blob)) in msg and str(len(blob) - 9) in msg
+
+
+@pytest.mark.parametrize("field,line,named", [
+    ("k", "", "'k'"),
+    ("norm_std", "", "'norm_std'"),
+    ("k", "k=six", "'k'"),
+    ("mode", "mode=greybox", "'greybox'"),
+])
+def test_shadow_header_missing_or_bad_field_names_it(tmp_path, field, line, named):
+    prefix = _saved_shadow_set(tmp_path)
+    path = prefix + ".header"
+    lines = open(path).read().splitlines()
+    kept = [ln for ln in lines if not ln.startswith(field + "=")]
+    open(path, "w").write("\n".join(kept + [line] if line else kept) + "\n")
+    with pytest.raises(ValueError) as e:
+        shadow.ShadowSet.load(prefix)
+    assert path in str(e.value) and named in str(e.value)

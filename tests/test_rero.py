@@ -518,3 +518,40 @@ def test_wilson_interval_sane():
     assert lo == 0.0 and hi > 0.0
     lo, hi = rero.wilson_interval(100, 100)
     assert hi == 1.0 and lo < 1.0
+
+
+def _wilson_norm_ppf(successes, trials, confidence):
+    """The interval as computed before scipy.stats left the import path."""
+    from scipy import stats
+    z = stats.norm.ppf(0.5 + confidence / 2.0)
+    phat = successes / trials
+    denom = 1.0 + z * z / trials
+    center = (phat + z * z / (2 * trials)) / denom
+    half = z * math.sqrt(phat * (1 - phat) / trials + z * z / (4 * trials * trials)) / denom
+    return max(0.0, center - half), min(1.0, center + half)
+
+
+@pytest.mark.parametrize("confidence", [0.9, 0.95, 0.99, 0.999])
+@pytest.mark.parametrize("trials", [100, 200, 1000, 10 ** 6])
+def test_wilson_interval_bitwise_equals_norm_ppf_formula(trials, confidence):
+    for successes in sorted({0, 1, 7, trials // 3, trials // 2, trials - 1, trials}):
+        got = rero.wilson_interval(successes, trials, confidence)
+        want = _wilson_norm_ppf(successes, trials, confidence)
+        assert np.array(got).tobytes() == np.array(want).tobytes(), successes
+
+
+def test_kappa_gaussian_exact_bitwise_equals_chi2_cdf():
+    from scipy import stats
+    ratios = np.concatenate([[0.0], np.geomspace(1e-3, 20.0, 49)])
+    for d in range(1, 61):
+        for r in ratios:
+            eta, sigma = float(r) * 0.7, 0.7
+            want = float(stats.chi2.cdf((eta / sigma) ** 2, df=d))
+            got = rero.kappa_gaussian_exact(eta, sigma, d)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (d, r)
+
+
+@pytest.mark.parametrize("d", [0, -1, float("nan")])
+def test_kappa_gaussian_exact_rejects_nonpositive_d(d):
+    with pytest.raises(ValueError):
+        rero.kappa_gaussian_exact(0.5, 1.0, d)
