@@ -153,13 +153,8 @@ def cmd_train_released(args) -> int:
     cfg = parse_config(args.config)
     fixed, _, targets, arch, train_cfg = load_profile(cfg)
     os.makedirs(args.out, exist_ok=True)
-    for i in range(len(targets)):
-        z = targets[i]
-        try:
-            theta = nn.train(fixed.with_point(z), arch, train_cfg)
-        except nn.DivergenceError as e:
-            print(f"error: target {i}: {e}", file=sys.stderr)
-            return EXIT_NUMERICAL
+    released = shadow.train_many(fixed, targets, arch, [train_cfg] * len(targets))
+    for i, theta in enumerate(released):
         save_model(
             os.path.join(args.out, f"target_{i:04d}.model"),
             theta,
@@ -182,11 +177,9 @@ def cmd_gen_shadows(args) -> int:
     fixed, shadow_pool, _, arch, train_cfg = load_profile(cfg)
     if args.k is not None:
         if args.k <= 0:
-            print("error: --k must be positive", file=sys.stderr)
-            return EXIT_VALIDATION
+            raise ConfigError("--k must be positive")
         if args.k > len(shadow_pool):
-            print("error: --k exceeds shadow pool size", file=sys.stderr)
-            return EXIT_VALIDATION
+            raise ConfigError("--k exceeds shadow pool size")
     if args.ood_pool:
         ood = data.load_csv(args.ood_pool, args.ood_label_column)
         shadow_pool = data.relabel_random(
@@ -197,13 +190,9 @@ def cmd_gen_shadows(args) -> int:
     )
     if args.k is not None:
         shadow_pool = shadow_pool.subset(range(args.k))
-    try:
-        shadow_set = shadow.gen_shadows(
-            fixed, shadow_pool, arch, train_cfg, featurizer, random_init=args.random_init
-        )
-    except nn.DivergenceError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    shadow_set = shadow.gen_shadows(
+        fixed, shadow_pool, arch, train_cfg, featurizer, random_init=args.random_init
+    )
     os.makedirs(args.out, exist_ok=True)
     prefix = os.path.join(args.out, "shadows")
     shadow_set.save(prefix)
@@ -218,11 +207,7 @@ def cmd_attack(args) -> int:
     cfg = parse_config(args.config)
     fixed, shadow_pool, _, _, _ = load_profile(cfg)
     shadow_set = shadow.ShadowSet.load(os.path.join(args.shadows, "shadows"))
-    try:
-        phi = shadow.train_reconn(shadow_set, reconn_config(cfg))
-    except nn.DivergenceError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    phi = shadow.train_reconn(shadow_set, reconn_config(cfg))
     bundle = shadow.AttackBundle(phi, shadow_set.featurizer, shadow_set.stats)
 
     targets = data.load_csv(os.path.join(args.released, "targets.csv"), "label")
@@ -261,35 +246,21 @@ def cmd_glm_attack(args) -> int:
     with open(args.fixed) as f:
         header = f.readline().strip().split(",")
     if args.label_column not in header:
-        print(f"error: label column {args.label_column!r} not in header", file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
-        table = np.loadtxt(args.fixed, delimiter=",", skiprows=1, ndmin=2)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ConfigError(f"label column {args.label_column!r} not in header")
+    table = np.loadtxt(args.fixed, delimiter=",", skiprows=1, ndmin=2)
     li = header.index(args.label_column)
     Y = table[:, li]
     X = np.delete(table, li, axis=1)
     theta = np.loadtxt(args.theta, delimiter=",", ndmin=1)
     if args.no_intercept:
         if args.target_label is None:
-            print("error: --no-intercept requires --target-label", file=sys.stderr)
-            return EXIT_VALIDATION
-        try:
-            c1, c2 = glm.reconstruct_linreg_no_intercept(theta, X, Y, args.target_label)
-        except glm.GlmError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_NUMERICAL
+            raise ConfigError("--no-intercept requires --target-label")
+        c1, c2 = glm.reconstruct_linreg_no_intercept(theta, X, Y, args.target_label)
         print("candidate_1=" + ",".join(repr(float(v)) for v in c1))
         print("candidate_2=" + ",".join(repr(float(v)) for v in c2))
         return EXIT_OK
     spec = glm.GlmSpec(args.family, args.lam)
-    try:
-        x, y = glm.reconstruct_glm(theta, glm.add_intercept(X), Y, spec)
-    except glm.GlmError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    x, y = glm.reconstruct_glm(theta, glm.add_intercept(X), Y, spec)
     print("x=" + ",".join(repr(float(v)) for v in x))
     print(f"y={float(y)!r}")
     return EXIT_OK
@@ -299,8 +270,7 @@ def cmd_mia(args) -> int:
     cfg = parse_config(args.config)
     fixed, _, targets, arch, train_cfg = load_profile(cfg)
     if len(targets) < 2:
-        print("error: need at least two test targets", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ConfigError("need at least two test targets")
     z0, z1 = targets[0], targets[1]
     if args.attack == "trivial":
         attack_fn = mia.trivial_deterministic_mia
@@ -359,21 +329,19 @@ def cmd_dp_sweep(args) -> int:
                     shuffle_seed=base_cfg.shuffle_seed,
                     noise_seed=_derive(base_cfg.noise_seed, ("adv", sigma, rep)),
                 )
-            try:
-                shadow_set = shadow.gen_shadows(fixed, shadow_pool, arch, run_cfg, featurizer)
-                phi = shadow.train_reconn(shadow_set, rc)
-                bundle = shadow.AttackBundle(phi, featurizer, shadow_set.stats)
-                mses, accs = [], []
-                for i in range(len(targets)):
-                    rel_cfg = run_cfg.with_seeds(
-                        noise_seed=_derive(base_cfg.noise_seed, ("released", sigma, rep, i))
-                    )
-                    theta = nn.train(fixed.with_point(targets[i]), arch, rel_cfg)
-                    mses.append(metrics.mse(targets.X[i], bundle(theta)))
-                    accs.append(nn.accuracy(theta, targets))
-            except nn.DivergenceError as e:
-                print(f"error: {e}", file=sys.stderr)
-                return EXIT_NUMERICAL
+            shadow_set = shadow.gen_shadows(fixed, shadow_pool, arch, run_cfg, featurizer)
+            phi = shadow.train_reconn(shadow_set, rc)
+            bundle = shadow.AttackBundle(phi, featurizer, shadow_set.stats)
+            rel_cfgs = [
+                run_cfg.with_seeds(
+                    noise_seed=_derive(base_cfg.noise_seed, ("released", sigma, rep, i))
+                )
+                for i in range(len(targets))
+            ]
+            mses, accs = [], []
+            for i, theta in enumerate(shadow.train_many(fixed, targets, arch, rel_cfgs)):
+                mses.append(metrics.mse(targets.X[i], bundle(theta)))
+                accs.append(nn.accuracy(theta, targets))
             per_rep.append(float(np.mean(mses)))
             acc_rep.append(float(np.mean(accs)))
         if sigma == 0.0:
@@ -397,29 +365,25 @@ def cmd_dp_sweep(args) -> int:
 
 
 def cmd_rero_bound(args) -> int:
-    try:
-        if args.thm3:
-            if args.gamma is None:
-                raise ValueError("--thm3 requires --gamma")
-            print(f"delta={rero.rero_to_dp(args.eps, args.gamma)!r}")
-            return EXIT_OK
-        if args.thm2:
-            b = rero.rdp_to_rero(args.alpha, args.eps, args.kappa, args.eta)
-        elif args.cor1:
-            b = rero.puredp_to_rero(args.eps, args.kappa, args.eta)
-        elif args.cor2:
-            b = rero.zcdp_to_rero(args.rho, args.kappa, args.eta)
-        elif args.prop1:
-            privacy = {"rho": args.rho} if args.rho is not None else {"eps": args.eps}
-            b = rero.prop_gamma(args.d, args.eta, privacy, "uniform_ball")
-        elif args.prop2:
-            privacy = {"rho": args.rho} if args.rho is not None else {"eps": args.eps}
-            b = rero.prop_gamma(args.d, args.eta, privacy, "gaussian", sigma=args.sigma)
-        else:
-            raise ValueError("choose one of --thm2/--cor1/--cor2/--thm3/--prop1/--prop2")
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
+    if args.thm3:
+        if args.gamma is None:
+            raise ValueError("--thm3 requires --gamma")
+        print(f"delta={rero.rero_to_dp(args.eps, args.gamma)!r}")
+        return EXIT_OK
+    if args.thm2:
+        b = rero.rdp_to_rero(args.alpha, args.eps, args.kappa, args.eta)
+    elif args.cor1:
+        b = rero.puredp_to_rero(args.eps, args.kappa, args.eta)
+    elif args.cor2:
+        b = rero.zcdp_to_rero(args.rho, args.kappa, args.eta)
+    elif args.prop1:
+        privacy = {"rho": args.rho} if args.rho is not None else {"eps": args.eps}
+        b = rero.prop_gamma(args.d, args.eta, privacy, "uniform_ball")
+    elif args.prop2:
+        privacy = {"rho": args.rho} if args.rho is not None else {"eps": args.eps}
+        b = rero.prop_gamma(args.d, args.eta, privacy, "gaussian", sigma=args.sigma)
+    else:
+        raise ValueError("choose one of --thm2/--cor1/--cor2/--thm3/--prop1/--prop2")
     print(f"gamma={b.gamma!r}")
     print(f"kappa={b.kappa!r}")
     print(f"source={b.source}")

@@ -152,10 +152,11 @@ def reconstruct_glm(theta: np.ndarray, X_fixed: np.ndarray, Y_fixed: np.ndarray,
     """Closed-form recovery of the held-out (x, y) from an exactly optimal GLM.
 
     Requires the intercept convention (first feature coordinate equals 1).
-    The label is recovered from the intercept equation; multiple published
-    variants of the y expression exist, so every candidate is scored by
-    back-substituting into the optimality condition and the one driving the
-    gradient norm below tolerance is returned.
+    With B = g^{-1}(X theta) - Y over the fixed set, the optimality condition
+    gives x = (X'B + lam*theta) / denom, denom = sum(B) + lam*theta_1, and its
+    intercept row gives the label y = g^{-1}(<x, theta>) + denom. The result
+    is back-substituted into the optimality condition as a check: GlmError
+    unless the gradient norm is at most 10*tol.
     """
     theta = np.asarray(theta, dtype=np.float64)
     X_fixed = np.atleast_2d(np.asarray(X_fixed, dtype=np.float64))
@@ -170,25 +171,14 @@ def reconstruct_glm(theta: np.ndarray, X_fixed: np.ndarray, Y_fixed: np.ndarray,
 
     x = (X_fixed.T @ B + spec.lam * theta) / denom
     x[0] = 1.0
-    mu = float(spec.inverse_link(x @ theta))
+    y = float(spec.inverse_link(x @ theta)) + denom
 
-    candidates = (
-        mu + denom,                              # from the optimality identity
-        mu - denom,                              # proof-sketch sign variant
-        mu + spec.lam * B.sum() * theta[0],      # theorem-statement variant
-    )
-    best, best_norm = None, np.inf
-    for y in candidates:
-        Xf = np.vstack([X_fixed, x[None, :]])
-        Yf = np.concatenate([Y_fixed, [y]])
-        gnorm = np.linalg.norm(glm_gradient(theta, Xf, Yf, spec))
-        if gnorm < best_norm:
-            best, best_norm = y, gnorm
-    if best_norm > 10 * tol:
-        raise GlmError(
-            f"no label candidate satisfies optimality (best |grad| = {best_norm:.3e})"
-        )
-    return x, float(best)
+    Xf = np.vstack([X_fixed, x[None, :]])
+    Yf = np.concatenate([Y_fixed, [y]])
+    gnorm = np.linalg.norm(glm_gradient(theta, Xf, Yf, spec))
+    if gnorm > 10 * tol:
+        raise GlmError(f"reconstruction fails the optimality check: |grad| = {gnorm:.3e}")
+    return x, y
 
 
 def reconstruct_linreg_no_intercept(theta: np.ndarray, X_fixed: np.ndarray,

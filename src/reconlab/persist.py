@@ -2,7 +2,8 @@
 
 Model files are a text header (architecture, seeds, free-form metadata)
 terminated by a blank line, followed by the flattened parameters as
-little-endian 64-bit floats.
+little-endian 64-bit floats. Model and shadow-set headers are the same
+``key=value`` lines, written by ``format_header``, read by ``parse_header``.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from . import nn
 __all__ = [
     "save_model",
     "load_model",
+    "format_header",
+    "parse_header",
     "header_field",
     "int_tuple",
     "f8_array",
@@ -25,15 +28,14 @@ __all__ = [
 
 
 def save_model(path: str, params: nn.ModelParams, metadata: dict = None) -> None:
-    lines = [
-        "format=reconlab-model-v1",
-        "layer_widths=" + ",".join(str(w) for w in params.arch.layer_widths),
-        f"activation={params.arch.activation}",
-    ]
-    for key, val in (metadata or {}).items():
-        lines.append(f"{key}={val}")
+    header = format_header({
+        "format": "reconlab-model-v1",
+        "layer_widths": ",".join(str(w) for w in params.arch.layer_widths),
+        "activation": params.arch.activation,
+        **(metadata or {}),
+    })
     with open(path, "wb") as f:
-        f.write(("\n".join(lines) + "\n\n").encode())
+        f.write((header + "\n").encode())
         f.write(params.flatten().astype("<f8").tobytes())
 
 
@@ -42,10 +44,7 @@ def load_model(path: str):
     with open(path, "rb") as f:
         blob = f.read()
     head, _, body = blob.partition(b"\n\n")
-    fields = {}
-    for line in head.decode(errors="replace").splitlines():
-        key, _, val = line.partition("=")
-        fields[key] = val
+    fields = parse_header(head.decode(errors="replace"))
     if fields.pop("format", None) != "reconlab-model-v1":
         raise ValueError(f"not a reconlab model file: {path}")
     widths = header_field(fields, "layer_widths", path, int_tuple)
@@ -57,6 +56,20 @@ def load_model(path: str):
     del fields["layer_widths"], fields["activation"]
     vec = f8_array(body, (arch.parameter_count,), path)
     return nn.ModelParams.unflatten(arch, vec), fields
+
+
+def format_header(fields: dict) -> str:
+    """One ``key=value`` line per field, in order, each ending in a newline."""
+    return "".join(f"{key}={val}\n" for key, val in fields.items())
+
+
+def parse_header(text: str) -> dict:
+    """The fields of ``key=value`` lines, as format_header writes them."""
+    fields = {}
+    for line in text.splitlines():
+        key, _, val = line.partition("=")
+        fields[key] = val
+    return fields
 
 
 def header_field(fields: dict, key: str, path: str, parse=str):

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn, persist
-from .data import DataPoint, LabeledDataset
-from .metrics import mse
+from .data import LabeledDataset
 from .rng import Rng, _derive
 
 __all__ = [
@@ -31,7 +30,7 @@ __all__ = [
     "train_reconn",
     "attack",
     "AttackBundle",
-    "run_protocol",
+    "train_many",
     "default_workers",
 ]
 
@@ -116,33 +115,29 @@ class ShadowSet:
     def save(self, prefix: str) -> None:
         """Text header (descriptor, dims, NormStats) + little-endian float64 matrix."""
         k, flen = self.features.shape
-        tlen = self.targets.shape[1]
-        lines = [
-            f"k={k}",
-            f"feature_len={flen}",
-            f"target_len={tlen}",
-            f"mode={self.featurizer.mode}",
-            "layers=" + ",".join(str(i) for i in self.featurizer.layers),
-            "norm_mean=" + ",".join(repr(float(v)) for v in self.stats.mean),
-            "norm_std=" + ",".join(repr(float(v)) for v in self.stats.std),
-        ]
+        fields = {
+            "k": k,
+            "feature_len": flen,
+            "target_len": self.targets.shape[1],
+            "mode": self.featurizer.mode,
+            "layers": ",".join(str(i) for i in self.featurizer.layers),
+            "norm_mean": ",".join(repr(float(v)) for v in self.stats.mean),
+            "norm_std": ",".join(repr(float(v)) for v in self.stats.std),
+        }
         if self.featurizer.mode == "blackbox":
             p = self.featurizer.probe
-            lines.append(f"probe_shape={p.shape[0]},{p.shape[1]}")
+            fields["probe_shape"] = f"{p.shape[0]},{p.shape[1]}"
             p.astype("<f8").tofile(prefix + ".probe.bin")
         with open(prefix + ".header", "w") as f:
-            f.write("\n".join(lines) + "\n")
+            f.write(persist.format_header(fields))
         np.hstack([self.features, self.targets]).astype("<f8").tofile(prefix + ".bin")
 
     @staticmethod
     def load(prefix: str) -> "ShadowSet":
         """A missing file raises OSError; a corrupt one ValueError naming it."""
         path = prefix + ".header"
-        fields = {}
         with open(path) as f:
-            for line in f:
-                key, _, val = line.strip().partition("=")
-                fields[key] = val
+            fields = persist.parse_header(f.read())
 
         def field(key, parse=str):
             return persist.header_field(fields, key, path, parse)
@@ -186,33 +181,42 @@ def shadow_config(config: nn.TrainConfig, index: int, random_init: bool) -> nn.T
     )
 
 
-def _train_one(args):
-    fixed, point, arch, cfg, index = args
+def _train_point(job):
+    index, fixed, point, arch, config = job
     try:
-        return nn.train(fixed.with_point(point), arch, cfg)
+        return nn.train(fixed.with_point(point), arch, config)
     except nn.DivergenceError as e:
-        raise nn.DivergenceError(f"shadow {index} diverged: {e}") from None
+        raise nn.DivergenceError(f"point {index} diverged: {e}") from None
+
+
+def train_many(fixed: LabeledDataset, points, arch: nn.MlpArchitecture, configs,
+               workers: int = None):
+    """Yield, in point order, the model trained on fixed + points[i] with configs[i].
+
+    Every model is a pure function of its (point, config), so serial and
+    parallel runs give the same bits; seeds are the caller's choice. Runs in
+    ``default_workers()`` processes unless ``workers`` is given. A divergence
+    raises nn.DivergenceError naming the point's index.
+    """
+    workers = default_workers() if workers is None else workers
+    jobs = [(i, fixed, points[i], arch, c) for i, c in enumerate(configs)]
+    if workers > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(_train_point, jobs,
+                                chunksize=max(1, len(jobs) // (4 * workers)))
+    else:
+        for job in jobs:
+            yield _train_point(job)
 
 
 def gen_shadow_models(fixed: LabeledDataset, shadow_pool: LabeledDataset,
                       arch: nn.MlpArchitecture, config: nn.TrainConfig,
                       random_init: bool = False, workers: int = None) -> list:
-    """Train one model on fixed + each shadow target; order matches the pool.
-
-    Serial and parallel runs agree because every shadow's seeds derive from
-    (config seeds, shadow index) up front.
-    """
-    workers = default_workers() if workers is None else workers
-    jobs = [
-        (fixed, shadow_pool[i], arch, shadow_config(config, i, random_init), i)
-        for i in range(len(shadow_pool))
-    ]
-    if workers > 1 and len(jobs) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_train_one, jobs, chunksize=max(1, len(jobs) // (4 * workers))))
-    return [_train_one(j) for j in jobs]
+    """Train one model on fixed + each shadow target; order matches the pool."""
+    configs = [shadow_config(config, i, random_init) for i in range(len(shadow_pool))]
+    return list(train_many(fixed, shadow_pool, arch, configs, workers))
 
 
 def build_shadow_set(models: list, shadow_pool: LabeledDataset,
@@ -330,11 +334,3 @@ class AttackBundle:
 
     def __call__(self, released) -> np.ndarray:
         return attack(self.phi, released, self.featurizer, self.stats)
-
-
-def run_protocol(fixed: LabeledDataset, z: DataPoint, arch: nn.MlpArchitecture,
-                 config: nn.TrainConfig, attack_fn, error_fn=mse) -> float:
-    """Train on fixed + z, attack the result, return the reconstruction error."""
-    theta = nn.train(fixed.with_point(z), arch, config)
-    z_hat = attack_fn(theta)
-    return float(error_fn(np.asarray(z.x, dtype=np.float64), z_hat))

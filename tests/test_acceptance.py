@@ -3,8 +3,13 @@
 Each test prints a single PASS/FAIL line for its criterion. The heavy
 shadow-model block (criteria A2, A5, A6) shares one set of 2000 shadow
 trainings through a module-scoped fixture; expect a few minutes total.
+The A2 shadow feature matrix is pinned in ``tests/golden/`` like the other
+golden references; re-record it only for a change that alters it on purpose:
+``PYTHONPATH=src python tests/test_acceptance.py``.
 """
 
+import hashlib
+import json
 import math
 import sys
 import time
@@ -16,6 +21,7 @@ from reconlab import accounting, glm, metrics, mia, nn, rero, shadow
 from reconlab.rero import rero_soundness_grid
 from reconlab.data import SplitSpec, synth_classification, split
 from reconlab.rng import Rng, _derive
+from test_golden import GOLDEN, assert_matches, build, summary
 
 
 def report(name: str, ok: bool, detail: str = ""):
@@ -103,14 +109,18 @@ DESK_CFG = nn.TrainConfig(optimizer="gd_momentum", learning_rate=0.2, momentum=0
 RECONN_CFG = shadow.RecoNNConfig(epochs=100, seed=7)
 
 
-@pytest.fixture(scope="module")
-def desk_profile():
+def desk_setup():
     pool = synth_classification(64, 10, 5000, 0.15, seed=11)
     fixed, shadow_all, targets = split(pool, SplitSpec(500, 2200, 100, split_seed=5))
     probe = shadow_all.subset(range(200))          # black-box probe inputs
     shadow_pool = shadow_all.subset(range(200, 2200))
     oracle = metrics.oracle_report(targets.X, np.vstack([fixed.X, shadow_all.X]))
     return fixed, shadow_pool, probe, targets, oracle
+
+
+@pytest.fixture(scope="module")
+def desk_profile():
+    return desk_setup()
 
 
 @pytest.fixture(scope="module")
@@ -126,8 +136,7 @@ def desk_shadow_models(desk_profile):
 @pytest.fixture(scope="module")
 def desk_released(desk_profile):
     fixed, _, _, targets, _ = desk_profile
-    return [nn.train(fixed.with_point(targets[i]), DESK_ARCH, DESK_CFG)
-            for i in range(len(targets))]
+    return list(shadow.train_many(fixed, targets, DESK_ARCH, [DESK_CFG] * len(targets)))
 
 
 def run_desk_attack(models, shadow_pool, featurizer, released, targets):
@@ -144,6 +153,24 @@ def test_a2_shadow_attack_beats_oracle(desk_profile, desk_shadow_models, desk_re
                                shadow.Featurizer("whitebox"), desk_released, targets)
     report("A2 shadow attack beats NN oracle", mean_mse < oracle.mean_nn_distance,
            f"attack {mean_mse:.4f} vs oracle {oracle.mean_nn_distance:.4f}")
+
+
+def a2_feature_pin(models) -> dict:
+    """Shape, sha256 and summary of the A2 (white-box) shadow feature matrix."""
+    features = np.stack([shadow.featurize(m, shadow.Featurizer("whitebox")) for m in models])
+    return {"shape": list(features.shape),
+            "sha256": hashlib.sha256(features.astype("<f8").tobytes()).hexdigest(),
+            "summary": summary(features)}
+
+
+def test_a2_shadow_features_match_golden(desk_shadow_models):
+    with open(GOLDEN / "a2_shadow_features.json") as f:
+        golden = json.load(f)
+    got = a2_feature_pin(desk_shadow_models)
+    assert got["shape"] == golden["shape"]
+    if golden["build"] == build():
+        assert got["sha256"] == golden["sha256"]
+    assert_matches(golden["build"], np.array(got["summary"]), np.array(golden["summary"]))
 
 
 def test_a5_blackbox_parity(desk_profile, desk_shadow_models, desk_released):
@@ -174,11 +201,11 @@ def test_a3_random_init_ablation_defeats_attack(desk_profile):
     s = shadow.build_shadow_set(models, shadow_pool, feat)
     phi = shadow.train_reconn(s, RECONN_CFG)
     bundle = shadow.AttackBundle(phi, feat, s.stats)
-    mses = []
-    for i in range(len(targets)):
-        rel_cfg = DESK_CFG.with_seeds(init_seed=_derive(909, ("release-init", i)))
-        mses.append(shadow.run_protocol(fixed, targets[i], DESK_ARCH, rel_cfg, bundle))
-    mean_mse = float(np.mean(mses))
+    rel_cfgs = [DESK_CFG.with_seeds(init_seed=_derive(909, ("release-init", i)))
+                for i in range(len(targets))]
+    released = shadow.train_many(fixed, targets, DESK_ARCH, rel_cfgs)
+    mean_mse = float(np.mean([metrics.mse(targets.X[i], bundle(theta))
+                              for i, theta in enumerate(released)]))
     report("A3 random-init ablation defeats attack", mean_mse > oracle.mean_nn_distance,
            f"attack {mean_mse:.4f} vs oracle {oracle.mean_nn_distance:.4f}")
 
@@ -210,11 +237,11 @@ def test_a4_dp_mitigation_tradeoff():
             phi = shadow.train_reconn(s, shadow.RecoNNConfig(epochs=80, batch_size=64,
                                                              seed=7))
             bundle = shadow.AttackBundle(phi, feat, s.stats)
-            mses = []
-            for i in range(len(targets)):
-                rel = cfg.with_seeds(noise_seed=_derive(rep, ("released", sigma, i)))
-                mses.append(shadow.run_protocol(fixed, targets[i], arch, rel, bundle))
-            results[sigma].append(float(np.mean(mses)))
+            rel_cfgs = [cfg.with_seeds(noise_seed=_derive(rep, ("released", sigma, i)))
+                        for i in range(len(targets))]
+            released = shadow.train_many(fixed, targets, arch, rel_cfgs)
+            results[sigma].append(float(np.mean([metrics.mse(targets.X[i], bundle(theta))
+                                                 for i, theta in enumerate(released)])))
 
     means = {s: float(np.mean(v)) for s, v in results.items()}
     ses = {s: float(np.std(v, ddof=1) / math.sqrt(len(v))) for s, v in results.items()}
@@ -353,3 +380,11 @@ def test_a10_numerical_hygiene():
 
     report("A10 numerical hygiene", grad_ok and det_ok and cal_ok,
            f"grad rel err {rel:.2e}")
+
+
+if __name__ == "__main__":
+    fixed, shadow_pool, _, _, _ = desk_setup()
+    models = shadow.gen_shadow_models(fixed, shadow_pool, DESK_ARCH, DESK_CFG)
+    with open(GOLDEN / "a2_shadow_features.json", "w") as f:
+        json.dump({"build": build(), **a2_feature_pin(models)}, f, indent=1)
+        f.write("\n")

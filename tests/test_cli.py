@@ -42,7 +42,7 @@ def cfg_path(tmp_path_factory):
 
 
 def file_hash(path):
-    return hashlib.sha256(open(path, "rb").read()).hexdigest()
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 # ----------------------------------------------------------- config layer
@@ -87,6 +87,29 @@ def test_train_released_outputs_and_reproducibility(cfg_path, tmp_path):
         assert file_hash(os.path.join(out1, f)) == file_hash(os.path.join(out2, f))
     assert file_hash(os.path.join(out1, "targets.csv")) == \
         file_hash(os.path.join(out2, "targets.csv"))
+
+
+def test_train_released_parallel_matches_serial(cfg_path, tmp_path, monkeypatch):
+    runs = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("RECONLAB_THREADS", threads)
+        runs[threads] = out = str(tmp_path / f"threads{threads}")
+        assert main(["train-released", "--config", cfg_path, "--out", out]) == 0
+    models = sorted(f for f in os.listdir(runs["1"]) if f.endswith(".model"))
+    assert models == sorted(f for f in os.listdir(runs["2"]) if f.endswith(".model"))
+    assert len(models) == 3
+    for f in models:
+        assert file_hash(os.path.join(runs["1"], f)) == file_hash(os.path.join(runs["2"], f))
+
+
+@pytest.mark.parametrize("command", ["train-released", "gen-shadows"])
+def test_diverging_training_exits_3_naming_the_point(command, tmp_path, capsys):
+    p = tmp_path / "diverge.cfg"
+    p.write_text(TINY_CONFIG.replace("learning_rate=0.2", "learning_rate=1e300"))
+    rc = main([command, "--config", str(p), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "error: point 0 diverged" in err
 
 
 def test_gen_shadows_k_validation(cfg_path, tmp_path):

@@ -2,23 +2,31 @@
 
 The files under ``tests/golden/`` hold float reprs of trained parameters
 (GD, SGD and DP-GD on a tiny architecture), the per-cell success rates of
-the ReRo soundness grid and one closed-form GLM reconstruction (logistic,
-lambda = 0.1). Parameters and the reconstruction are compared bitwise when
-the numpy/BLAS build matches the one they were recorded on, and within 1e-10
-relative otherwise. Rates are counts over trials and are always compared exactly.
+the ReRo soundness grid, one closed-form GLM reconstruction (logistic,
+lambda = 0.1) and the artifacts of a toy CLI pipeline (``train-released``,
+``gen-shadows`` white-box and black-box, ``dp-sweep``). Parameters and the
+reconstruction are compared bitwise when the numpy/BLAS build matches the one
+they were recorded on, and within 1e-10 relative otherwise; CLI artifacts are
+compared by sha256 on the recorded build and by summary values within 1e-10
+relative otherwise. Rates are counts over trials and are always compared
+exactly. ``tests/test_acceptance.py`` pins the A2 shadow feature matrix the
+same way.
 
 Re-record only for a change that alters these outputs on purpose:
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
+import hashlib
 import json
 import platform
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from reconlab import data, glm, nn
+from reconlab import cli, data, glm, nn
+from reconlab.persist import load_model
 from reconlab.rero import rero_soundness_grid
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -33,6 +41,35 @@ CONFIGS = {
 }
 GRID = {"n_trials": 100, "seed": 0}
 GLM = {"family": "logistic", "lam": 0.1, "d": 5, "n": 60, "seed": 8}
+CLI_CONFIG = """\
+[profile]
+name=desk_synthetic
+seed=11
+[data]
+d=8
+num_classes=3
+n=200
+cluster_std=0.15
+[split]
+fixed_size=40
+shadow_size=130
+test_target_size=3
+split_seed=5
+[released]
+hidden_widths=6
+epochs=8
+learning_rate=0.2
+[reconn]
+epochs=10
+batch_size=64
+seed=7
+"""
+CLI_RUNS = {
+    "released": ["train-released"],
+    "whitebox": ["gen-shadows"],
+    "blackbox": ["gen-shadows", "--featurizer", "blackbox", "--probe-size", "20"],
+    "dp": ["dp-sweep", "--sigmas", "0,2", "--repeats", "2"],
+}
 
 
 def build() -> dict:
@@ -73,6 +110,40 @@ def glm_reconstruction() -> np.ndarray:
     return np.append(x_hat, y_hat)
 
 
+def summary(values) -> list:
+    """Sum, absolute sum, sum of squares, min and max of the finite values."""
+    v = np.asarray(values, dtype=np.float64).ravel()
+    v = v[np.isfinite(v)]
+    return [float(v.sum()), float(np.abs(v).sum()), float(v @ v), float(v.min()), float(v.max())]
+
+
+def _artifact_values(path: Path) -> np.ndarray:
+    if path.suffix == ".model":
+        return load_model(str(path))[0].flatten()
+    if path.suffix == ".bin":
+        return np.fromfile(path, dtype="<f8")
+    if path.suffix == ".header":
+        return np.array([float(v) for line in path.read_text().splitlines()
+                         if line.startswith("norm_") for v in line.partition("=")[2].split(",")])
+    return np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2)
+
+
+def cli_artifacts(root: Path) -> dict:
+    """Run the toy CLI pipeline under root; sha256 and summary of each artifact
+    (released models, shadow headers and matrices, the dp-sweep table)."""
+    cfg = root / "toy.cfg"
+    cfg.write_text(CLI_CONFIG)
+    for name, (command, *flags) in CLI_RUNS.items():
+        assert cli.main([command, "--config", str(cfg), "--out", str(root / name), *flags]) == 0
+    paths = [p for p in sorted(root.rglob("*"))
+             if p.suffix == ".model" or p.name in ("shadows.header", "shadows.bin", "dp_sweep.csv")]
+    return {
+        str(p.relative_to(root)): {"sha256": hashlib.sha256(p.read_bytes()).hexdigest(),
+                                   "summary": summary(_artifact_values(p))}
+        for p in paths
+    }
+
+
 def _load(name: str) -> dict:
     with open(GOLDEN / name) as f:
         return json.load(f)
@@ -90,16 +161,22 @@ def record() -> None:
         with open(GOLDEN / name, "w") as f:
             json.dump(payload, f, indent=1)
             f.write("\n")
+    with tempfile.TemporaryDirectory() as root:
+        payload = {"build": build(), "config": CLI_CONFIG, "runs": CLI_RUNS,
+                   "artifacts": cli_artifacts(Path(root))}
+    with open(GOLDEN / "cli_artifacts.json", "w") as f:
+        json.dump(payload, f, indent=1)
+        f.write("\n")
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_trained_params_match_golden(name):
     golden = _load("train_params.json")
     want = np.array(golden["params"][name])
-    _assert_matches(golden["build"], trained_params()[name], want)
+    assert_matches(golden["build"], trained_params()[name], want)
 
 
-def _assert_matches(recorded_build: dict, got: np.ndarray, want: np.ndarray) -> None:
+def assert_matches(recorded_build: dict, got: np.ndarray, want: np.ndarray) -> None:
     assert got.shape == want.shape
     if recorded_build == build():
         assert got.tobytes() == want.tobytes()
@@ -116,7 +193,18 @@ def test_rero_grid_rates_match_golden():
 def test_glm_reconstruction_matches_golden():
     golden = _load("glm_reconstruction.json")
     assert golden["instance"] == GLM
-    _assert_matches(golden["build"], glm_reconstruction(), np.array(golden["x_y"]))
+    assert_matches(golden["build"], glm_reconstruction(), np.array(golden["x_y"]))
+
+
+def test_cli_artifacts_match_golden(tmp_path):
+    golden = _load("cli_artifacts.json")
+    assert golden["config"] == CLI_CONFIG and golden["runs"] == CLI_RUNS
+    got = cli_artifacts(tmp_path)
+    assert sorted(got) == sorted(golden["artifacts"])
+    for name, want in golden["artifacts"].items():
+        if golden["build"] == build():
+            assert got[name]["sha256"] == want["sha256"], name
+        assert_matches(golden["build"], np.array(got[name]["summary"]), np.array(want["summary"]))
 
 
 if __name__ == "__main__":

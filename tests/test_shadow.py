@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,38 @@ def test_parallel_serial_equivalence(monkeypatch):
     assert np.array_equal(serial.features, parallel.features)
 
 
+def per_point_configs(cfg, n):
+    return [cfg.with_seeds(init_seed=cfg.init_seed + i) for i in range(n)]
+
+
+def test_train_many_yields_nn_train_per_point_in_order():
+    fixed, pool, _, arch, cfg = tiny_setup(pool_n=4)
+    configs = per_point_configs(cfg, len(pool))
+    models = list(shadow.train_many(fixed, pool, arch, configs))
+    assert len(models) == len(pool)
+    for i, model in enumerate(models):
+        want = nn.train(fixed.with_point(pool[i]), arch, configs[i])
+        assert np.array_equal(model.flatten(), want.flatten())
+
+
+def test_train_many_serial_and_parallel_give_same_bits():
+    fixed, pool, _, arch, cfg = tiny_setup(pool_n=6)
+    configs = per_point_configs(cfg, len(pool))
+    serial = list(shadow.train_many(fixed, pool, arch, configs, workers=1))
+    parallel = list(shadow.train_many(fixed, pool, arch, configs, workers=2))
+    assert len(parallel) == len(serial)
+    for a, b in zip(serial, parallel):
+        assert np.array_equal(a.flatten(), b.flatten())
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_train_many_divergence_names_the_point(workers):
+    fixed, pool, _, arch, cfg = tiny_setup(pool_n=3)
+    configs = [cfg, cfg, replace(cfg, learning_rate=1e300)]
+    with pytest.raises(nn.DivergenceError, match="point 2 diverged"):
+        list(shadow.train_many(fixed, pool, arch, configs, workers=workers))
+
+
 def test_workers_env_variable(monkeypatch):
     monkeypatch.setenv("RECONLAB_THREADS", "3")
     assert shadow.default_workers() == 3
@@ -179,21 +213,3 @@ def test_attack_outputs_deterministic_and_bounded():
     assert np.array_equal(a, b)
     assert a.shape == (fixed.dim,)
     assert a.min() >= 0.0 and a.max() <= 1.0
-
-
-def test_run_protocol_oracle_attack_scores_zero():
-    fixed, _, targets, arch, cfg = tiny_setup()
-    z = targets[0]
-    score = shadow.run_protocol(fixed, z, arch, cfg, attack_fn=lambda theta: z.x)
-    assert score == 0.0
-
-
-def test_run_protocol_deterministic():
-    fixed, pool, targets, arch, cfg = tiny_setup(pool_n=40)
-    feat = shadow.Featurizer("whitebox")
-    s = shadow.gen_shadows(fixed, pool, arch, cfg, feat)
-    phi = shadow.train_reconn(s, shadow.RecoNNConfig(epochs=10, batch_size=16, seed=3))
-    bundle = shadow.AttackBundle(phi, feat, s.stats)
-    a = shadow.run_protocol(fixed, targets[1], arch, cfg, bundle)
-    b = shadow.run_protocol(fixed, targets[1], arch, cfg, bundle)
-    assert a == b
