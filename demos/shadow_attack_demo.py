@@ -28,10 +28,9 @@ models = shadow.gen_shadow_models(fixed, shadow_pool, arch, config)
 featurizer = shadow.Featurizer("whitebox")
 shadow_set = shadow.build_shadow_set(models, shadow_pool, featurizer)
 reconstructor = shadow.train_reconn(shadow_set, shadow.RecoNNConfig(epochs=80, seed=7))
-bundle = shadow.AttackBundle(reconstructor, featurizer, shadow_set.stats)
 
 released = shadow.train_many(fixed, targets, arch, [config] * len(targets))
-mses = [metrics.mse(targets.X[i], bundle(theta)) for i, theta in enumerate(released)]
+mses = [metrics.mse(targets.X[i], reconstructor(theta)) for i, theta in enumerate(released)]
 oracle = metrics.oracle_report(targets.X, np.vstack([fixed.X, shadow_pool.X]))
 
 print(f"mean attack MSE      {np.mean(mses):.4f}")

@@ -2,7 +2,7 @@
 
 zCDP is the internal currency: the Gaussian mechanism composes additively
 in rho, and the reconstruction-robustness calculus consumes rho directly.
-RDP and (epsilon, delta) views are derived from it.
+The (epsilon, delta) view is derived from it.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ import math
 
 __all__ = [
     "account_dpgd",
-    "zcdp_to_rdp",
     "zcdp_to_approx_dp",
     "calibrate_noise",
     "gaussian_mechanism_zcdp",
@@ -42,15 +41,6 @@ def account_dpgd(steps: int, clip_norm: float, noise_multiplier: float,
         raise ValueError("noise_multiplier must be positive (rho would be infinite)")
     delta_sens = 2.0 * clip_norm if adjacency == "replace" else clip_norm
     return steps * gaussian_mechanism_zcdp(delta_sens, noise_multiplier * clip_norm)
-
-
-def zcdp_to_rdp(rho: float, alpha: float) -> float:
-    """rho-zCDP satisfies (alpha, alpha*rho)-RDP for every alpha > 1."""
-    if alpha <= 1:
-        raise ValueError("alpha must be > 1")
-    if rho < 0:
-        raise ValueError("rho must be nonnegative")
-    return alpha * rho
 
 
 def zcdp_to_approx_dp(rho: float, delta: float) -> float:

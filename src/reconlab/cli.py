@@ -208,7 +208,6 @@ def cmd_attack(args) -> int:
     fixed, shadow_pool, _, _, _ = load_profile(cfg)
     shadow_set = shadow.ShadowSet.load(os.path.join(args.shadows, "shadows"))
     phi = shadow.train_reconn(shadow_set, reconn_config(cfg))
-    bundle = shadow.AttackBundle(phi, shadow_set.featurizer, shadow_set.stats)
 
     targets = data.load_csv(os.path.join(args.released, "targets.csv"), "label")
     pool_X = np.vstack([fixed.X, shadow_pool.X])
@@ -218,8 +217,7 @@ def cmd_attack(args) -> int:
     rows = []
     for i in range(len(targets)):
         theta, _ = load_model(os.path.join(args.released, f"target_{i:04d}.model"))
-        z_hat = bundle(theta)
-        err = metrics.mse(targets.X[i], z_hat)
+        err = metrics.mse(targets.X[i], phi(theta))
         rows.append((i, err, report.nn_distances[i], metrics.judge_success(err, threshold)))
 
     os.makedirs(args.out, exist_ok=True)
@@ -271,6 +269,8 @@ def cmd_mia(args) -> int:
     fixed, _, targets, arch, train_cfg = load_profile(cfg)
     if len(targets) < 2:
         raise ConfigError("need at least two test targets")
+    if args.trials < 1:
+        raise ConfigError("--trials must be positive")
     z0, z1 = targets[0], targets[1]
     if args.attack == "trivial":
         attack_fn = mia.trivial_deterministic_mia
@@ -305,52 +305,30 @@ def cmd_dp_sweep(args) -> int:
     sigmas = [float(s) for s in args.sigmas.split(",")]
     delta = _get(cfg, "dp.delta", 1e-5, float)
     clip = _get(cfg, "dp.clip_norm", 1.0, float)
-    rc = reconn_config(cfg)
-    featurizer = shadow.Featurizer("whitebox")
     pool_X = np.vstack([fixed.X, shadow_pool.X])
     threshold = metrics.oracle_report(targets.X, pool_X).mean_nn_distance
 
-    rows = []
-    for sigma in sigmas:
-        per_rep = []
-        acc_rep = []
-        for rep in range(args.repeats):
-            if sigma == 0.0:
-                run_cfg = base_cfg.with_seeds(init_seed=_derive(base_cfg.init_seed, ("rep", rep)))
-            else:
-                run_cfg = nn.TrainConfig(
-                    optimizer="dpgd",
-                    learning_rate=base_cfg.learning_rate,
-                    momentum=base_cfg.momentum,
-                    epochs=base_cfg.epochs,
-                    clip_norm=clip,
-                    noise_multiplier=sigma,
-                    init_seed=_derive(base_cfg.init_seed, ("rep", rep)),
-                    shuffle_seed=base_cfg.shuffle_seed,
-                    noise_seed=_derive(base_cfg.noise_seed, ("adv", sigma, rep)),
-                )
-            shadow_set = shadow.gen_shadows(fixed, shadow_pool, arch, run_cfg, featurizer)
-            phi = shadow.train_reconn(shadow_set, rc)
-            bundle = shadow.AttackBundle(phi, featurizer, shadow_set.stats)
-            rel_cfgs = [
-                run_cfg.with_seeds(
-                    noise_seed=_derive(base_cfg.noise_seed, ("released", sigma, rep, i))
-                )
-                for i in range(len(targets))
-            ]
-            mses, accs = [], []
-            for i, theta in enumerate(shadow.train_many(fixed, targets, arch, rel_cfgs)):
-                mses.append(metrics.mse(targets.X[i], bundle(theta)))
-                accs.append(nn.accuracy(theta, targets))
-            per_rep.append(float(np.mean(mses)))
-            acc_rep.append(float(np.mean(accs)))
+    def run_config(sigma, rep):
+        init_seed = _derive(base_cfg.init_seed, ("rep", rep))
         if sigma == 0.0:
-            eps = math.inf
-        else:
-            rho = accounting.account_dpgd(base_cfg.epochs, clip, sigma)
-            eps = accounting.zcdp_to_approx_dp(rho, delta)
-        se = float(np.std(per_rep, ddof=1) / math.sqrt(len(per_rep))) if len(per_rep) > 1 else 0.0
-        rows.append((sigma, eps, float(np.mean(per_rep)), se, float(np.mean(acc_rep))))
+            return base_cfg.with_seeds(init_seed=init_seed)
+        return nn.TrainConfig(
+            optimizer="dpgd", learning_rate=base_cfg.learning_rate,
+            momentum=base_cfg.momentum, epochs=base_cfg.epochs, clip_norm=clip,
+            noise_multiplier=sigma, init_seed=init_seed, shuffle_seed=base_cfg.shuffle_seed,
+            noise_seed=_derive(base_cfg.noise_seed, ("adv", sigma, rep)),
+        )
+
+    table = shadow.dp_tradeoff(
+        fixed, shadow_pool, targets, arch, sigmas, args.repeats, run_config,
+        lambda sigma, rep, i: _derive(base_cfg.noise_seed, ("released", sigma, rep, i)),
+        reconn_config(cfg),
+    )
+    rows = []
+    for sigma, row in zip(sigmas, table):
+        eps = math.inf if sigma == 0.0 else accounting.zcdp_to_approx_dp(
+            accounting.account_dpgd(base_cfg.epochs, clip, sigma), delta)
+        rows.append((sigma, eps, *row))
     os.makedirs(args.out, exist_ok=True)
     write_csv(
         os.path.join(args.out, "dp_sweep.csv"),
@@ -365,25 +343,29 @@ def cmd_dp_sweep(args) -> int:
 
 
 def cmd_rero_bound(args) -> int:
-    if args.thm3:
-        if args.gamma is None:
-            raise ValueError("--thm3 requires --gamma")
-        print(f"delta={rero.rero_to_dp(args.eps, args.gamma)!r}")
+    privacy = "rho" if args.rho is not None else "eps"
+    formulas = {  # flag: (required inputs, bound)
+        "thm3": (("eps", "gamma"), lambda: rero.rero_to_dp(args.eps, args.gamma)),
+        "thm2": (("alpha", "eps", "kappa"),
+                 lambda: rero.rdp_to_rero(args.alpha, args.eps, args.kappa, args.eta)),
+        "cor1": (("eps", "kappa"), lambda: rero.puredp_to_rero(args.eps, args.kappa, args.eta)),
+        "cor2": (("rho", "kappa"), lambda: rero.zcdp_to_rero(args.rho, args.kappa, args.eta)),
+        "prop1": (("d", privacy), lambda: rero.prop_gamma(
+            args.d, args.eta, {privacy: getattr(args, privacy)}, "uniform_ball")),
+        "prop2": (("d", privacy, "sigma"), lambda: rero.prop_gamma(
+            args.d, args.eta, {privacy: getattr(args, privacy)}, "gaussian", sigma=args.sigma)),
+    }
+    flag = next((f for f in formulas if getattr(args, f)), None)
+    if flag is None:
+        raise ConfigError("choose one of --thm2/--cor1/--cor2/--thm3/--prop1/--prop2")
+    required, bound = formulas[flag]
+    missing = ["--" + name for name in required if getattr(args, name) is None]
+    if missing:
+        raise ConfigError(f"--{flag} requires {', '.join(missing)}")
+    if flag == "thm3":
+        print(f"delta={bound()!r}")
         return EXIT_OK
-    if args.thm2:
-        b = rero.rdp_to_rero(args.alpha, args.eps, args.kappa, args.eta)
-    elif args.cor1:
-        b = rero.puredp_to_rero(args.eps, args.kappa, args.eta)
-    elif args.cor2:
-        b = rero.zcdp_to_rero(args.rho, args.kappa, args.eta)
-    elif args.prop1:
-        privacy = {"rho": args.rho} if args.rho is not None else {"eps": args.eps}
-        b = rero.prop_gamma(args.d, args.eta, privacy, "uniform_ball")
-    elif args.prop2:
-        privacy = {"rho": args.rho} if args.rho is not None else {"eps": args.eps}
-        b = rero.prop_gamma(args.d, args.eta, privacy, "gaussian", sigma=args.sigma)
-    else:
-        raise ValueError("choose one of --thm2/--cor1/--cor2/--thm3/--prop1/--prop2")
+    b = bound()
     print(f"gamma={b.gamma!r}")
     print(f"kappa={b.kappa!r}")
     print(f"source={b.source}")

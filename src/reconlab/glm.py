@@ -19,7 +19,6 @@ __all__ = [
     "glm_gradient",
     "fit_glm",
     "fit_glm_gd",
-    "residual_system",
     "reconstruct_glm",
     "reconstruct_linreg_no_intercept",
 ]
@@ -120,7 +119,8 @@ def fit_glm(X: np.ndarray, Y: np.ndarray, spec: GlmSpec, tol: float = DEFAULT_TO
 
 def fit_glm_gd(X: np.ndarray, Y: np.ndarray, spec: GlmSpec, tol: float = DEFAULT_TOL,
                learning_rate: float = None, max_iter: int = 2_000_000) -> np.ndarray:
-    """Plain gradient descent to the same tolerance (training-algorithm independence)."""
+    """Plain gradient descent to the same tolerance. It serves the test that the
+    GLM attack does not depend on the training algorithm, only on optimality."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     Y = np.asarray(Y, dtype=np.float64)
     if spec.intercept:
@@ -138,13 +138,6 @@ def fit_glm_gd(X: np.ndarray, Y: np.ndarray, spec: GlmSpec, tol: float = DEFAULT
             return theta
         theta = theta - learning_rate * g
     raise GlmError("gradient descent did not converge")
-
-
-def residual_system(theta: np.ndarray, X_fixed: np.ndarray, Y_fixed: np.ndarray,
-                    spec: GlmSpec) -> np.ndarray:
-    """The unknown point's gradient contribution: -(X'B + lam*theta), B = g^{-1}(X theta) - Y."""
-    B = spec.inverse_link(X_fixed @ theta) - Y_fixed
-    return -(X_fixed.T @ B + spec.lam * theta)
 
 
 def reconstruct_glm(theta: np.ndarray, X_fixed: np.ndarray, Y_fixed: np.ndarray,

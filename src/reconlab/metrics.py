@@ -78,7 +78,8 @@ def oracle_report(targets, pool, bins: int = 100) -> OracleReport:
 
 
 def kl_probe(probe_classifier: nn.ModelParams, z: np.ndarray, z_hat: np.ndarray) -> float:
-    """KL(softmax(f(z)) || softmax(f(z_hat))) in nats under a trained probe classifier."""
+    """KL(softmax(f(z)) || softmax(f(z_hat))) in nats under a trained probe classifier:
+    a reconstruction metric that scores semantic closeness alongside mse."""
     lp = nn._log_softmax(np.atleast_2d(nn.forward(probe_classifier, z)))[0]
     lq = nn._log_softmax(np.atleast_2d(nn.forward(probe_classifier, z_hat)))[0]
     return float(np.sum(np.exp(lp) * (lp - lq)))

@@ -65,7 +65,8 @@ def trivial_deterministic_mia(theta: nn.ModelParams, fixed: LabeledDataset,
 
 def mia_from_reconstruction(z_hat: np.ndarray, z0: DataPoint, z1: DataPoint,
                             error_fn=mse) -> int:
-    """Nearest-candidate rule; ties go to z1 (the 'otherwise' branch)."""
+    """Nearest-candidate rule; ties go to z1 (the 'otherwise' branch). It shows
+    that a reconstruction attack implies an informed membership attack."""
     return 0 if error_fn(z_hat, z0.x) < error_fn(z_hat, z1.x) else 1
 
 

@@ -26,7 +26,6 @@ __all__ = [
     "per_example_grads",
     "train",
     "train_dp",
-    "zero_grad_fraction",
     "accuracy",
 ]
 
@@ -141,11 +140,6 @@ class ModelParams:
 
     def copy(self) -> "ModelParams":
         return ModelParams(self.arch, [w.copy() for w in self.weights], [b.copy() for b in self.biases])
-
-    def is_finite(self) -> bool:
-        return all(np.isfinite(w).all() for w in self.weights) and all(
-            np.isfinite(b).all() for b in self.biases
-        )
 
     def l2_distance(self, other: "ModelParams") -> float:
         return float(np.linalg.norm(self.flatten() - other.flatten()))
@@ -399,17 +393,6 @@ def train_dp(dataset, arch: MlpArchitecture, config: TrainConfig) -> ModelParams
         if not np.isfinite(theta).all():
             raise DivergenceError(f"non-finite parameters at step {step}")
     return params
-
-
-def zero_grad_fraction(params: ModelParams, x: np.ndarray, y: int):
-    """Per-layer fraction of parameters with exactly zero single-example gradient."""
-    _, g = loss_and_grad(params, np.asarray(x)[None, :], np.asarray([y]))
-    fractions = []
-    for w, b in zip(g.weights, g.biases):
-        total = w.size + b.size
-        zeros = int((w == 0.0).sum() + (b == 0.0).sum())
-        fractions.append(zeros / total)
-    return fractions
 
 
 def accuracy(params: ModelParams, dataset) -> float:

@@ -131,7 +131,8 @@ class FiniteDiscretePrior:
 
 
 def two_point_prior(p: float, z0, z1) -> FiniteDiscretePrior:
-    """Prior assigning probability p to z0 and 1-p to z1."""
+    """Prior assigning probability p to z0 and 1-p to z1: the two-candidate
+    prior of the informed MIA game, as used by the MAP attack's tests."""
     z0 = np.atleast_1d(np.asarray(z0, dtype=np.float64))
     z1 = np.atleast_1d(np.asarray(z1, dtype=np.float64))
     if not 0 < p < 1:

@@ -8,12 +8,13 @@ released model is then pushed through the same featurizer and network.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import nn, persist
+from . import metrics, nn, persist
 from .data import LabeledDataset
 from .rng import Rng, _derive
 
@@ -29,7 +30,7 @@ __all__ = [
     "build_shadow_set",
     "train_reconn",
     "attack",
-    "AttackBundle",
+    "dp_tradeoff",
     "train_many",
     "default_workers",
 ]
@@ -257,11 +258,19 @@ class RecoNNConfig:
 
 @dataclass
 class RecoNN:
+    """A trained reconstructor with its shadow set's featurizer and stats;
+    calling it on a released model returns the candidate reconstruction."""
+
     params: nn.ModelParams
+    featurizer: Featurizer
+    stats: NormStats
 
     def predict(self, normalized_features: np.ndarray) -> np.ndarray:
         logits = nn.forward(self.params, normalized_features)
         return 1.0 / (1.0 + np.exp(-logits))
+
+    def __call__(self, released) -> np.ndarray:
+        return attack(self, released)
 
 
 def _reconn_loss_grad(params: nn.ModelParams, F: np.ndarray, T: np.ndarray,
@@ -278,7 +287,8 @@ def _reconn_loss_grad(params: nn.ModelParams, F: np.ndarray, T: np.ndarray,
 
 
 def train_reconn(shadow_set: ShadowSet, config: RecoNNConfig = RecoNNConfig()) -> RecoNN:
-    """Fit the reconstructor on normalized features; deterministic given the seed."""
+    """Fit the reconstructor on normalized features; deterministic given the seed.
+    The result is the attack: call it on a released model."""
     k, flen = shadow_set.features.shape
     if k < config.batch_size:
         raise ValueError(f"shadow set size {k} < batch size {config.batch_size}")
@@ -315,22 +325,39 @@ def train_reconn(shadow_set: ShadowSet, config: RecoNNConfig = RecoNNConfig()) -
             gv *= lr
             gv /= denom
             theta -= gv
-    return RecoNN(params)
+    return RecoNN(params, shadow_set.featurizer, shadow_set.stats)
 
 
-def attack(phi: RecoNN, released, featurizer: Featurizer, stats: NormStats) -> np.ndarray:
+def attack(phi: RecoNN, released) -> np.ndarray:
     """Candidate reconstruction from a released model (params or forward access)."""
-    feat = featurize(released, featurizer)
-    return phi.predict(stats.apply(feat))
+    return phi.predict(phi.stats.apply(featurize(released, phi.featurizer)))
 
 
-@dataclass
-class AttackBundle:
-    """A trained reconstructor with its featurizer and normalization stats."""
+def dp_tradeoff(fixed: LabeledDataset, shadow_pool: LabeledDataset, targets: LabeledDataset,
+                arch: nn.MlpArchitecture, sigmas, repeats: int, run_config,
+                released_noise_seed, reconn_config: RecoNNConfig = RecoNNConfig()) -> list:
+    """White-box attack error against DP noise: one (mean MSE, stderr, mean
+    accuracy) row per sigma, in order, averaged over repeats.
 
-    phi: RecoNN
-    featurizer: Featurizer
-    stats: NormStats
-
-    def __call__(self, released) -> np.ndarray:
-        return attack(self.phi, released, self.featurizer, self.stats)
+    Each repeat trains shadows and a reconstructor under run_config(sigma, rep)
+    and attacks released models trained under that config with only the DP
+    noise seed replaced by released_noise_seed(sigma, rep, i): the informed
+    adversary shares every other seed with the release.
+    """
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1")
+    rows = []
+    for sigma in sigmas:
+        mses, accs = [], []
+        for rep in range(repeats):
+            config = run_config(sigma, rep)
+            phi = train_reconn(gen_shadows(fixed, shadow_pool, arch, config, Featurizer()),
+                               reconn_config)
+            configs = [config.with_seeds(noise_seed=released_noise_seed(sigma, rep, i))
+                       for i in range(len(targets))]
+            released = list(train_many(fixed, targets, arch, configs))
+            mses.append(float(np.mean([metrics.mse(z, phi(m)) for z, m in zip(targets.X, released)])))
+            accs.append(float(np.mean([nn.accuracy(m, targets) for m in released])))
+        se = float(np.std(mses, ddof=1) / math.sqrt(repeats)) if repeats > 1 else 0.0
+        rows.append((float(np.mean(mses)), se, float(np.mean(accs))))
+    return rows

@@ -142,8 +142,7 @@ def desk_released(desk_profile):
 def run_desk_attack(models, shadow_pool, featurizer, released, targets):
     s = shadow.build_shadow_set(models, shadow_pool, featurizer)
     phi = shadow.train_reconn(s, RECONN_CFG)
-    bundle = shadow.AttackBundle(phi, featurizer, s.stats)
-    return float(np.mean([metrics.mse(targets.X[i], bundle(theta))
+    return float(np.mean([metrics.mse(targets.X[i], phi(theta))
                           for i, theta in enumerate(released)]))
 
 
@@ -197,14 +196,12 @@ def test_a3_random_init_ablation_defeats_attack(desk_profile):
     fixed, shadow_pool, _, targets, oracle = desk_profile
     models = shadow.gen_shadow_models(fixed, shadow_pool, DESK_ARCH, DESK_CFG,
                                       random_init=True)
-    feat = shadow.Featurizer("whitebox")
-    s = shadow.build_shadow_set(models, shadow_pool, feat)
+    s = shadow.build_shadow_set(models, shadow_pool, shadow.Featurizer("whitebox"))
     phi = shadow.train_reconn(s, RECONN_CFG)
-    bundle = shadow.AttackBundle(phi, feat, s.stats)
     rel_cfgs = [DESK_CFG.with_seeds(init_seed=_derive(909, ("release-init", i)))
                 for i in range(len(targets))]
     released = shadow.train_many(fixed, targets, DESK_ARCH, rel_cfgs)
-    mean_mse = float(np.mean([metrics.mse(targets.X[i], bundle(theta))
+    mean_mse = float(np.mean([metrics.mse(targets.X[i], phi(theta))
                               for i, theta in enumerate(released)]))
     report("A3 random-init ablation defeats attack", mean_mse > oracle.mean_nn_distance,
            f"attack {mean_mse:.4f} vs oracle {oracle.mean_nn_distance:.4f}")
@@ -220,31 +217,20 @@ def test_a4_dp_mitigation_tradeoff():
         targets.X, np.vstack([fixed.X, shadow_pool.X])).mean_nn_distance
     sigmas = [0.0, 0.5, 2.0, 8.0]
     epochs = 25
-    feat = shadow.Featurizer("whitebox")
 
-    results = {s: [] for s in sigmas}
-    for rep in range(3):
-        for sigma in sigmas:
-            if sigma == 0.0:
-                cfg = nn.TrainConfig(epochs=epochs, init_seed=_derive(rep, "init"))
-            else:
-                cfg = nn.TrainConfig(optimizer="dpgd", epochs=epochs, clip_norm=1.0,
-                                     noise_multiplier=sigma,
-                                     init_seed=_derive(rep, "init"),
-                                     noise_seed=_derive(rep, ("adv", sigma)))
-            models = shadow.gen_shadow_models(fixed, shadow_pool, arch, cfg)
-            s = shadow.build_shadow_set(models, shadow_pool, feat)
-            phi = shadow.train_reconn(s, shadow.RecoNNConfig(epochs=80, batch_size=64,
-                                                             seed=7))
-            bundle = shadow.AttackBundle(phi, feat, s.stats)
-            rel_cfgs = [cfg.with_seeds(noise_seed=_derive(rep, ("released", sigma, i)))
-                        for i in range(len(targets))]
-            released = shadow.train_many(fixed, targets, arch, rel_cfgs)
-            results[sigma].append(float(np.mean([metrics.mse(targets.X[i], bundle(theta))
-                                                 for i, theta in enumerate(released)])))
+    def run_config(sigma, rep):
+        if sigma == 0.0:
+            return nn.TrainConfig(epochs=epochs, init_seed=_derive(rep, "init"))
+        return nn.TrainConfig(optimizer="dpgd", epochs=epochs, clip_norm=1.0,
+                              noise_multiplier=sigma, init_seed=_derive(rep, "init"),
+                              noise_seed=_derive(rep, ("adv", sigma)))
 
-    means = {s: float(np.mean(v)) for s, v in results.items()}
-    ses = {s: float(np.std(v, ddof=1) / math.sqrt(len(v))) for s, v in results.items()}
+    table = shadow.dp_tradeoff(
+        fixed, shadow_pool, targets, arch, sigmas, 3, run_config,
+        lambda sigma, rep, i: _derive(rep, ("released", sigma, i)),
+        shadow.RecoNNConfig(epochs=80, batch_size=64, seed=7))
+    means = {s: row[0] for s, row in zip(sigmas, table)}
+    ses = {s: row[1] for s, row in zip(sigmas, table)}
     monotone = all(
         means[sigmas[i + 1]] >= means[sigmas[i]] - 2 * ses[sigmas[i + 1]]
         for i in range(len(sigmas) - 1)

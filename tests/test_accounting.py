@@ -39,16 +39,6 @@ def test_account_validation():
         accounting.account_dpgd(1, 1.0, 1.0, adjacency="swap")
 
 
-def test_zcdp_to_rdp():
-    assert accounting.zcdp_to_rdp(0.5, 2.0) == 1.0
-    assert accounting.zcdp_to_rdp(0.0, 5.0) == 0.0
-    # monotone in alpha
-    vals = [accounting.zcdp_to_rdp(0.3, a) for a in (1.5, 2.0, 4.0, 16.0)]
-    assert vals == sorted(vals)
-    with pytest.raises(ValueError):
-        accounting.zcdp_to_rdp(0.5, 1.0)
-
-
 def test_zcdp_to_approx_dp():
     assert accounting.zcdp_to_approx_dp(0.0, 1e-5) == 0.0
     rho, delta = 0.25, 1e-5

@@ -123,7 +123,7 @@ def test_gen_shadows_layer_feature_length(cfg_path, tmp_path, capsys):
     rc = main(["gen-shadows", "--config", cfg_path, "--out", out, "--k", "20",
                "--featurizer", "layers", "--layers", "1"])
     assert rc == 0
-    header = open(os.path.join(out, "shadows.header")).read()
+    header = Path(out, "shadows.header").read_text()
     # hidden width 6, 3 classes: final layer holds 6*3+3 = 21 parameters
     assert "feature_len=21" in header
 
@@ -150,10 +150,10 @@ def test_attack_end_to_end(cfg_path, tmp_path):
     assert main(["gen-shadows", "--config", cfg_path, "--out", shadows]) == 0
     assert main(["attack", "--config", cfg_path, "--shadows", shadows,
                  "--released", released, "--out", results]) == 0
-    rows = open(os.path.join(results, "attack_results.csv")).read().splitlines()
+    rows = Path(results, "attack_results.csv").read_text().splitlines()
     assert rows[0].startswith("# config_hash=")
     assert len(rows) == 2 + 3  # provenance + header + one row per target
-    summary = open(os.path.join(results, "summary.txt")).read()
+    summary = Path(results, "summary.txt").read_text()
     assert "mean_attack_mse=" in summary
     assert "oracle_threshold=" in summary
 
@@ -259,11 +259,11 @@ def test_glm_attack_recovers_planted_point(tmp_path, capsys):
 
 
 def test_glm_attack_no_intercept_needs_label(tmp_path):
-    fixed_csv = str(tmp_path / "fixed.csv")
-    open(fixed_csv, "w").write("x0,label\n1.0,2.0\n")
-    theta_csv = str(tmp_path / "theta.csv")
-    open(theta_csv, "w").write("1.0\n")
-    rc = main(["glm-attack", "--fixed", fixed_csv, "--theta", theta_csv,
+    fixed_csv = tmp_path / "fixed.csv"
+    fixed_csv.write_text("x0,label\n1.0,2.0\n")
+    theta_csv = tmp_path / "theta.csv"
+    theta_csv.write_text("1.0\n")
+    rc = main(["glm-attack", "--fixed", str(fixed_csv), "--theta", str(theta_csv),
                "--no-intercept"])
     assert rc == 2
 
@@ -305,7 +305,7 @@ def test_mia_cli_trivial_accuracy_one(cfg_path, tmp_path, capsys):
     rc = main(["mia", "--config", cfg_path, "--out", out, "--trials", "5"])
     assert rc == 0
     assert "accuracy=1.0" in capsys.readouterr().out
-    rows = open(os.path.join(out, "mia_trials.csv")).read().splitlines()
+    rows = Path(out, "mia_trials.csv").read_text().splitlines()
     assert len(rows) == 2 + 5
 
 
@@ -316,7 +316,7 @@ def test_dp_sweep_outputs_table(cfg_path, tmp_path):
     rc = main(["dp-sweep", "--config", cfg_path, "--out", out,
                "--sigmas", "0,8", "--repeats", "2"])
     assert rc == 0
-    rows = open(os.path.join(out, "dp_sweep.csv")).read().splitlines()
+    rows = Path(out, "dp_sweep.csv").read_text().splitlines()
     assert rows[1] == "sigma,epsilon,mean_attack_mse,stderr,test_accuracy"
     assert len(rows) == 4
     sigma0 = rows[2].split(",")
@@ -344,6 +344,28 @@ def test_rero_bound_thm3_example(capsys):
 
 def test_rero_bound_requires_mode():
     assert main(["rero-bound", "--kappa", "0.5", "--eps", "1.0"]) == 2
+
+
+# ------------------------------------------------------------- bad input
+
+@pytest.mark.parametrize("argv,named", [
+    (["dp-sweep", "--repeats", "0"], "repeats"),
+    (["dp-sweep", "--repeats", "-1"], "repeats"),
+    (["mia", "--trials", "0"], "--trials"),
+    (["mia", "--trials", "-2"], "--trials"),
+    (["rero-bound", "--cor1"], "--cor1 requires --eps, --kappa"),
+    (["rero-bound", "--thm2", "--eps", "1", "--kappa", "0.1"], "--thm2 requires --alpha"),
+    (["rero-bound", "--prop1", "--eta", "0.5"], "--prop1 requires --d, --eps"),
+    (["rero-bound", "--cor2", "--kappa", "0.1"], "--cor2 requires --rho"),
+])
+def test_bad_input_exits_2_naming_it(argv, named, cfg_path, tmp_path, capsys):
+    out = tmp_path / "out"
+    if argv[0] != "rero-bound":
+        argv = argv + ["--config", cfg_path, "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert not out.exists()
 
 
 def test_rero_check_small_grid_sound(capsys):

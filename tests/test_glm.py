@@ -65,22 +65,6 @@ def test_newton_and_gd_reach_same_optimum():
     assert np.max(np.abs(a - b)) < 1e-7
 
 
-# --------------------------------------------------------- residual view
-
-def test_residual_system_isolates_target_term():
-    g = np.random.default_rng(4)
-    spec = glm.GlmSpec("linear", 0.0, intercept=False)
-    X = g.normal(size=(25, 4))
-    Y = g.normal(size=25)
-    x, y = g.normal(size=4), float(g.normal())
-    Xf = np.vstack([X, x[None, :]])
-    Yf = np.concatenate([Y, [y]])
-    theta = glm.fit_glm(Xf, Yf, spec)
-    r = glm.residual_system(theta, X, Y, spec)
-    expected = x * (x @ theta - y)
-    assert np.max(np.abs(r - expected)) < 1e-8
-
-
 # ------------------------------------------------------- full-rank attack
 
 @pytest.mark.parametrize("family,lam", [

@@ -114,7 +114,7 @@ def summary(values) -> list:
     """Sum, absolute sum, sum of squares, min and max of the finite values."""
     v = np.asarray(values, dtype=np.float64).ravel()
     v = v[np.isfinite(v)]
-    return [float(v.sum()), float(np.abs(v).sum()), float(v @ v), float(v.min()), float(v.max())]
+    return [float(v.sum()), float(np.abs(v).sum()), float((v * v).sum()), float(v.min()), float(v.max())]
 
 
 def _artifact_values(path: Path) -> np.ndarray:

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -27,8 +29,8 @@ def test_model_rejects_truncated_body(tmp_path):
     params = nn.init_params(arch, 0)
     path = str(tmp_path / "m.model")
     persist.save_model(path, params)
-    blob = open(path, "rb").read()
-    open(path, "wb").write(blob[:-8])
+    blob = Path(path).read_bytes()
+    Path(path).write_bytes(blob[:-8])
     with pytest.raises(ValueError) as e:
         persist.load_model(path)
     want = 8 * arch.parameter_count
@@ -45,7 +47,7 @@ def test_config_hash_stable():
 def test_write_csv_has_provenance_line(tmp_path):
     path = str(tmp_path / "out.csv")
     persist.write_csv(path, ["a", "b"], [(1, 2), (3, 4)], "deadbeef")
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert lines[0] == "# config_hash=deadbeef"
     assert lines[1] == "a,b"
     assert lines[2:] == ["1,2", "3,4"]
@@ -65,9 +67,9 @@ def _saved_model(tmp_path):
 ])
 def test_model_header_missing_or_bad_field_names_it(tmp_path, field, line, named):
     path = _saved_model(tmp_path)
-    head, sep, body = open(path, "rb").read().partition(b"\n\n")
+    head, sep, body = Path(path).read_bytes().partition(b"\n\n")
     kept = [ln for ln in head.split(b"\n") if not ln.startswith(field.encode() + b"=")]
-    open(path, "wb").write(b"\n".join(kept + [line] if line else kept) + sep + body)
+    Path(path).write_bytes(b"\n".join(kept + [line] if line else kept) + sep + body)
     with pytest.raises(ValueError) as e:
         persist.load_model(path)
     assert path in str(e.value) and named in str(e.value)
@@ -87,8 +89,8 @@ def _saved_shadow_set(tmp_path):
 def test_truncated_shadow_matrix_names_file_and_sizes(tmp_path, suffix):
     prefix = _saved_shadow_set(tmp_path)
     path = prefix + suffix
-    blob = open(path, "rb").read()
-    open(path, "wb").write(blob[:-9])
+    blob = Path(path).read_bytes()
+    Path(path).write_bytes(blob[:-9])
     with pytest.raises(ValueError) as e:
         shadow.ShadowSet.load(prefix)
     msg = str(e.value)
@@ -104,9 +106,9 @@ def test_truncated_shadow_matrix_names_file_and_sizes(tmp_path, suffix):
 def test_shadow_header_missing_or_bad_field_names_it(tmp_path, field, line, named):
     prefix = _saved_shadow_set(tmp_path)
     path = prefix + ".header"
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     kept = [ln for ln in lines if not ln.startswith(field + "=")]
-    open(path, "w").write("\n".join(kept + [line] if line else kept) + "\n")
+    Path(path).write_text("\n".join(kept + [line] if line else kept) + "\n")
     with pytest.raises(ValueError) as e:
         shadow.ShadowSet.load(prefix)
     assert path in str(e.value) and named in str(e.value)

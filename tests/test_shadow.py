@@ -184,6 +184,23 @@ def test_reconn_deterministic():
     assert np.array_equal(a.params.flatten(), b.params.flatten())
 
 
+def test_reconn_loss_grad_matches_finite_differences():
+    arch = nn.MlpArchitecture((6, 5, 4, 3), activation="relu")
+    theta = nn.init_params(arch, 4).flatten()
+    g = np.random.default_rng(9)
+    F, T = g.normal(size=(8, 6)), g.uniform(size=(8, 3))
+
+    def loss_grad(t):
+        grad = nn.ModelParams.view(arch, np.empty_like(t))
+        return shadow._reconn_loss_grad(nn.ModelParams.view(arch, t), F, T, grad), grad
+
+    _, grad = loss_grad(theta)
+    h = 1e-5
+    num = np.array([(loss_grad(theta + h * e)[0] - loss_grad(theta - h * e)[0]) / (2 * h)
+                    for e in np.eye(theta.size)])
+    assert np.max(np.abs(grad.flatten() - num) / np.maximum(np.abs(num), 1e-6)) <= 1e-4
+
+
 def test_reconn_batch_size_check():
     fixed, pool, _, arch, cfg = tiny_setup(pool_n=10)
     s = shadow.gen_shadows(fixed, pool, arch, cfg, shadow.Featurizer("whitebox"))
@@ -208,8 +225,45 @@ def test_attack_outputs_deterministic_and_bounded():
     s = shadow.gen_shadows(fixed, pool, arch, cfg, feat)
     phi = shadow.train_reconn(s, shadow.RecoNNConfig(epochs=10, batch_size=16, seed=3))
     release = nn.train(fixed.with_point(targets[0]), arch, cfg)
-    a = shadow.attack(phi, release, feat, s.stats)
-    b = shadow.attack(phi, release, feat, s.stats)
+    a = shadow.attack(phi, release)
+    b = phi(release)
     assert np.array_equal(a, b)
+    assert np.array_equal(a, phi.predict(s.stats.apply(shadow.featurize(release, feat))))
     assert a.shape == (fixed.dim,)
     assert a.min() >= 0.0 and a.max() <= 1.0
+
+
+# --------------------------------------------------------- dp trade-off
+
+def test_dp_tradeoff_one_row_per_sigma_in_order():
+    fixed, pool, targets, arch, cfg = tiny_setup(pool_n=40)
+    calls = []
+
+    def run_config(sigma, rep):
+        calls.append((sigma, rep))
+        if sigma == 0.0:
+            return cfg
+        return replace(cfg, optimizer="dpgd", clip_norm=1.0, noise_multiplier=sigma)
+
+    def released_noise_seed(sigma, rep, i):
+        calls.append((sigma, rep, i))
+        return 100 + i
+
+    rc = shadow.RecoNNConfig(epochs=5, batch_size=16, seed=3)
+    rows = shadow.dp_tradeoff(fixed, pool, targets, arch, [0.0, 2.0, 0.0], 1, run_config,
+                              released_noise_seed, rc)
+    assert len(rows) == 3 and rows[0] == rows[2] and rows[0] != rows[1]
+    assert [se for _, se, _ in rows] == [0.0, 0.0, 0.0]
+    assert calls == [c for s in (0.0, 2.0, 0.0)
+                     for c in [(s, 0)] + [(s, 0, i) for i in range(len(targets))]]
+    # the released models share every seed but the DP noise with the shadows
+    phi = shadow.train_reconn(shadow.gen_shadows(fixed, pool, arch, run_config(2.0, 0),
+                                                 shadow.Featurizer()), rc)
+    released = [nn.train(fixed.with_point(targets[i]), arch,
+                         run_config(2.0, 0).with_seeds(noise_seed=100 + i))
+                for i in range(len(targets))]
+    mse = np.mean([metrics.mse(targets.X[i], phi(m)) for i, m in enumerate(released)])
+    assert rows[1] == (mse, 0.0, np.mean([nn.accuracy(m, targets) for m in released]))
+    with pytest.raises(ValueError, match="repeats"):
+        shadow.dp_tradeoff(fixed, pool, targets, arch, [0.0], 0, run_config,
+                           released_noise_seed, rc)
