@@ -125,22 +125,28 @@ def reconn_config(cfg: dict) -> shadow.RecoNNConfig:
     )
 
 
-def build_featurizer(cfg: dict, shadow_pool, mode=None, layers=None, probe_size=None):
-    """Featurizer from config/flags. Blackbox probes are the first P shadow-pool
-    points, which are then excluded from shadow targets; returns (featurizer,
-    remaining shadow pool)."""
-    mode = mode or _get(cfg, "featurizer.mode", "whitebox")
+def build_featurizer(cfg: dict, shadow_pool, arch: nn.MlpArchitecture, args):
+    """Featurizer from config and the --featurizer/--layers/--probe-size flags.
+    Layers mode defaults to the last layer. Blackbox probes are the first P
+    shadow-pool points, which are then excluded from shadow targets; returns
+    (featurizer, remaining shadow pool)."""
+    mode = args.featurizer or _get(cfg, "featurizer.mode", "whitebox")
     if mode == "whitebox":
         return shadow.Featurizer("whitebox"), shadow_pool
     if mode == "layers":
+        layers = args.layers
         if layers is None:
-            layers = _get(cfg, "featurizer.layers", "-1")
+            layers = _get(cfg, "featurizer.layers", str(arch.num_layers - 1))
         idx = tuple(int(i) for i in str(layers).split(",") if i)
         return shadow.Featurizer("layers", layers=idx), shadow_pool
     if mode == "blackbox":
-        p = probe_size or _get(cfg, "featurizer.probe_size", 200, int)
+        key, p = "--probe-size", args.probe_size
+        if p is None:
+            key, p = "featurizer.probe_size", _get(cfg, "featurizer.probe_size", 200, int)
+        if p < 1:
+            raise ConfigError(f"{key} must be >= 1")
         if p >= len(shadow_pool):
-            raise ConfigError("probe_size must be smaller than the shadow pool")
+            raise ConfigError(f"{key} must be smaller than the shadow pool")
         probe = shadow_pool.subset(range(p))
         rest = shadow_pool.subset(range(p, len(shadow_pool)))
         return shadow.Featurizer("blackbox", probe=probe.X), rest
@@ -185,9 +191,7 @@ def cmd_gen_shadows(args) -> int:
         shadow_pool = data.relabel_random(
             ood, fixed.num_classes, seed=_get(cfg, "profile.seed", 11, int)
         )
-    featurizer, shadow_pool = build_featurizer(
-        cfg, shadow_pool, args.featurizer, args.layers, args.probe_size
-    )
+    featurizer, shadow_pool = build_featurizer(cfg, shadow_pool, arch, args)
     if args.k is not None:
         shadow_pool = shadow_pool.subset(range(args.k))
     shadow_set = shadow.gen_shadows(

@@ -186,13 +186,17 @@ def split(dataset: LabeledDataset, spec: SplitSpec):
     )
 
 
-def synth_classification(d: int, num_classes: int, n: int, cluster_std: float, seed: int,
-                         center_low: float = 0.15, center_high: float = 0.85) -> LabeledDataset:
-    """Gaussian blobs with features clipped to [0, 1]^d, one blob per class."""
+CENTER_LOW, CENTER_HIGH = 0.15, 0.85
+
+
+def synth_classification(d: int, num_classes: int, n: int, cluster_std: float,
+                         seed: int) -> LabeledDataset:
+    """Gaussian blobs with features clipped to [0, 1]^d, one blob per class,
+    centres uniform in [CENTER_LOW, CENTER_HIGH]^d."""
     if d <= 0 or num_classes <= 0:
         raise ValueError("d and num_classes must be positive")
     rng = Rng(seed)
-    centers = rng.child("centers").uniform(center_low, center_high, size=(num_classes, d))
+    centers = rng.child("centers").uniform(CENTER_LOW, CENTER_HIGH, size=(num_classes, d))
     if n == 0:
         return LabeledDataset(np.zeros((0, d)), np.zeros(0, dtype=np.int64), num_classes)
     y = rng.child("labels").integers(0, num_classes, size=n)

@@ -99,37 +99,37 @@ class MlpArchitecture:
         ws = self.layer_widths
         return sum(ws[i] * ws[i + 1] + ws[i + 1] for i in range(len(ws) - 1))
 
-    def layer_parameter_counts(self):
-        ws = self.layer_widths
-        return [ws[i] * ws[i + 1] + ws[i + 1] for i in range(len(ws) - 1)]
 
-
-@dataclass
 class ModelParams:
-    """Per-layer weights (in_dim x out_dim) and biases matching an architecture."""
+    """Parameters of an architecture, held in one float64 vector flat.
 
-    arch: MlpArchitecture
-    weights: list
-    biases: list
+    Layout: for each layer, its (in, out) weights row-major, then its biases.
+    weights[i] and biases[i] are views into flat, so writing to either side
+    updates the other. A leading axis on flat (such as one row per example)
+    gives every view the same leading axis.
+    """
 
-    def __post_init__(self):
-        ws = self.arch.layer_widths
-        if len(self.weights) != self.arch.num_layers or len(self.biases) != self.arch.num_layers:
-            raise ValueError("layer count mismatch")
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.shape != (ws[i], ws[i + 1]) or b.shape != (ws[i + 1],):
-                raise ValueError(f"shape mismatch in layer {i}")
+    def __init__(self, arch: MlpArchitecture, flat: np.ndarray):
+        flat = np.asarray(flat, dtype=np.float64)
+        if flat.ndim == 0 or flat.shape[-1] != arch.parameter_count:
+            raise ValueError(f"flat has shape {flat.shape}, architecture needs "
+                             f"{arch.parameter_count} parameters per row")
+        self.arch, self.flat = arch, flat
+        lead, ws, off = flat.shape[:-1], arch.layer_widths, 0
+        self.weights, self.biases = [], []
+        for i in range(arch.num_layers):
+            n = ws[i] * ws[i + 1]
+            self.weights.append(flat[..., off : off + n].reshape(lead + (ws[i], ws[i + 1])))
+            off += n
+            self.biases.append(flat[..., off : off + ws[i + 1]])
+            off += ws[i + 1]
 
-    @property
-    def parameter_count(self) -> int:
-        return self.arch.parameter_count
+    def __reduce__(self):
+        # pickle the vector once; the views are rebuilt on load
+        return ModelParams, (self.arch, self.flat)
 
     def flatten(self) -> np.ndarray:
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.ravel())
-            parts.append(b)
-        return np.concatenate(parts)
+        return self.flat.copy()
 
     def flatten_layers(self, layers) -> np.ndarray:
         parts = []
@@ -138,29 +138,12 @@ class ModelParams:
             parts.append(self.biases[i])
         return np.concatenate(parts)
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(self.arch, [w.copy() for w in self.weights], [b.copy() for b in self.biases])
-
     def l2_distance(self, other: "ModelParams") -> float:
-        return float(np.linalg.norm(self.flatten() - other.flatten()))
-
-    @staticmethod
-    def view(arch: MlpArchitecture, flat: np.ndarray) -> "ModelParams":
-        """Params whose weights and biases are views into flat, laid out as
-        flatten() writes them; writing to flat updates every layer."""
-        ws = arch.layer_widths
-        weights, biases, off = [], [], 0
-        for i in range(arch.num_layers):
-            n = ws[i] * ws[i + 1]
-            weights.append(flat[off : off + n].reshape(ws[i], ws[i + 1]))
-            off += n
-            biases.append(flat[off : off + ws[i + 1]])
-            off += ws[i + 1]
-        return ModelParams(arch, weights, biases)
+        return float(np.linalg.norm(self.flat - other.flat))
 
     @staticmethod
     def unflatten(arch: MlpArchitecture, vec: np.ndarray) -> "ModelParams":
-        return ModelParams.view(arch, np.array(vec, dtype=np.float64))
+        return ModelParams(arch, np.array(vec, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -209,7 +192,7 @@ def _init_flat(arch: MlpArchitecture, seed: int) -> np.ndarray:
     rng = Rng(seed)
     flat = np.zeros(arch.parameter_count)
     ws = arch.layer_widths
-    for i, w in enumerate(ModelParams.view(arch, flat).weights):
+    for i, w in enumerate(ModelParams(arch, flat).weights):
         g = rng.child(("init", i)).generator
         w[...] = g.normal(0.0, 1.0 / np.sqrt(ws[i]), size=w.shape)
     flat.flags.writeable = False
@@ -255,11 +238,17 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 def _backprop(params: ModelParams, activations, pre, delta, grad: ModelParams) -> None:
     """Backpropagate delta (the loss gradient at the output pre-activations)
-    through the layers, writing each layer's gradient into grad in place."""
+    through the layers, writing each layer's gradient into grad in place:
+    summed over the batch if grad.flat is (P,), one row per example if (n, P)."""
     _, dact = ACTIVATIONS[params.arch.activation]
+    per_example = grad.flat.ndim == 2
     for i in range(params.arch.num_layers - 1, -1, -1):
-        np.matmul(activations[i].T, delta, out=grad.weights[i])
-        np.sum(delta, axis=0, out=grad.biases[i])
+        if per_example:
+            np.einsum("ni,nj->nij", activations[i], delta, out=grad.weights[i])
+            grad.biases[i][...] = delta
+        else:
+            np.matmul(activations[i].T, delta, out=grad.weights[i])
+            np.sum(delta, axis=0, out=grad.biases[i])
         if i > 0:
             delta = (delta @ params.weights[i].T) * dact(pre[i - 1])
 
@@ -268,16 +257,15 @@ def loss_and_grad(params: ModelParams, X: np.ndarray, y: np.ndarray,
                   grad: ModelParams = None):
     """Mean cross-entropy over the batch and its backprop gradient.
 
-    If grad is given (a ModelParams, such as views into a flat buffer), the
-    gradient is written into it and it is returned, so a training loop can
-    reuse one buffer.
+    If grad is given (a ModelParams), the gradient is written into it and it
+    is returned, so a training loop can reuse one buffer.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.atleast_1d(np.asarray(y, dtype=np.int64))
     if X.shape[0] == 0:
         raise ValueError("empty batch")
     if grad is None:
-        grad = ModelParams.view(params.arch, np.empty(params.arch.parameter_count))
+        grad = ModelParams(params.arch, np.empty(params.arch.parameter_count))
     n = X.shape[0]
     activations, pre = _forward_cached(params, X)
     logp = _log_softmax(activations[-1])
@@ -304,20 +292,9 @@ def per_example_grads(params: ModelParams, X: np.ndarray, y: np.ndarray,
     if out is None:
         out = np.empty((n, params.arch.parameter_count))
     activations, pre = _forward_cached(params, X)
-    _, dact = ACTIVATIONS[params.arch.activation]
     delta = np.exp(_log_softmax(activations[-1]))
     delta[np.arange(n), y] -= 1.0
-
-    ws = params.arch.layer_widths
-    ends = np.cumsum(params.arch.layer_parameter_counts())
-    for i in range(params.arch.num_layers - 1, -1, -1):
-        w_end = ends[i] - ws[i + 1]
-        w_start = w_end - ws[i] * ws[i + 1]
-        gw = out[:, w_start:w_end].reshape(n, ws[i], ws[i + 1])
-        np.einsum("ni,nj->nij", activations[i], delta, out=gw)
-        out[:, w_end : ends[i]] = delta
-        if i > 0:
-            delta = (delta @ params.weights[i].T) * dact(pre[i - 1])
+    _backprop(params, activations, pre, delta, ModelParams(params.arch, out))
     return out
 
 
@@ -334,10 +311,10 @@ def train(dataset, arch: MlpArchitecture, config: TrainConfig) -> ModelParams:
         return train_dp(dataset, arch, config)
     X, y = dataset.X, dataset.y
     n = len(y)
-    theta = _init_flat(arch, config.init_seed).copy()
-    params = ModelParams.view(arch, theta)
-    grad_vec = np.empty_like(theta)
-    grad = ModelParams.view(arch, grad_vec)
+    params = init_params(arch, config.init_seed)
+    theta = params.flat
+    grad = ModelParams(arch, np.empty_like(theta))
+    grad_vec = grad.flat
     velocity = np.zeros_like(theta)
     lr, mu = config.learning_rate, config.momentum
 
@@ -377,8 +354,8 @@ def train_dp(dataset, arch: MlpArchitecture, config: TrainConfig) -> ModelParams
     n = len(y)
     C = float(config.clip_norm)
 
-    theta = _init_flat(arch, config.init_seed).copy()
-    params = ModelParams.view(arch, theta)
+    params = init_params(arch, config.init_seed)
+    theta = params.flat
     per_example = np.empty((n, theta.size))
     velocity = np.zeros_like(theta)
     noise_rng = Rng(config.noise_seed)

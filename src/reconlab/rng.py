@@ -57,9 +57,6 @@ class Rng:
         """Derive an independent, reproducible stream labeled by ``label``."""
         return Rng(_derive(self.seed, label))
 
-    def child_seed(self, label) -> int:
-        return _derive(self.seed, label)
-
     @property
     def generator(self) -> np.random.Generator:
         if self._gen is None:

@@ -36,6 +36,8 @@ __all__ = [
 ]
 
 DEGENERATE_STD = 1e-12
+RMS_DECAY = 0.9  # the reconstructor's RMSProp decay and epsilon
+RMS_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -96,9 +98,6 @@ class NormStats:
         if v.shape[-1] != self.mean.shape[0]:
             raise ValueError(f"length mismatch {v.shape[-1]} vs {self.mean.shape[0]}")
         return (v - self.mean) / self.effective_std()
-
-    def inverse(self, v: np.ndarray) -> np.ndarray:
-        return np.asarray(v) * self.effective_std() + self.mean
 
 
 @dataclass
@@ -246,8 +245,6 @@ class RecoNNConfig:
     batch_size: int = 128
     epochs: int = 100
     seed: int = 0
-    rms_decay: float = 0.9
-    rms_eps: float = 1e-8
 
     def resolve_widths(self, feature_len: int) -> tuple:
         if self.hidden_widths is not None:
@@ -297,14 +294,14 @@ def train_reconn(shadow_set: ShadowSet, config: RecoNNConfig = RecoNNConfig()) -
     F = shadow_set.stats.apply(shadow_set.features)
     T = shadow_set.targets
 
-    theta = nn.init_params(arch, _derive(config.seed, "reconn-init")).flatten()
-    params = nn.ModelParams.view(arch, theta)
-    gv = np.empty_like(theta)
-    grad = nn.ModelParams.view(arch, gv)
+    params = nn.init_params(arch, _derive(config.seed, "reconn-init"))
+    theta = params.flat
+    grad = nn.ModelParams(arch, np.empty_like(theta))
+    gv = grad.flat
     cache = np.zeros_like(theta)
     denom = np.empty_like(theta)
     shuffle = Rng(_derive(config.seed, "reconn-shuffle"))
-    lr, rho, eps = config.learning_rate, config.rms_decay, config.rms_eps
+    lr, rho, eps = config.learning_rate, RMS_DECAY, RMS_EPS
 
     for epoch in range(config.epochs):
         perm = shuffle.child(("epoch", epoch)).permutation(k)

@@ -128,6 +128,16 @@ def test_gen_shadows_layer_feature_length(cfg_path, tmp_path, capsys):
     assert "feature_len=21" in header
 
 
+def test_gen_shadows_layers_default_is_last_layer(cfg_path, tmp_path):
+    out = str(tmp_path / "s")
+    rc = main(["gen-shadows", "--config", cfg_path, "--out", out, "--k", "20",
+               "--featurizer", "layers"])
+    assert rc == 0
+    header = Path(out, "shadows.header").read_text().splitlines()
+    # two layers (8-6-3): the default is layer 1, the same 21 parameters
+    assert "layers=1" in header and "feature_len=21" in header
+
+
 def test_gen_shadows_ood_pool_relabels(cfg_path, tmp_path):
     from reconlab import data
     ood = data.synth_classification(8, 2, 60, 0.2, seed=99)
@@ -357,6 +367,9 @@ def test_rero_bound_requires_mode():
     (["rero-bound", "--thm2", "--eps", "1", "--kappa", "0.1"], "--thm2 requires --alpha"),
     (["rero-bound", "--prop1", "--eta", "0.5"], "--prop1 requires --d, --eps"),
     (["rero-bound", "--cor2", "--kappa", "0.1"], "--cor2 requires --rho"),
+    (["gen-shadows", "--featurizer", "blackbox", "--probe-size", "0", "--k", "10"],
+     "--probe-size"),
+    (["gen-shadows", "--featurizer", "blackbox", "--probe-size", "-1"], "--probe-size"),
 ])
 def test_bad_input_exits_2_naming_it(argv, named, cfg_path, tmp_path, capsys):
     out = tmp_path / "out"

@@ -1,4 +1,5 @@
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ def test_load_idx_bad_magic(tmp_path):
     labels = np.zeros(2, dtype=np.uint8)
     ip, lp = write_idx_pair(tmp_path, images, labels)
     bad = tmp_path / "bad.idx"
-    blob = open(ip, "rb").read()
+    blob = Path(ip).read_bytes()
     bad.write_bytes(b"\x00\x00\x08\x99" + blob[4:])
     with pytest.raises(data.FormatError):
         data.load_idx(str(bad), lp)
@@ -49,7 +50,7 @@ def test_load_idx_truncated(tmp_path):
     labels = np.zeros(3, dtype=np.uint8)
     ip, lp = write_idx_pair(tmp_path, images, labels)
     short = tmp_path / "short.idx"
-    short.write_bytes(open(ip, "rb").read()[:-3])
+    short.write_bytes(Path(ip).read_bytes()[:-3])
     with pytest.raises(data.FormatError):
         data.load_idx(str(short), lp)
 

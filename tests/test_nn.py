@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ def small_batch(d=6, k=3, n=8, seed=0):
 def test_parameter_count():
     arch = nn.MlpArchitecture((64, 4, 10))
     assert arch.parameter_count == 64 * 4 + 4 + 4 * 10 + 10 == 310
-    assert arch.layer_parameter_counts() == [64 * 4 + 4, 4 * 10 + 10]
+    p = nn.ModelParams(arch, np.zeros(310))
+    assert [w.size + b.size for w, b in zip(p.weights, p.biases)] == [64 * 4 + 4, 4 * 10 + 10]
 
 
 def test_architecture_validation():
@@ -59,12 +61,46 @@ def test_init_std_matches_lecun():
     assert abs(w.std() - target) < 0.1 * target
 
 
+# ---------------------------------------------------------------- params
+
+def test_model_params_rejects_wrong_length():
+    arch = nn.MlpArchitecture((4, 3, 2))
+    for flat in (np.zeros(arch.parameter_count - 1), np.zeros((2, arch.parameter_count + 1)),
+                 np.float64(0.0)):
+        with pytest.raises(ValueError):
+            nn.ModelParams(arch, flat)
+
+
+@pytest.mark.parametrize("lead", [(), (5,)])
+def test_model_params_views_write_through(lead):
+    arch = nn.MlpArchitecture((4, 3, 2))
+    p = nn.ModelParams(arch, np.zeros(lead + (arch.parameter_count,)))
+    assert [w.shape for w in p.weights] == [lead + (4, 3), lead + (3, 2)]
+    assert [b.shape for b in p.biases] == [lead + (3,), lead + (2,)]
+    # layout: per layer, the (in, out) weights row-major, then the biases
+    p.weights[0][..., 1, 2] = 1.0
+    p.biases[0][..., 1] = 2.0
+    p.weights[1][..., 2, 0] = 3.0
+    p.biases[1][..., 1] = 4.0
+    want = np.zeros(arch.parameter_count)
+    want[[1 * 3 + 2, 12 + 1, 15 + 2 * 2 + 0, 21 + 1]] = [1.0, 2.0, 3.0, 4.0]
+    assert np.array_equal(p.flat, np.broadcast_to(want, p.flat.shape))
+    assert np.array_equal(p.flatten(), p.flat)
+
+
+def test_model_params_pickle_keeps_views():
+    p = nn.init_params(nn.MlpArchitecture((4, 3, 2)), 1)
+    q = pickle.loads(pickle.dumps(p))
+    assert np.array_equal(q.flat, p.flat)
+    q.weights[1][0, 0] = 7.0
+    assert q.flat[15] == 7.0
+
+
 # --------------------------------------------------------------- forward
 
 def test_forward_zero_weights_zero_logits():
     arch = nn.MlpArchitecture((4, 3, 2), activation="identity")
-    p = nn.ModelParams(arch, [np.zeros((4, 3)), np.zeros((3, 2))],
-                       [np.zeros(3), np.zeros(2)])
+    p = nn.ModelParams(arch, np.zeros(arch.parameter_count))
     assert np.all(nn.forward(p, np.ones(4)) == 0.0)
 
 
@@ -72,7 +108,7 @@ def test_forward_single_linear_layer():
     arch = nn.MlpArchitecture((3, 2), activation="identity")
     W = np.arange(6, dtype=float).reshape(3, 2)
     b = np.array([1.0, -1.0])
-    p = nn.ModelParams(arch, [W], [b])
+    p = nn.ModelParams(arch, np.concatenate([W.ravel(), b]))
     x = np.array([1.0, 2.0, 3.0])
     assert np.allclose(nn.forward(p, x), x @ W + b)
 
@@ -92,7 +128,7 @@ def test_forward_matches_straight_line_reference():
 
 def test_uniform_logits_loss_is_log_k():
     arch = nn.MlpArchitecture((4, 10), activation="identity")
-    p = nn.ModelParams(arch, [np.zeros((4, 10))], [np.zeros(10)])
+    p = nn.ModelParams(arch, np.zeros(arch.parameter_count))
     X, y = small_batch(d=4, k=10)
     loss, _ = nn.loss_and_grad(p, X, y)
     assert abs(loss - math.log(10)) < 1e-12
@@ -132,6 +168,41 @@ def test_per_example_grads_sum_to_batch_gradient():
     per = nn.per_example_grads(p, X, y)
     # loss_and_grad is the mean; per-example grads are of the sum
     assert np.allclose(per.sum(axis=0) / len(y), g.flatten(), atol=1e-12)
+
+
+def _per_example_grads_reference(params, X, y):
+    # per-layer einsum into (n, P) offsets, as a hand-written loop
+    arch = params.arch
+    n, ws = len(y), arch.layer_widths
+    out = np.empty((n, arch.parameter_count))
+    activations, pre = nn._forward_cached(params, X)
+    _, dact = nn.ACTIVATIONS[arch.activation]
+    delta = np.exp(nn._log_softmax(activations[-1]))
+    delta[np.arange(n), y] -= 1.0
+    ends = np.cumsum([ws[i] * ws[i + 1] + ws[i + 1] for i in range(arch.num_layers)])
+    for i in range(arch.num_layers - 1, -1, -1):
+        w_end = ends[i] - ws[i + 1]
+        w_start = w_end - ws[i] * ws[i + 1]
+        gw = out[:, w_start:w_end].reshape(n, ws[i], ws[i + 1])
+        np.einsum("ni,nj->nij", activations[i], delta, out=gw)
+        out[:, w_end : ends[i]] = delta
+        if i > 0:
+            delta = (delta @ params.weights[i].T) * dact(pre[i - 1])
+    return out
+
+
+@pytest.mark.parametrize("activation", sorted(nn.ACTIVATIONS))
+def test_per_example_grads_match_offset_loop_bitwise(activation):
+    arch = nn.MlpArchitecture((6, 5, 4, 3), activation=activation)
+    theta = nn.init_params(arch, 11).flatten()
+    theta += np.random.default_rng(3).normal(0.0, 0.1, size=theta.size)
+    p = nn.ModelParams(arch, theta)
+    X, y = small_batch(d=6, k=3, n=9, seed=2)
+    want = _per_example_grads_reference(p, X, y)
+    assert np.array_equal(nn.per_example_grads(p, X, y), want)
+    out = np.full_like(want, np.nan)
+    assert nn.per_example_grads(p, X, y, out=out) is out
+    assert np.array_equal(out, want)
 
 
 def test_activation_totality():

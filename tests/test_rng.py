@@ -50,10 +50,6 @@ def test_derive_is_stable_64bit():
     assert s != _derive(124, ("label", 4))
 
 
-def test_child_seed_matches_derive():
-    assert Rng(5).child_seed("a") == _derive(5, "a")
-
-
 def test_permutation_is_permutation():
     p = Rng(1).permutation(100)
     assert sorted(p.tolist()) == list(range(100))

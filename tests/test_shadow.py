@@ -59,13 +59,6 @@ def test_norm_stats_constant_coordinate():
     assert np.isfinite(out).all()
 
 
-def test_norm_stats_inverse_roundtrip():
-    F = np.random.default_rng(2).normal(size=(50, 6))
-    stats = shadow.NormStats.fit(F)
-    back = stats.inverse(stats.apply(F))
-    assert np.max(np.abs(back - F)) <= 1e-12
-
-
 # -------------------------------------------------------------- shadows
 
 def test_gen_shadows_deterministic_and_finite():
@@ -191,8 +184,8 @@ def test_reconn_loss_grad_matches_finite_differences():
     F, T = g.normal(size=(8, 6)), g.uniform(size=(8, 3))
 
     def loss_grad(t):
-        grad = nn.ModelParams.view(arch, np.empty_like(t))
-        return shadow._reconn_loss_grad(nn.ModelParams.view(arch, t), F, T, grad), grad
+        grad = nn.ModelParams(arch, np.empty_like(t))
+        return shadow._reconn_loss_grad(nn.ModelParams(arch, t), F, T, grad), grad
 
     _, grad = loss_grad(theta)
     h = 1e-5
