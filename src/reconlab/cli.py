@@ -181,11 +181,8 @@ def cmd_train_released(args) -> int:
 def cmd_gen_shadows(args) -> int:
     cfg = parse_config(args.config)
     fixed, shadow_pool, _, arch, train_cfg = load_profile(cfg)
-    if args.k is not None:
-        if args.k <= 0:
-            raise ConfigError("--k must be positive")
-        if args.k > len(shadow_pool):
-            raise ConfigError("--k exceeds shadow pool size")
+    if args.k is not None and args.k <= 0:
+        raise ConfigError("--k must be positive")
     if args.ood_pool:
         ood = data.load_csv(args.ood_pool, args.ood_label_column)
         shadow_pool = data.relabel_random(
@@ -193,6 +190,9 @@ def cmd_gen_shadows(args) -> int:
         )
     featurizer, shadow_pool = build_featurizer(cfg, shadow_pool, arch, args)
     if args.k is not None:
+        # checked against the final pool: after --ood-pool and the black-box probe
+        if args.k > len(shadow_pool):
+            raise ConfigError("--k exceeds shadow pool size")
         shadow_pool = shadow_pool.subset(range(args.k))
     shadow_set = shadow.gen_shadows(
         fixed, shadow_pool, arch, train_cfg, featurizer, random_init=args.random_init

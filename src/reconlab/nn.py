@@ -34,34 +34,74 @@ class DivergenceError(RuntimeError):
     """Raised when training produces non-finite parameters or loss."""
 
 
-def _elu(z):
-    return np.where(z > 0, z, np.expm1(np.minimum(z, 0.0)))
+def _out(z, out):
+    return np.empty(np.shape(z)) if out is None else out
 
 
-def _elu_d(z):
-    return np.where(z > 0, 1.0, np.exp(np.minimum(z, 0.0)))
+def _elu(z, out=None):
+    # where(z > 0, z, expm1(min(z, 0))) bit for bit: expm1(z) >= z for z < 0 and
+    # expm1(0) == 0. z goes first: maximum(e, z) would turn z = -0.0 into -0.0
+    out = np.minimum(z, 0.0, out=out)
+    np.expm1(out, out=out)
+    return np.maximum(z, out, out=out)
 
 
-def _softplus(z):
-    return np.logaddexp(0.0, z)
+def _elu_d(z, out=None):
+    # exp(0) == 1.0 exactly, so z > 0 needs no branch
+    out = np.minimum(z, 0.0, out=out)
+    return np.exp(out, out=out)
 
 
-def _sigmoid(z):
-    return 0.5 * (1.0 + np.tanh(0.5 * z))
+def _leaky_relu(z, out=None):
+    out = np.multiply(z, 0.01, out=out)
+    np.copyto(out, z, where=z > 0)
+    return out
 
 
-# name -> (f, f') with exact derivatives; all map finite inputs to finite outputs
+def _leaky_relu_d(z, out=None):
+    out = _out(z, out)
+    out.fill(0.01)
+    np.copyto(out, 1.0, where=z > 0)
+    return out
+
+
+def _tanh_d(z, out=None):
+    out = np.tanh(z, out=out)
+    np.square(out, out=out)
+    return np.subtract(1.0, out, out=out)
+
+
+def _sigmoid(z, out=None):
+    out = np.multiply(z, 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
+
+
+def _sigmoid_d(z, out=None):
+    s = _sigmoid(z, out)
+    return np.multiply(s, 1.0 - s, out=s)
+
+
+def _ones(z, out=None):
+    out = _out(z, out)
+    out.fill(1.0)
+    return out
+
+
+# name -> (f, f') with exact derivatives; all map finite inputs to finite outputs.
+# Each takes (z, out=None) and returns its value at z, written into the float64
+# array out when one is given.
 ACTIVATIONS = {
     "elu": (_elu, _elu_d),
-    "relu": (lambda z: np.maximum(z, 0.0), lambda z: (z > 0).astype(np.float64)),
-    "leaky_relu": (
-        lambda z: np.where(z > 0, z, 0.01 * z),
-        lambda z: np.where(z > 0, 1.0, 0.01),
-    ),
-    "tanh": (np.tanh, lambda z: 1.0 - np.tanh(z) ** 2),
-    "sigmoid": (_sigmoid, lambda z: _sigmoid(z) * (1.0 - _sigmoid(z))),
-    "softplus": (_softplus, _sigmoid),
-    "identity": (lambda z: z, lambda z: np.ones_like(z)),
+    "relu": (lambda z, out=None: np.maximum(z, 0.0, out=out),
+             lambda z, out=None: np.greater(z, 0.0, out=_out(z, out))),
+    "leaky_relu": (_leaky_relu, _leaky_relu_d),
+    "tanh": (lambda z, out=None: np.tanh(z, out=out), _tanh_d),
+    "sigmoid": (_sigmoid, _sigmoid_d),
+    "softplus": (lambda z, out=None: np.logaddexp(0.0, z, out=out), _sigmoid),
+    "identity": (lambda z, out=None: np.positive(z, out=out), _ones),
 }
 
 
@@ -168,6 +208,8 @@ class TrainConfig:
             raise ValueError("learning_rate must be nonnegative")
         if not 0 <= self.momentum < 1:
             raise ValueError("momentum must be in [0, 1)")
+        if self.batch_size != "full" and int(self.batch_size) < 1:
+            raise ValueError("batch_size must be a positive int or 'full'")
         if self.optimizer == "dpgd":
             if self.clip_norm is None or self.clip_norm <= 0:
                 raise ValueError("dpgd requires clip_norm > 0")
@@ -204,17 +246,54 @@ def init_params(arch: MlpArchitecture, seed: int) -> ModelParams:
     return ModelParams.unflatten(arch, _init_flat(arch, seed))
 
 
-def _forward_cached(params: ModelParams, X: np.ndarray):
-    """Forward pass keeping post-activation outputs and pre-activations."""
+class _Workspace:
+    """The buffers of one training step for an architecture and batches of up
+    to n rows, allocated once per training run; a shorter batch uses leading
+    rows. pre[i] holds layer i's pre-activations, post[i] a hidden layer's
+    outputs, delta[i] the loss gradient at pre[i] and dact[i] the activation
+    derivative there; head (three (n, k) arrays), row (n,) and cols (k, n) are
+    scratch for the loss at the k outputs."""
+
+    def __init__(self, arch: MlpArchitecture, n: int):
+        widths = arch.layer_widths[1:]
+        k = widths[-1]
+        self.pre = [np.empty((n, w)) for w in widths]
+        self.delta = [np.empty((n, w)) for w in widths]
+        self.post = [np.empty((n, w)) for w in widths[:-1]]
+        self.dact = [np.empty((n, w)) for w in widths[:-1]]
+        self.head = [np.empty((n, k)) for _ in range(3)]
+        self.row = np.empty(n)
+        self.cols = np.empty((k, n))
+        self.row_start = np.arange(0, n * k, k)
+        self._labels = self._label_at = None
+
+    def label_index(self, y: np.ndarray) -> np.ndarray:
+        """Flat index of each row's label logit in a C-ordered (len(y), k)
+        array; computed once per label array, so once per GD training run."""
+        if y is not self._labels:
+            k = self.head[0].shape[1]
+            if len(y) and (y.min() < 0 or y.max() >= k):
+                raise IndexError(f"labels must lie in [0, {k})")
+            self._labels, self._label_at = y, self.row_start[: len(y)] + y
+        return self._label_at
+
+
+def _forward_cached(params: ModelParams, X: np.ndarray, work: _Workspace = None):
+    """Forward pass keeping post-activation outputs and pre-activations, in
+    work's buffers (fresh ones if work is None)."""
+    n = X.shape[0]
+    if work is None:
+        work = _Workspace(params.arch, n)
     act, _ = ACTIVATIONS[params.arch.activation]
     a = X
     activations = [a]  # post-activation inputs to each layer
     pre = []
     last = params.arch.num_layers - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = a @ w + b
+        z = np.matmul(a, w, out=work.pre[i][:n])
+        z += b
         pre.append(z)
-        a = z if i == last else act(z)
+        a = z if i == last else act(z, out=work.post[i][:n])
         activations.append(a)
     return activations, pre
 
@@ -230,17 +309,32 @@ def forward(params: ModelParams, x: np.ndarray) -> np.ndarray:
     return logits[0] if single else logits
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    m = logits.max(axis=1, keepdims=True)
-    s = logits - m
-    return s - np.log(np.exp(s).sum(axis=1, keepdims=True))
+def _log_softmax(logits: np.ndarray, out=None, tmp=None, row=None, cols=None) -> np.ndarray:
+    """Row-wise log-softmax of (n, k) logits, written into out; tmp (n, k),
+    row (n,) and cols (k, n) are scratch. The row max is a running maximum
+    over the columns, one reduction over the rows of the transposed copy: a
+    max is exact in any order, so it equals logits.max(axis=1) bit for bit
+    without a reduction along each short row."""
+    if cols is None:
+        cols = np.empty(logits.shape[::-1])
+    np.copyto(cols, logits.T)
+    m = np.maximum.reduce(cols, axis=0, out=row)
+    s = np.subtract(logits, m[:, None], out=out)
+    np.sum(np.exp(s, out=tmp), axis=1, out=m)
+    s -= np.log(m, out=m)[:, None]
+    return s
 
 
-def _backprop(params: ModelParams, activations, pre, delta, grad: ModelParams) -> None:
+def _backprop(params: ModelParams, activations, pre, delta, grad: ModelParams,
+              work: _Workspace = None) -> None:
     """Backpropagate delta (the loss gradient at the output pre-activations)
     through the layers, writing each layer's gradient into grad in place:
-    summed over the batch if grad.flat is (P,), one row per example if (n, P)."""
+    summed over the batch if grad.flat is (P,), one row per example if (n, P).
+    Hidden deltas go into work's buffers (fresh ones if work is None)."""
     _, dact = ACTIVATIONS[params.arch.activation]
+    n = delta.shape[0]
+    if work is None:
+        work = _Workspace(params.arch, n)
     per_example = grad.flat.ndim == 2
     for i in range(params.arch.num_layers - 1, -1, -1):
         if per_example:
@@ -250,51 +344,70 @@ def _backprop(params: ModelParams, activations, pre, delta, grad: ModelParams) -
             np.matmul(activations[i].T, delta, out=grad.weights[i])
             np.sum(delta, axis=0, out=grad.biases[i])
         if i > 0:
-            delta = (delta @ params.weights[i].T) * dact(pre[i - 1])
+            delta = np.matmul(delta, params.weights[i].T, out=work.delta[i - 1][:n])
+            delta *= dact(pre[i - 1], out=work.dact[i - 1][:n])
+
+
+def _cross_entropy_delta(params: ModelParams, X, y, work: _Workspace):
+    """Forward pass, log-softmax, and the gradient of the summed cross-entropy
+    at the logits (softmax minus one-hot), all in work's buffers.
+    Returns (activations, pre-activations, log-probabilities, label index, delta)."""
+    n = X.shape[0]
+    activations, pre = _forward_cached(params, X, work)
+    logp = _log_softmax(activations[-1], work.head[0][:n], work.delta[-1][:n], work.row[:n],
+                        work.cols[:, :n])
+    at = work.label_index(y)
+    delta = np.exp(logp, out=work.delta[-1][:n])
+    delta.reshape(-1)[at] -= 1.0
+    return activations, pre, logp, at, delta
+
+
+def _as_batch(X, y):
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    y = np.atleast_1d(np.asarray(y, dtype=np.int64))
+    if len(y) != X.shape[0]:
+        raise ValueError(f"{X.shape[0]} rows but {len(y)} labels")
+    return X, y
 
 
 def loss_and_grad(params: ModelParams, X: np.ndarray, y: np.ndarray,
-                  grad: ModelParams = None):
+                  grad: ModelParams = None, _work: _Workspace = None):
     """Mean cross-entropy over the batch and its backprop gradient.
 
     If grad is given (a ModelParams), the gradient is written into it and it
     is returned, so a training loop can reuse one buffer.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    y = np.atleast_1d(np.asarray(y, dtype=np.int64))
-    if X.shape[0] == 0:
+    X, y = _as_batch(X, y)
+    n = X.shape[0]
+    if n == 0:
         raise ValueError("empty batch")
     if grad is None:
         grad = ModelParams(params.arch, np.empty(params.arch.parameter_count))
-    n = X.shape[0]
-    activations, pre = _forward_cached(params, X)
-    logp = _log_softmax(activations[-1])
-    loss = float(-logp[np.arange(n), y].mean())
+    work = _Workspace(params.arch, n) if _work is None else _work
+    activations, pre, logp, at, delta = _cross_entropy_delta(params, X, y, work)
+    # the label indices are in range, so "clip" only skips take's buffered copy
+    loss = float(-np.take(logp, at, out=work.row[:n], mode="clip").mean())
     if not np.isfinite(loss):
         raise DivergenceError("non-finite loss")
-    delta = np.exp(logp)
-    delta[np.arange(n), y] -= 1.0
     delta /= n
-    _backprop(params, activations, pre, delta, grad)
+    _backprop(params, activations, pre, delta, grad, work)
     return loss, grad
 
 
 def per_example_grads(params: ModelParams, X: np.ndarray, y: np.ndarray,
-                      out: np.ndarray = None) -> np.ndarray:
+                      out: np.ndarray = None, _work: _Workspace = None) -> np.ndarray:
     """Per-example gradients of the summed cross-entropy, flattened, shape (n, P).
 
     If out is given (a float64 (n, P) array), the gradients are written into
     it and it is returned, so a training loop can reuse one buffer.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    y = np.atleast_1d(np.asarray(y, dtype=np.int64))
+    X, y = _as_batch(X, y)
     n = X.shape[0]
     if out is None:
         out = np.empty((n, params.arch.parameter_count))
-    activations, pre = _forward_cached(params, X)
-    delta = np.exp(_log_softmax(activations[-1]))
-    delta[np.arange(n), y] -= 1.0
-    _backprop(params, activations, pre, delta, ModelParams(params.arch, out))
+    work = _Workspace(params.arch, n) if _work is None else _work
+    activations, pre, _, _, delta = _cross_entropy_delta(params, X, y, work)
+    _backprop(params, activations, pre, delta, ModelParams(params.arch, out), work)
     return out
 
 
@@ -319,27 +432,29 @@ def train(dataset, arch: MlpArchitecture, config: TrainConfig) -> ModelParams:
     lr, mu = config.learning_rate, config.momentum
 
     full_batch = config.optimizer == "gd_momentum" or config.batch_size == "full"
+    bs = n if full_batch else int(config.batch_size)
+    work = _Workspace(arch, min(bs, n))
     shuffle_rng = Rng(config.shuffle_seed)
 
     for epoch in range(config.epochs):
         if full_batch:
-            loss_and_grad(params, X, y, grad)
+            loss_and_grad(params, X, y, grad, _work=work)
             _momentum_step(theta, velocity, grad_vec, lr, mu)
         else:
-            bs = int(config.batch_size)
             perm = shuffle_rng.child(("epoch", epoch)).permutation(n)
             for start in range(0, n, bs):
                 idx = perm[start : start + bs]
-                loss_and_grad(params, X[idx], y[idx], grad)
+                loss_and_grad(params, X[idx], y[idx], grad, _work=work)
                 _momentum_step(theta, velocity, grad_vec, lr, mu)
         if not np.isfinite(theta).all():
             raise DivergenceError(f"non-finite parameters at epoch {epoch}")
     return params
 
 
-def clip_rows(grads: np.ndarray, clip_norm: float) -> np.ndarray:
-    """Scale each row of grads in place to l2 norm <= clip_norm; returns grads."""
-    norms = np.sqrt(np.add.reduce(grads * grads, axis=1))
+def clip_rows(grads: np.ndarray, clip_norm: float, _squares: np.ndarray = None) -> np.ndarray:
+    """Scale each row of grads in place to l2 norm <= clip_norm; returns grads.
+    _squares, if given, is scratch shaped like grads."""
+    norms = np.sqrt(np.add.reduce(np.multiply(grads, grads, out=_squares), axis=1))
     scale = np.minimum(1.0, clip_norm / np.maximum(norms, 1e-300))
     grads *= scale[:, None]
     return grads
@@ -357,14 +472,18 @@ def train_dp(dataset, arch: MlpArchitecture, config: TrainConfig) -> ModelParams
     params = init_params(arch, config.init_seed)
     theta = params.flat
     per_example = np.empty((n, theta.size))
+    squares = np.empty_like(per_example)
+    work = _Workspace(arch, n)
+    g = np.empty_like(theta)
     velocity = np.zeros_like(theta)
     noise_rng = Rng(config.noise_seed)
     lr, mu = config.learning_rate, config.momentum
 
     for step in range(config.epochs):
-        g = clip_rows(per_example_grads(params, X, y, out=per_example), C).sum(axis=0)
+        per_example_grads(params, X, y, out=per_example, _work=work)
+        np.sum(clip_rows(per_example, C, squares), axis=0, out=g)
         if sigma > 0:
-            g = g + noise_rng.child(("noise", step)).normal(0.0, sigma * C, size=g.shape)
+            g += noise_rng.child(("noise", step)).normal(0.0, sigma * C, size=g.shape)
         g /= n
         _momentum_step(theta, velocity, g, lr, mu)
         if not np.isfinite(theta).all():

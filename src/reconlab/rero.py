@@ -169,13 +169,21 @@ class ReRoBound:
     degenerate: bool = False
 
 
+# ndtri(0.5 + c/2) for the usual confidences c, so that they need no scipy
+_WILSON_Z = {0.9: 1.6448536269514722, 0.95: 1.959963984540054,
+             0.99: 2.5758293035489004, 0.999: 3.2905267314919255}
+
+
 def wilson_interval(successes: int, trials: int, confidence: float = 0.99):
     """Wilson score interval for a binomial proportion."""
-    from scipy.special import ndtri  # the kernel of norm.ppf; kept off the import path
-
     if trials <= 0:
         raise ValueError("trials must be positive")
-    z = ndtri(0.5 + confidence / 2.0)
+    z = _WILSON_Z.get(confidence)
+    if z is None:
+        from scipy.special import ndtri  # the kernel of norm.ppf; kept off the import path
+
+        z = ndtri(0.5 + confidence / 2.0)
+    z = np.float64(z)
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom

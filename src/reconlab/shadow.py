@@ -271,15 +271,29 @@ class RecoNN:
 
 
 def _reconn_loss_grad(params: nn.ModelParams, F: np.ndarray, T: np.ndarray,
-                      grad: nn.ModelParams) -> float:
+                      grad: nn.ModelParams, _work=None) -> float:
     """Mean (|o-t| + (o-t)^2) over batch and coords, sigmoid output, exact
-    backprop; the gradient is written into grad."""
-    acts, pre = nn._forward_cached(params, F)
-    out = 1.0 / (1.0 + np.exp(-acts[-1]))
-    diff = out - T
-    loss = float(np.mean(np.abs(diff) + diff ** 2))
-    delta = (np.sign(diff) + 2.0 * diff) * out * (1.0 - out) / diff.size
-    nn._backprop(params, acts, pre, delta, grad)
+    backprop; the gradient is written into grad. _work, if given, is an
+    nn._Workspace for the architecture and at least len(F) rows."""
+    n = F.shape[0]
+    work = nn._Workspace(params.arch, n) if _work is None else _work
+    acts, pre = nn._forward_cached(params, F, work)
+    out, diff, tmp = (h[:n] for h in work.head)
+    np.negative(acts[-1], out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    np.divide(1.0, out, out=out)
+    np.subtract(out, T, out=diff)
+    err = np.abs(diff, out=tmp)
+    err += np.square(diff, out=work.delta[-1][:n])
+    loss = float(np.mean(err))
+    # (sign(diff) + 2 diff) * out * (1 - out) / diff.size, in that order
+    delta = np.sign(diff, out=work.delta[-1][:n])
+    delta += np.multiply(diff, 2.0, out=tmp)
+    delta *= out
+    delta *= np.subtract(1.0, out, out=tmp)
+    delta /= diff.size
+    nn._backprop(params, acts, pre, delta, grad, work)
     return loss
 
 
@@ -300,6 +314,7 @@ def train_reconn(shadow_set: ShadowSet, config: RecoNNConfig = RecoNNConfig()) -
     gv = grad.flat
     cache = np.zeros_like(theta)
     denom = np.empty_like(theta)
+    work = nn._Workspace(arch, config.batch_size)
     shuffle = Rng(_derive(config.seed, "reconn-shuffle"))
     lr, rho, eps = config.learning_rate, RMS_DECAY, RMS_EPS
 
@@ -307,7 +322,7 @@ def train_reconn(shadow_set: ShadowSet, config: RecoNNConfig = RecoNNConfig()) -
         perm = shuffle.child(("epoch", epoch)).permutation(k)
         for start in range(0, k, config.batch_size):
             idx = perm[start : start + config.batch_size]
-            loss = _reconn_loss_grad(params, F[idx], T[idx], grad)
+            loss = _reconn_loss_grad(params, F[idx], T[idx], grad, work)
             if not np.isfinite(loss):
                 raise nn.DivergenceError(f"reconstructor diverged at epoch {epoch}")
             # RMSProp in place, in the operation order of

@@ -370,9 +370,18 @@ def test_rero_bound_requires_mode():
     (["gen-shadows", "--featurizer", "blackbox", "--probe-size", "0", "--k", "10"],
      "--probe-size"),
     (["gen-shadows", "--featurizer", "blackbox", "--probe-size", "-1"], "--probe-size"),
+    # --k fits the 130-point pool, but not what the probe or the OOD pool leave
+    (["gen-shadows", "--featurizer", "blackbox", "--probe-size", "10", "--k", "125"],
+     "--k exceeds shadow pool size"),
+    (["gen-shadows", "--ood-pool", "OOD_CSV", "--k", "100"], "--k exceeds shadow pool size"),
 ])
 def test_bad_input_exits_2_naming_it(argv, named, cfg_path, tmp_path, capsys):
+    from reconlab import data
     out = tmp_path / "out"
+    if "OOD_CSV" in argv:
+        ood_csv = str(tmp_path / "ood.csv")
+        data.save_csv(data.synth_classification(8, 2, 60, 0.2, seed=99), ood_csv)
+        argv = [ood_csv if a == "OOD_CSV" else a for a in argv]
     if argv[0] != "rero-bound":
         argv = argv + ["--config", cfg_path, "--out", str(out)]
     assert main(argv) == 2

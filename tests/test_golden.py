@@ -1,11 +1,13 @@
 """Golden references: pinned outputs that refactors and speedups must keep.
 
 The files under ``tests/golden/`` hold float reprs of trained parameters
-(GD, SGD and DP-GD on a tiny architecture), the per-cell success rates of
-the ReRo soundness grid, one closed-form GLM reconstruction (logistic,
-lambda = 0.1) and the artifacts of a toy CLI pipeline (``train-released``,
-``gen-shadows`` white-box and black-box, ``dp-sweep``). Parameters and the
-reconstruction are compared bitwise when the numpy/BLAS build matches the one
+(GD, SGD and DP-GD on a tiny architecture), the training outputs of every
+hidden activation (the three optimizers, ``loss_and_grad``,
+``per_example_grads`` and one reconstructor loss gradient), the per-cell
+success rates of the ReRo soundness grid, one closed-form GLM
+reconstruction (logistic, lambda = 0.1) and the artifacts of a toy CLI
+pipeline (``train-released``, ``gen-shadows`` white-box and black-box,
+``dp-sweep``). Parameters, training outputs and the reconstruction are compared bitwise when the numpy/BLAS build matches the one
 they were recorded on, and within 1e-10 relative otherwise; CLI artifacts are
 compared by sha256 on the recorded build and by summary values within 1e-10
 relative otherwise. Rates are counts over trials and are always compared
@@ -25,7 +27,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reconlab import cli, data, glm, nn
+from reconlab import cli, data, glm, nn, shadow
 from reconlab.persist import load_model
 from reconlab.rero import rero_soundness_grid
 
@@ -91,6 +93,30 @@ def trained_params() -> dict:
     return {name: nn.train(ds, ARCH, cfg).flatten() for name, cfg in CONFIGS.items()}
 
 
+def activation_outputs() -> dict:
+    """For each hidden activation on ARCH: the three optimizers' trained
+    parameters, then the loss, gradient and first five per-example gradients at
+    the GD-trained parameters; plus one reconstructor loss and gradient."""
+    ds = _dataset()
+    out = {}
+    for act in sorted(nn.ACTIVATIONS):
+        arch = nn.MlpArchitecture(ARCH.layer_widths, activation=act)
+        got = {name: nn.train(ds, arch, cfg).flatten() for name, cfg in CONFIGS.items()}
+        params = nn.ModelParams(arch, got["gd"])
+        loss, grad = nn.loss_and_grad(params, ds.X, ds.y)
+        got["loss"] = np.array([loss])
+        got["grad"] = grad.flatten()
+        got["per_example"] = nn.per_example_grads(params, ds.X[:5], ds.y[:5]).ravel()
+        out[act] = got
+    g = np.random.default_rng(9)
+    arch = nn.MlpArchitecture((6, 8, 8, 4), activation="relu")
+    params = nn.init_params(arch, 9)
+    grad = nn.ModelParams(arch, np.empty(arch.parameter_count))
+    loss = shadow._reconn_loss_grad(params, g.normal(size=(20, 6)), g.uniform(size=(20, 4)), grad)
+    out["reconn"] = {"loss": np.array([loss]), "grad": grad.flatten()}
+    return out
+
+
 def grid_rates() -> list:
     return [
         {"noise": c["noise"], "eta": c["eta"], "prior": c["prior"], "rate": c["rate"]}
@@ -152,8 +178,11 @@ def _load(name: str) -> dict:
 def record() -> None:
     GOLDEN.mkdir(exist_ok=True)
     params = {name: [float(v) for v in p] for name, p in trained_params().items()}
+    acts = {act: {key: [float(v) for v in vec] for key, vec in got.items()}
+            for act, got in activation_outputs().items()}
     for name, payload in (
         ("train_params.json", {"build": build(), "arch": list(ARCH.layer_widths), "params": params}),
+        ("activations.json", {"build": build(), "arch": list(ARCH.layer_widths), "outputs": acts}),
         ("rero_grid_rates.json", {"grid": GRID, "cells": grid_rates()}),
         ("glm_reconstruction.json",
          {"build": build(), "instance": GLM, "x_y": [float(v) for v in glm_reconstruction()]}),
@@ -182,6 +211,17 @@ def assert_matches(recorded_build: dict, got: np.ndarray, want: np.ndarray) -> N
         assert got.tobytes() == want.tobytes()
     else:
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def test_activation_outputs_match_golden():
+    golden = _load("activations.json")
+    assert golden["arch"] == list(ARCH.layer_widths)
+    got = activation_outputs()
+    assert sorted(got) == sorted(golden["outputs"])
+    for act, want in golden["outputs"].items():
+        assert sorted(got[act]) == sorted(want), act
+        for key, vec in want.items():
+            assert_matches(golden["build"], got[act][key], np.array(vec))
 
 
 def test_rero_grid_rates_match_golden():

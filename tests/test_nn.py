@@ -205,6 +205,70 @@ def test_per_example_grads_match_offset_loop_bitwise(activation):
     assert np.array_equal(out, want)
 
 
+def test_elu_equals_where_form_bitwise():
+    # the branch-free ELU and derivative against their np.where definitions, on
+    # signed zeros, infinities, NaN, subnormals and where exp under/overflows
+    tiny = np.finfo(np.float64).tiny
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, tiny / 3, -tiny / 3,
+               tiny, -tiny, 745.0, -745.0, 1e-17, -1e-17]
+    z = np.concatenate([special, np.random.default_rng(0).normal(0.0, 10.0, 200)])
+    with np.errstate(invalid="ignore"):
+        want = np.where(z > 0, z, np.expm1(np.minimum(z, 0.0)))
+        want_d = np.where(z > 0, 1.0, np.exp(np.minimum(z, 0.0)))
+        assert nn._elu(z).tobytes() == want.tobytes()
+        assert nn._elu_d(z).tobytes() == want_d.tobytes()
+        out = np.empty_like(z)
+        assert nn._elu(z, out=out) is out and out.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("activation", sorted(nn.ACTIVATIONS))
+def test_activation_out_matches_fresh_result(activation):
+    z = np.concatenate([[0.0, -0.0, 1e-300, -1e-300],
+                        np.random.default_rng(1).normal(0.0, 3.0, 60)])
+    for f in nn.ACTIVATIONS[activation]:
+        out = np.full_like(z, np.nan)
+        assert f(z, out=out) is out
+        assert out.tobytes() == np.asarray(f(z), dtype=np.float64).tobytes()
+
+
+def test_log_softmax_row_max_over_columns():
+    g = np.random.default_rng(2)
+    logits = g.normal(0.0, 5.0, size=(37, 10))
+    logits[3] = [-0.0, 0.0] * 5
+    logits[5, 4] = np.inf
+    with np.errstate(invalid="ignore"):
+        s = logits - logits.max(axis=1, keepdims=True)
+        want = s - np.log(np.exp(s).sum(axis=1, keepdims=True))
+        assert nn._log_softmax(logits).tobytes() == want.tobytes()
+
+
+def test_workspace_short_batch_matches_fresh_call():
+    # one workspace, sized for the full batch, reused on shorter batches
+    arch = nn.MlpArchitecture((6, 5, 4, 3))
+    p = nn.init_params(arch, 2)
+    X, y = small_batch(d=6, k=3, n=9, seed=4)
+    work = nn._Workspace(arch, 9)
+    grad = nn.ModelParams(arch, np.empty(arch.parameter_count))
+    for n in (9, 4, 9, 1):
+        want_loss, want = nn.loss_and_grad(p, X[:n], y[:n])
+        loss, got = nn.loss_and_grad(p, X[:n], y[:n], grad, _work=work)
+        assert loss == want_loss and got.flat.tobytes() == want.flat.tobytes()
+        per = nn.per_example_grads(p, X[:n], y[:n], _work=work)
+        assert per.tobytes() == nn.per_example_grads(p, X[:n], y[:n]).tobytes()
+
+
+def test_loss_and_grad_rejects_bad_labels():
+    arch = nn.MlpArchitecture((6, 3))
+    p = nn.init_params(arch, 0)
+    X, _ = small_batch(d=6, n=4)
+    for bad in ([0, 1, 3, 0], [0, -1, 2, 0]):
+        with pytest.raises(IndexError):
+            nn.loss_and_grad(p, X, np.array(bad))
+    for f in (nn.loss_and_grad, nn.per_example_grads):
+        with pytest.raises(ValueError, match="labels"):
+            f(p, X, np.array([0, 1, 2]))
+
+
 def test_activation_totality():
     z = np.array([-1e6, -1.0, 0.0, 1.0, 1e6])
     for name, (f, fd) in nn.ACTIVATIONS.items():
@@ -302,6 +366,13 @@ def test_dpgd_validates_config():
         nn.TrainConfig(optimizer="dpgd")
     with pytest.raises(ValueError):
         nn.TrainConfig(optimizer="dpgd", clip_norm=1.0, noise_multiplier=-1.0)
+
+
+@pytest.mark.parametrize("batch_size", [0, -3])
+def test_train_config_rejects_nonpositive_batch_size(batch_size):
+    # a negative size once trained zero steps and returned the initial parameters
+    with pytest.raises(ValueError, match="batch_size"):
+        nn.TrainConfig(optimizer="sgd_momentum", batch_size=batch_size)
 
 
 def test_with_seeds_replaces_only_given():

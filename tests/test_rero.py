@@ -531,13 +531,20 @@ def _wilson_norm_ppf(successes, trials, confidence):
     return max(0.0, center - half), min(1.0, center + half)
 
 
-@pytest.mark.parametrize("confidence", [0.9, 0.95, 0.99, 0.999])
+@pytest.mark.parametrize("confidence", [0.9, 0.95, 0.99, 0.999, 0.8])
 @pytest.mark.parametrize("trials", [100, 200, 1000, 10 ** 6])
 def test_wilson_interval_bitwise_equals_norm_ppf_formula(trials, confidence):
     for successes in sorted({0, 1, 7, trials // 3, trials // 2, trials - 1, trials}):
         got = rero.wilson_interval(successes, trials, confidence)
         want = _wilson_norm_ppf(successes, trials, confidence)
         assert np.array(got).tobytes() == np.array(want).tobytes(), successes
+
+
+def test_wilson_z_table_equals_ndtri_bitwise():
+    from scipy.special import ndtri
+    assert sorted(rero._WILSON_Z) == [0.9, 0.95, 0.99, 0.999]
+    for confidence, z in rero._WILSON_Z.items():
+        assert np.float64(z).tobytes() == ndtri(0.5 + confidence / 2.0).tobytes(), confidence
 
 
 def test_kappa_gaussian_exact_bitwise_equals_chi2_cdf():
