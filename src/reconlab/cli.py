@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import accounting, data, glm, metrics, mia, nn, rero, shadow
-from .persist import config_hash, load_model, save_model, write_csv
+from .persist import config_hash, header_field, load_model, save_model, write_csv
 from .rng import _derive
 
 EXIT_OK = 0
@@ -211,16 +211,24 @@ def cmd_attack(args) -> int:
     cfg = parse_config(args.config)
     fixed, shadow_pool, _, _, _ = load_profile(cfg)
     shadow_set = shadow.ShadowSet.load(os.path.join(args.shadows, "shadows"))
-    phi = shadow.train_reconn(shadow_set, reconn_config(cfg))
-
     targets = data.load_csv(os.path.join(args.released, "targets.csv"), "label")
+    released = []
+    for i in range(len(targets)):
+        path = os.path.join(args.released, f"target_{i:04d}.model")
+        theta, meta = load_model(path)
+        released_hash = header_field(meta, "config_hash", path)
+        if released_hash != cfg["__hash__"]:
+            raise ConfigError(f"{path}: config_hash {released_hash} differs from "
+                              f"{cfg['__hash__']}, the hash of --config")
+        released.append(theta)
+
+    phi = shadow.train_reconn(shadow_set, reconn_config(cfg))
     pool_X = np.vstack([fixed.X, shadow_pool.X])
     report = metrics.oracle_report(targets.X, pool_X)
     threshold = report.mean_nn_distance
 
     rows = []
-    for i in range(len(targets)):
-        theta, _ = load_model(os.path.join(args.released, f"target_{i:04d}.model"))
+    for i, theta in enumerate(released):
         err = metrics.mse(targets.X[i], phi(theta))
         rows.append((i, err, report.nn_distances[i], metrics.judge_success(err, threshold)))
 

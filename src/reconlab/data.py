@@ -168,8 +168,9 @@ def save_csv(dataset: LabeledDataset, path: str, label_column: str = "label") ->
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow([f"x{i}" for i in range(dataset.dim)] + [label_column])
-        for i in range(len(dataset)):
-            writer.writerow([repr(float(v)) for v in dataset.X[i]] + [int(dataset.y[i])])
+        # the bytes csv.writer gives: no float repr needs quoting
+        f.writelines(",".join(map(repr, row)) + f",{label}\r\n"
+                     for row, label in zip(dataset.X.tolist(), dataset.y.tolist()))
 
 
 def split(dataset: LabeledDataset, spec: SplitSpec):

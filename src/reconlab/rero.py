@@ -269,6 +269,8 @@ def rdp_to_rero(alpha: float, eps: float, kappa: float, eta: float) -> ReRoBound
     """(alpha, eps)-RDP gives gamma = (kappa * e^eps)^((alpha-1)/alpha)."""
     if alpha <= 1:
         raise ValueError("alpha must be > 1")
+    if eps < 0:
+        raise ValueError("eps must be nonnegative")
     if not 0 < kappa <= 1:
         raise ValueError("kappa must be in (0, 1]")
     gamma = _clamp(math.exp((alpha - 1.0) / alpha * (math.log(kappa) + eps)))
@@ -277,6 +279,8 @@ def rdp_to_rero(alpha: float, eps: float, kappa: float, eta: float) -> ReRoBound
 
 def puredp_to_rero(eps: float, kappa: float, eta: float) -> ReRoBound:
     """eps-DP gives gamma = kappa * e^eps."""
+    if eps < 0:
+        raise ValueError("eps must be nonnegative")
     if not 0 <= kappa <= 1:
         raise ValueError("kappa must be in [0, 1]")
     gamma = _clamp(kappa * math.exp(eps))
@@ -329,6 +333,8 @@ def prop_gamma(d: int, eta: float, privacy: dict, prior_kind: str,
         raise ValueError(f"unknown prior kind {prior_kind!r}")
 
     if "eps" in privacy:
+        if privacy["eps"] < 0:
+            raise ValueError("eps must be nonnegative")
         gamma = _clamp(kappa * math.exp(privacy["eps"]))
     elif "rho" in privacy:
         if kappa >= 1.0:
@@ -360,8 +366,11 @@ def map_attack_finite(prior: FiniteDiscretePrior, likelihood_fn, theta,
     if np.any(total <= 0):
         raise ValueError("zero total posterior mass")
     post /= total
-    scores = np.stack([post[:, ball].sum(axis=1) for ball in prior.balls(error_fn, eta)],
-                      axis=1)
+    # compress keeps each release's row contiguous, so numpy sums it pairwise
+    # for a batch as for one release; post[:, ball] is column-major for a
+    # batch, summed in another order, and near-ties broke differently
+    scores = np.stack([np.compress(ball, post, axis=1).sum(axis=1)
+                       for ball in prior.balls(error_fn, eta)], axis=1)
     guesses = prior.points[scores.argmax(axis=1)]
     return guesses if lik.ndim == 2 else guesses[0]
 

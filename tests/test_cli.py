@@ -237,6 +237,18 @@ def test_attack_model_header_missing_field_exits_2(cfg_path, artifacts, tmp_path
     assert rc == 2 and "target_0002.model" in err and "'activation'" in err
 
 
+def test_attack_other_config_exits_2_naming_the_model(cfg_path, artifacts, tmp_path, capsys):
+    # the released models carry the hash of the config they were trained under
+    other = tmp_path / "other.cfg"
+    other.write_text(Path(cfg_path).read_text().replace("epochs=10", "epochs=11"))
+    capsys.readouterr()
+    rc = main(["attack", "--config", str(other), "--shadows", artifacts[1],
+               "--released", artifacts[0], "--out", str(tmp_path / "results")])
+    err = capsys.readouterr().err
+    assert rc == 2 and "target_0000.model" in err and "config_hash" in err
+    assert not (tmp_path / "results").exists()
+
+
 # ------------------------------------------------------------ glm-attack
 
 def test_glm_attack_recovers_planted_point(tmp_path, capsys):
@@ -374,6 +386,10 @@ def test_rero_bound_requires_mode():
     (["gen-shadows", "--featurizer", "blackbox", "--probe-size", "10", "--k", "125"],
      "--k exceeds shadow pool size"),
     (["gen-shadows", "--ood-pool", "OOD_CSV", "--k", "100"], "--k exceeds shadow pool size"),
+    (["rero-bound", "--cor1", "--eps", "-1", "--kappa", "0.1"], "eps must be nonnegative"),
+    (["rero-bound", "--thm2", "--alpha", "2", "--eps", "-1", "--kappa", "0.1"],
+     "eps must be nonnegative"),
+    (["rero-bound", "--prop1", "--d", "10", "--eps", "-1"], "eps must be nonnegative"),
 ])
 def test_bad_input_exits_2_naming_it(argv, named, cfg_path, tmp_path, capsys):
     from reconlab import data

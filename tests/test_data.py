@@ -1,5 +1,8 @@
+import csv
+import io
 import struct
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -98,6 +101,24 @@ def test_csv_roundtrip(tmp_path):
     data.save_csv(ds, str(p))
     back = data.load_csv(str(p), "label")
     assert back == ds
+
+
+def test_save_csv_bytes_match_csv_writer(tmp_path):
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e16, -1e16, 0.1, 1 / 3, 1e-7, 2.0**60]
+    g = np.random.default_rng(3)
+    X = np.vstack([np.resize(special, (3, 8)), g.normal(0.0, 10.0, size=(40, 8))])
+    y = g.integers(0, 12, size=len(X))
+    # save_csv reads only X, y and dim; a stand-in for the dataset lets the
+    # rows hold nan and inf, which LabeledDataset refuses
+    ds = SimpleNamespace(X=X, y=y, dim=8)
+    want = io.StringIO(newline="")
+    writer = csv.writer(want)
+    writer.writerow([f"x{i}" for i in range(8)] + ["cls"])
+    for row, label in zip(X, y):
+        writer.writerow([repr(float(v)) for v in row] + [int(label)])
+    p = tmp_path / "rows.csv"
+    data.save_csv(ds, str(p), "cls")
+    assert p.read_bytes() == want.getvalue().encode()
 
 
 # ----------------------------------------------------------------- split

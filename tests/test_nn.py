@@ -3,9 +3,11 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reconlab import nn
 from reconlab.data import LabeledDataset, synth_classification
+from reconlab.rng import Rng
 
 
 def small_batch(d=6, k=3, n=8, seed=0):
@@ -334,6 +336,57 @@ def test_clip_rows_bounds_norms():
     assert np.all(np.linalg.norm(clipped, axis=1) <= 1.5 + 1e-12)
     small = np.full((3, 4), 0.01)
     assert np.array_equal(nn.clip_rows(small, 1.5), small)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 600), k=st.integers(1, 40), extra=st.integers(0, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_col_sum_equals_np_sum_bitwise(n, k, extra, seed):
+    # columns of wide-ranging values, all -0.0, mixed +-0.0, or pairs that
+    # cancel to an exact zero; a is the leading rows of a larger buffer
+    g = np.random.default_rng(seed)
+    buf = g.normal(size=(n + extra, k)) * 10.0 ** g.integers(-8, 17, size=(n + extra, k))
+    kind = g.integers(0, 4, size=k)
+    buf[:, kind == 1] = -0.0
+    signed_zero = np.where(g.random((n + extra, k)) < 0.5, -0.0, 0.0)
+    buf[:, kind == 2] = signed_zero[:, kind == 2]
+    half = n // 2
+    buf[half : 2 * half, kind == 3] = -buf[:half, kind == 3]
+    a = buf[:n]
+    out = np.full(k, np.nan)
+    assert nn._col_sum(a, out) is out
+    assert out.tobytes() == np.sum(a, axis=0).tobytes()
+
+
+def _train_dp_reference(dataset, arch, config):
+    # DP-GD with the clipped rows summed by np.sum, one step at a time
+    X, y, n = dataset.X, dataset.y, len(dataset.y)
+    C, sigma = config.clip_norm, config.noise_multiplier
+    params = nn.init_params(arch, config.init_seed)
+    theta, velocity = params.flat, np.zeros(arch.parameter_count)
+    noise_rng = Rng(config.noise_seed)
+    for step in range(config.epochs):
+        g = np.sum(nn.clip_rows(nn.per_example_grads(params, X, y), C), axis=0)
+        if sigma > 0:
+            g += noise_rng.child(("noise", step)).normal(0.0, sigma * C, size=g.shape)
+        g /= n
+        velocity *= config.momentum
+        velocity += g
+        theta -= config.learning_rate * velocity
+    return params
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1.0])
+@pytest.mark.parametrize("activation", sorted(nn.ACTIVATIONS))
+def test_train_dp_matches_clip_rows_sum_bitwise(activation, sigma):
+    ds = make_dataset(n=40)
+    arch = nn.MlpArchitecture((8, 6, 5, 3), activation=activation)
+    # a clip bound that, for every activation, some per-example gradients
+    # exceed and some do not
+    cfg = nn.TrainConfig(optimizer="dpgd", epochs=12, learning_rate=0.5, clip_norm=1.3,
+                         noise_multiplier=sigma, init_seed=3, noise_seed=4)
+    want = _train_dp_reference(ds, arch, cfg).flat
+    assert nn.train(ds, arch, cfg).flat.tobytes() == want.tobytes()
 
 
 def test_dpgd_sigma_zero_large_clip_matches_gd():

@@ -360,6 +360,21 @@ def test_map_attack_matches_brute_force_on_random_priors():
     check()
 
 
+def test_map_attack_batch_row_equals_single_release_on_near_tie():
+    # the balls around 1 and 2 both hold 12/18 of the mass; summed in
+    # different orders, a batch row once broke the tie apart from the same
+    # release attacked alone
+    points = np.array([[0.0], [3], [0], [0], [0], [2], [0], [1], [1], [1], [1], [3]])
+    weights = np.array([1.0, 4, 1, 1, 1, 1, 2, 1, 1, 2, 1, 2])
+    prior = rero.FiniteDiscretePrior(points, weights / weights.sum())
+    lik = np.ones((2, 12))
+    batch = rero.map_attack_finite(prior, lambda th, zs: lik[th], np.arange(2), rero.l2_error, 1.0)
+    for i in range(2):
+        one = rero.map_attack_finite(prior, lambda th, zs: lik[th], i, rero.l2_error, 1.0)
+        assert one.tobytes() == batch[i].tobytes()
+        assert np.array_equal(one, _brute_force_map(prior, lik[i], rero.l2_error, 1.0))
+
+
 def test_map_attack_batch_equals_loop_of_single_releases():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
