@@ -326,17 +326,14 @@ def _log_softmax(logits: np.ndarray, out=None, tmp=None, row=None, cols=None) ->
 
 
 def _col_sum(a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """np.sum(a, axis=0, out=out) bit for bit for a 2-D a, and faster on the
-    few-column arrays of a training step. With two or more columns both add
-    each column's rows in order; with one, np.sum takes a pairwise path, so
-    that case stays np.sum. einsum adds from +0.0, so a zero column sum is
-    taken from np.sum, which decides the sign of that zero."""
+    """np.sum(a, axis=0, out=out) bit for bit for a 2-D a whose rows are
+    contiguous (such as leading rows of a C-ordered buffer), and faster on
+    the few-column arrays of a training step. With two or more columns both
+    add each column's rows in order, starting from +0.0; with one, np.sum
+    takes a pairwise path, so that case stays np.sum."""
     if a.shape[1] == 1:
         return np.sum(a, axis=0, out=out)
-    np.einsum("nj->j", a, out=out)
-    if np.count_nonzero(out) < out.size:
-        np.sum(a, axis=0, out=out)
-    return out
+    return np.einsum("nj->j", a, out=out)
 
 
 def _backprop(params: ModelParams, activations, pre, delta, grad: ModelParams,
@@ -472,10 +469,9 @@ def _clip_scale(grads: np.ndarray, clip_norm: float, squares: np.ndarray = None)
     return np.minimum(1.0, clip_norm / np.maximum(norms, 1e-300))
 
 
-def clip_rows(grads: np.ndarray, clip_norm: float, _squares: np.ndarray = None) -> np.ndarray:
-    """Scale each row of grads in place to l2 norm <= clip_norm; returns grads.
-    _squares, if given, is scratch shaped like grads."""
-    grads *= _clip_scale(grads, clip_norm, _squares)[:, None]
+def clip_rows(grads: np.ndarray, clip_norm: float) -> np.ndarray:
+    """Scale each row of grads in place to l2 norm <= clip_norm; returns grads."""
+    grads *= _clip_scale(grads, clip_norm)[:, None]
     return grads
 
 
@@ -501,11 +497,11 @@ def train_dp(dataset, arch: MlpArchitecture, config: TrainConfig) -> ModelParams
     for step in range(config.epochs):
         per_example_grads(params, X, y, out=per_example, _work=work)
         # np.sum(clip_rows(per_example, C), axis=0) without the in-place scaling:
-        # the same products, added over the rows in the same order. einsum adds
-        # from +0.0, so a zero in g, and so in velocity, may differ in sign, but
-        # that cannot reach theta: theta holds no -0.0 (biases start at +0.0,
-        # and x - y is -0.0 only for x = -0.0), and +0.0 or a nonzero value
-        # minus lr * (+-0.0) is the same either way.
+        # the same products, added over the rows in the same order from +0.0.
+        # Were a zero in g, and so in velocity, of the other sign, theta could
+        # not see it: theta holds no -0.0 (biases start at +0.0, and x - y is
+        # -0.0 only for x = -0.0), and +0.0 or a nonzero value minus
+        # lr * (+-0.0) is the same either way.
         np.einsum("n,np->p", _clip_scale(per_example, C, squares), per_example, out=g)
         if sigma > 0:
             g += noise_rng.child(("noise", step)).normal(0.0, sigma * C, size=g.shape)
