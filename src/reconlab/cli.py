@@ -12,11 +12,13 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import accounting, data, glm, metrics, mia, nn, rero, shadow
-from .persist import config_hash, header_field, load_model, save_model, write_csv
+from .persist import (config_hash, format_header, header_field, load_model, parse_header,
+                      save_model, write_csv)
 from .rng import _derive
 
 EXIT_OK = 0
@@ -153,6 +155,14 @@ def build_featurizer(cfg: dict, shadow_pool, arch: nn.MlpArchitecture, args):
     raise ConfigError(f"unknown featurizer mode {mode!r}")
 
 
+def _check_config_hash(fields: dict, path: str, cfg: dict) -> None:
+    """Refuse an artifact whose header does not carry the hash of --config."""
+    got = header_field(fields, "config_hash", path)
+    if got != cfg["__hash__"]:
+        raise ConfigError(f"{path}: config_hash {got} differs from "
+                          f"{cfg['__hash__']}, the hash of --config")
+
+
 # ------------------------------------------------------------- subcommands
 
 def cmd_train_released(args) -> int:
@@ -200,6 +210,8 @@ def cmd_gen_shadows(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     prefix = os.path.join(args.out, "shadows")
     shadow_set.save(prefix)
+    with open(prefix + ".header", "a") as f:  # provenance, which attack checks
+        f.write(format_header({"config_hash": cfg["__hash__"]}))
     data.save_csv(shadow_pool, os.path.join(args.out, "shadow_targets.csv"))
     print(
         f"wrote shadow set: k={len(shadow_set)} feature_len={shadow_set.features.shape[1]}"
@@ -210,17 +222,17 @@ def cmd_gen_shadows(args) -> int:
 def cmd_attack(args) -> int:
     cfg = parse_config(args.config)
     fixed, shadow_pool, _, _, _ = load_profile(cfg)
-    shadow_set = shadow.ShadowSet.load(os.path.join(args.shadows, "shadows"))
     targets = data.load_csv(os.path.join(args.released, "targets.csv"), "label")
     released = []
     for i in range(len(targets)):
         path = os.path.join(args.released, f"target_{i:04d}.model")
         theta, meta = load_model(path)
-        released_hash = header_field(meta, "config_hash", path)
-        if released_hash != cfg["__hash__"]:
-            raise ConfigError(f"{path}: config_hash {released_hash} differs from "
-                              f"{cfg['__hash__']}, the hash of --config")
+        _check_config_hash(meta, path, cfg)
         released.append(theta)
+    prefix = os.path.join(args.shadows, "shadows")
+    with open(prefix + ".header") as f:
+        _check_config_hash(parse_header(f.read()), prefix + ".header", cfg)
+    shadow_set = shadow.ShadowSet.load(prefix)
 
     phi = shadow.train_reconn(shadow_set, reconn_config(cfg))
     pool_X = np.vstack([fixed.X, shadow_pool.X])
@@ -323,13 +335,10 @@ def cmd_dp_sweep(args) -> int:
     def run_config(sigma, rep):
         init_seed = _derive(base_cfg.init_seed, ("rep", rep))
         if sigma == 0.0:
-            return base_cfg.with_seeds(init_seed=init_seed)
-        return nn.TrainConfig(
-            optimizer="dpgd", learning_rate=base_cfg.learning_rate,
-            momentum=base_cfg.momentum, epochs=base_cfg.epochs, clip_norm=clip,
-            noise_multiplier=sigma, init_seed=init_seed, shuffle_seed=base_cfg.shuffle_seed,
-            noise_seed=_derive(base_cfg.noise_seed, ("adv", sigma, rep)),
-        )
+            return replace(base_cfg, init_seed=init_seed)
+        return replace(base_cfg, optimizer="dpgd", clip_norm=clip, noise_multiplier=sigma,
+                       init_seed=init_seed,
+                       noise_seed=_derive(base_cfg.noise_seed, ("adv", sigma, rep)))
 
     table = shadow.dp_tradeoff(
         fixed, shadow_pool, targets, arch, sigmas, args.repeats, run_config,

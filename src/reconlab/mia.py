@@ -8,7 +8,7 @@ retraining both candidates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -84,7 +84,7 @@ def loss_histogram(z: DataPoint, fixed: LabeledDataset, arch: nn.MlpArchitecture
     for i in range(n_models):
         cfg = config
         if vary_init:
-            cfg = config.with_seeds(init_seed=_derive(config.init_seed, ("hist-init", i)))
+            cfg = replace(config, init_seed=_derive(config.init_seed, ("hist-init", i)))
         theta_in = nn.train(fixed.with_point(z), arch, cfg)
         theta_out = nn.train(fixed, arch, cfg)
         in_losses.append(single_example_loss(theta_in, z))

@@ -8,7 +8,7 @@ all randomness drawn from labeled child streams of the three seeds.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,6 @@ __all__ = [
     "loss_and_grad",
     "per_example_grads",
     "train",
-    "train_dp",
     "accuracy",
 ]
 
@@ -127,10 +126,6 @@ class MlpArchitecture:
         return self.layer_widths[0]
 
     @property
-    def output_dim(self) -> int:
-        return self.layer_widths[-1]
-
-    @property
     def num_layers(self) -> int:
         return len(self.layer_widths) - 1
 
@@ -215,16 +210,6 @@ class TrainConfig:
                 raise ValueError("dpgd requires clip_norm > 0")
             if self.noise_multiplier is None or self.noise_multiplier < 0:
                 raise ValueError("dpgd requires noise_multiplier >= 0")
-
-    def with_seeds(self, init_seed=None, shuffle_seed=None, noise_seed=None) -> "TrainConfig":
-        kwargs = {}
-        if init_seed is not None:
-            kwargs["init_seed"] = init_seed
-        if shuffle_seed is not None:
-            kwargs["shuffle_seed"] = shuffle_seed
-        if noise_seed is not None:
-            kwargs["noise_seed"] = noise_seed
-        return replace(self, **kwargs)
 
 
 @functools.lru_cache(maxsize=8)
@@ -337,15 +322,13 @@ def _col_sum(a: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _backprop(params: ModelParams, activations, pre, delta, grad: ModelParams,
-              work: _Workspace = None) -> None:
+              work: _Workspace) -> None:
     """Backpropagate delta (the loss gradient at the output pre-activations)
     through the layers, writing each layer's gradient into grad in place:
     summed over the batch if grad.flat is (P,), one row per example if (n, P).
-    Hidden deltas go into work's buffers (fresh ones if work is None)."""
+    Hidden deltas go into work's buffers."""
     _, dact = ACTIVATIONS[params.arch.activation]
     n = delta.shape[0]
-    if work is None:
-        work = _Workspace(params.arch, n)
     per_example = grad.flat.ndim == 2
     for i in range(params.arch.num_layers - 1, -1, -1):
         if per_example:
@@ -422,46 +405,6 @@ def per_example_grads(params: ModelParams, X: np.ndarray, y: np.ndarray,
     return out
 
 
-def _momentum_step(theta, velocity, grad_vec, lr, mu):
-    """Heavy-ball update of theta and velocity in place."""
-    velocity *= mu
-    velocity += grad_vec
-    theta -= lr * velocity
-
-
-def train(dataset, arch: MlpArchitecture, config: TrainConfig) -> ModelParams:
-    """Run the configured optimizer; a pure function of (dataset, arch, config)."""
-    if config.optimizer == "dpgd":
-        return train_dp(dataset, arch, config)
-    X, y = dataset.X, dataset.y
-    n = len(y)
-    params = init_params(arch, config.init_seed)
-    theta = params.flat
-    grad = ModelParams(arch, np.empty_like(theta))
-    grad_vec = grad.flat
-    velocity = np.zeros_like(theta)
-    lr, mu = config.learning_rate, config.momentum
-
-    full_batch = config.optimizer == "gd_momentum" or config.batch_size == "full"
-    bs = n if full_batch else int(config.batch_size)
-    work = _Workspace(arch, min(bs, n))
-    shuffle_rng = Rng(config.shuffle_seed)
-
-    for epoch in range(config.epochs):
-        if full_batch:
-            loss_and_grad(params, X, y, grad, _work=work)
-            _momentum_step(theta, velocity, grad_vec, lr, mu)
-        else:
-            perm = shuffle_rng.child(("epoch", epoch)).permutation(n)
-            for start in range(0, n, bs):
-                idx = perm[start : start + bs]
-                loss_and_grad(params, X[idx], y[idx], grad, _work=work)
-                _momentum_step(theta, velocity, grad_vec, lr, mu)
-        if not np.isfinite(theta).all():
-            raise DivergenceError(f"non-finite parameters at epoch {epoch}")
-    return params
-
-
 def _clip_scale(grads: np.ndarray, clip_norm: float, squares: np.ndarray = None) -> np.ndarray:
     """The factor min(1, clip_norm / ||row||) for each row of grads; squares,
     if given, is scratch shaped like grads."""
@@ -475,40 +418,61 @@ def clip_rows(grads: np.ndarray, clip_norm: float) -> np.ndarray:
     return grads
 
 
-def train_dp(dataset, arch: MlpArchitecture, config: TrainConfig) -> ModelParams:
-    """Full-batch DP-GD: clip per-example grads, sum, add Gaussian noise, divide by n."""
-    if config.clip_norm is None or config.clip_norm <= 0:
-        raise ValueError("train_dp requires clip_norm > 0")
-    sigma = config.noise_multiplier or 0.0
+def train(dataset, arch: MlpArchitecture, config: TrainConfig) -> ModelParams:
+    """Heavy-ball descent under the configured optimizer; a pure function of
+    (dataset, arch, config).
+
+    GD, SGD and DP-GD differ only in each step's gradient g: the mean loss
+    gradient over the full batch (GD) or over each shuffled minibatch (SGD),
+    or the per-example gradients clipped to clip_norm, summed, noised and
+    divided by n (full-batch DP-GD).
+    """
     X, y = dataset.X, dataset.y
     n = len(y)
-    C = float(config.clip_norm)
-
     params = init_params(arch, config.init_seed)
     theta = params.flat
-    per_example = np.empty((n, theta.size))
-    squares = np.empty_like(per_example)
-    work = _Workspace(arch, n)
-    g = np.empty_like(theta)
+    grad = ModelParams(arch, np.empty_like(theta))
+    g = grad.flat
     velocity = np.zeros_like(theta)
-    noise_rng = Rng(config.noise_seed)
     lr, mu = config.learning_rate, config.momentum
 
-    for step in range(config.epochs):
-        per_example_grads(params, X, y, out=per_example, _work=work)
-        # np.sum(clip_rows(per_example, C), axis=0) without the in-place scaling:
-        # the same products, added over the rows in the same order from +0.0.
-        # Were a zero in g, and so in velocity, of the other sign, theta could
-        # not see it: theta holds no -0.0 (biases start at +0.0, and x - y is
-        # -0.0 only for x = -0.0), and +0.0 or a nonzero value minus
-        # lr * (+-0.0) is the same either way.
-        np.einsum("n,np->p", _clip_scale(per_example, C, squares), per_example, out=g)
-        if sigma > 0:
-            g += noise_rng.child(("noise", step)).normal(0.0, sigma * C, size=g.shape)
-        g /= n
-        _momentum_step(theta, velocity, g, lr, mu)
+    dp = config.optimizer == "dpgd"
+    full_batch = config.optimizer != "sgd_momentum" or config.batch_size == "full"
+    bs = n if full_batch else int(config.batch_size)
+    work = _Workspace(arch, min(bs, n))
+    shuffle_rng = Rng(config.shuffle_seed)
+    if dp:
+        C, sigma = float(config.clip_norm), config.noise_multiplier
+        per_example = np.empty((n, theta.size))
+        squares = np.empty_like(per_example)
+        noise_rng = Rng(config.noise_seed)
+
+    for epoch in range(config.epochs):
+        if full_batch:
+            batches = ((X, y),)
+        else:
+            perm = shuffle_rng.child(("epoch", epoch)).permutation(n)
+            batches = ((X[idx], y[idx]) for idx in (perm[s : s + bs] for s in range(0, n, bs)))
+        for Xb, yb in batches:
+            if dp:
+                per_example_grads(params, Xb, yb, out=per_example, _work=work)
+                # np.sum(clip_rows(per_example, C), axis=0) without the in-place
+                # scaling: the same products, added over the rows in the same
+                # order from +0.0. Were a zero in g, and so in velocity, of the
+                # other sign, theta could not see it: theta holds no -0.0
+                # (biases start at +0.0, and x - y is -0.0 only for x = -0.0),
+                # and +0.0 or a nonzero value minus lr * (+-0.0) is the same.
+                np.einsum("n,np->p", _clip_scale(per_example, C, squares), per_example, out=g)
+                if sigma > 0:
+                    g += noise_rng.child(("noise", epoch)).normal(0.0, sigma * C, size=g.shape)
+                g /= n
+            else:
+                loss_and_grad(params, Xb, yb, grad, _work=work)
+            velocity *= mu
+            velocity += g
+            theta -= lr * velocity
         if not np.isfinite(theta).all():
-            raise DivergenceError(f"non-finite parameters at step {step}")
+            raise DivergenceError(f"non-finite parameters at epoch {epoch}")
     return params
 
 

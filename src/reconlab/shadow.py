@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -175,10 +175,8 @@ def shadow_config(config: nn.TrainConfig, index: int, random_init: bool) -> nn.T
     init_seed = config.init_seed
     if random_init:
         init_seed = _derive(config.init_seed, ("shadow-init", index))
-    return config.with_seeds(
-        init_seed=init_seed,
-        noise_seed=_derive(config.noise_seed, ("shadow-noise", index)),
-    )
+    return replace(config, init_seed=init_seed,
+                   noise_seed=_derive(config.noise_seed, ("shadow-noise", index)))
 
 
 def _train_point(job):
@@ -189,16 +187,15 @@ def _train_point(job):
         raise nn.DivergenceError(f"point {index} diverged: {e}") from None
 
 
-def train_many(fixed: LabeledDataset, points, arch: nn.MlpArchitecture, configs,
-               workers: int = None):
+def train_many(fixed: LabeledDataset, points, arch: nn.MlpArchitecture, configs):
     """Yield, in point order, the model trained on fixed + points[i] with configs[i].
 
     Every model is a pure function of its (point, config), so serial and
     parallel runs give the same bits; seeds are the caller's choice. Runs in
-    ``default_workers()`` processes unless ``workers`` is given. A divergence
-    raises nn.DivergenceError naming the point's index.
+    ``default_workers()`` processes. A divergence raises nn.DivergenceError
+    naming the point's index.
     """
-    workers = default_workers() if workers is None else workers
+    workers = default_workers()
     jobs = [(i, fixed, points[i], arch, c) for i, c in enumerate(configs)]
     if workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -213,10 +210,10 @@ def train_many(fixed: LabeledDataset, points, arch: nn.MlpArchitecture, configs,
 
 def gen_shadow_models(fixed: LabeledDataset, shadow_pool: LabeledDataset,
                       arch: nn.MlpArchitecture, config: nn.TrainConfig,
-                      random_init: bool = False, workers: int = None) -> list:
+                      random_init: bool = False) -> list:
     """Train one model on fixed + each shadow target; order matches the pool."""
     configs = [shadow_config(config, i, random_init) for i in range(len(shadow_pool))]
-    return list(train_many(fixed, shadow_pool, arch, configs, workers))
+    return list(train_many(fixed, shadow_pool, arch, configs))
 
 
 def build_shadow_set(models: list, shadow_pool: LabeledDataset,
@@ -229,9 +226,8 @@ def build_shadow_set(models: list, shadow_pool: LabeledDataset,
 
 def gen_shadows(fixed: LabeledDataset, shadow_pool: LabeledDataset,
                 arch: nn.MlpArchitecture, config: nn.TrainConfig,
-                featurizer: Featurizer, random_init: bool = False,
-                workers: int = None) -> ShadowSet:
-    models = gen_shadow_models(fixed, shadow_pool, arch, config, random_init, workers)
+                featurizer: Featurizer, random_init: bool = False) -> ShadowSet:
+    models = gen_shadow_models(fixed, shadow_pool, arch, config, random_init)
     return build_shadow_set(models, shadow_pool, featurizer)
 
 
@@ -365,7 +361,7 @@ def dp_tradeoff(fixed: LabeledDataset, shadow_pool: LabeledDataset, targets: Lab
             config = run_config(sigma, rep)
             phi = train_reconn(gen_shadows(fixed, shadow_pool, arch, config, Featurizer()),
                                reconn_config)
-            configs = [config.with_seeds(noise_seed=released_noise_seed(sigma, rep, i))
+            configs = [replace(config, noise_seed=released_noise_seed(sigma, rep, i))
                        for i in range(len(targets))]
             released = list(train_many(fixed, targets, arch, configs))
             mses.append(float(np.mean([metrics.mse(z, phi(m)) for z, m in zip(targets.X, released)])))

@@ -13,6 +13,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -198,7 +199,7 @@ def test_a3_random_init_ablation_defeats_attack(desk_profile):
                                       random_init=True)
     s = shadow.build_shadow_set(models, shadow_pool, shadow.Featurizer("whitebox"))
     phi = shadow.train_reconn(s, RECONN_CFG)
-    rel_cfgs = [DESK_CFG.with_seeds(init_seed=_derive(909, ("release-init", i)))
+    rel_cfgs = [replace(DESK_CFG, init_seed=_derive(909, ("release-init", i)))
                 for i in range(len(targets))]
     released = shadow.train_many(fixed, targets, DESK_ARCH, rel_cfgs)
     mean_mse = float(np.mean([metrics.mse(targets.X[i], phi(theta))

@@ -249,6 +249,32 @@ def test_attack_other_config_exits_2_naming_the_model(cfg_path, artifacts, tmp_p
     assert not (tmp_path / "results").exists()
 
 
+def test_attack_shadows_of_other_config_exit_2_naming_the_header(cfg_path, artifacts,
+                                                                 tmp_path, capsys):
+    # the shadow set carries the hash of the config it was made under, like
+    # the released models; here only the shadows come from another config
+    header = os.path.join(artifacts[1], "shadows.header")
+    made_under = cli.parse_config(cfg_path)["__hash__"]
+    assert f"config_hash={made_under}\n" in Path(header).read_text()
+    other = tmp_path / "other.cfg"
+    other.write_text(Path(cfg_path).read_text().replace("epochs=10", "epochs=11"))
+    released = str(tmp_path / "released")
+    assert main(["train-released", "--config", str(other), "--out", released]) == 0
+    capsys.readouterr()
+    rc = main(["attack", "--config", str(other), "--shadows", artifacts[1],
+               "--released", released, "--out", str(tmp_path / "results")])
+    err = capsys.readouterr().err
+    assert rc == 2 and header in err
+    assert made_under in err and cli.parse_config(str(other))["__hash__"] in err
+    assert not (tmp_path / "results").exists()
+
+
+def test_attack_shadow_header_without_hash_exits_2(cfg_path, artifacts, tmp_path, capsys):
+    rc, err = _attack_with(cfg_path, artifacts, tmp_path, capsys,
+                           lambda r, s: _drop_header_line(s / "shadows.header", b"config_hash="))
+    assert rc == 2 and "shadows.header" in err and "'config_hash'" in err
+
+
 # ------------------------------------------------------------ glm-attack
 
 def test_glm_attack_recovers_planted_point(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from reconlab import glm
 from reconlab.rng import _derive
@@ -93,6 +94,32 @@ def test_reconstruct_recovers_planted_point(family, lam):
         x_hat, y_hat = glm.reconstruct_glm(theta, X, Y, spec)
         assert np.max(np.abs(x_hat - x_true)) <= 1e-6
         assert abs(y_hat - y_true) <= 1e-6
+
+
+@settings(max_examples=200, deadline=None)
+@given(family=st.sampled_from(["linear", "ridge", "logistic"]), d=st.integers(1, 20),
+       extra=st.integers(0, 200), lam=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_fit_then_reconstruct_round_trip(family, d, extra, lam, seed):
+    # n fixed points and one planted point. Linear draws have n >= d + 10 and
+    # logistic ones n >= 8d as A1 has them, plus 16: at n = 8d about 3% of
+    # d = 1 draws are nearly separable, where Newton meets fit_glm's gradient
+    # tolerance with a diverging theta and the planted point's residual, which
+    # the attack divides by, vanishes
+    if family == "linear":
+        lam = 0.0
+    logistic = family == "logistic"
+    n = (8 * d + 16 if logistic else d + 10) + extra
+    g = np.random.default_rng(seed)
+    X = np.hstack([np.ones((n + 1, 1)), g.normal(size=(n + 1, d))])
+    Y = g.integers(0, 2, size=n + 1).astype(float) if logistic else g.normal(size=n + 1)
+    spec = glm.GlmSpec(family, lam)
+    try:
+        theta = glm.fit_glm(X, Y, spec)
+    except glm.GlmError:
+        assume(False)
+    x_hat, y_hat = glm.reconstruct_glm(theta, X[:-1], Y[:-1], spec)
+    assert np.max(np.abs(x_hat - X[-1])) <= 1e-6
+    assert abs(y_hat - Y[-1]) <= 1e-6
 
 
 def test_reconstruct_requires_intercept_column():

@@ -426,9 +426,3 @@ def test_train_config_rejects_nonpositive_batch_size(batch_size):
     # a negative size once trained zero steps and returned the initial parameters
     with pytest.raises(ValueError, match="batch_size"):
         nn.TrainConfig(optimizer="sgd_momentum", batch_size=batch_size)
-
-
-def test_with_seeds_replaces_only_given():
-    cfg = nn.TrainConfig(init_seed=1, shuffle_seed=2, noise_seed=3)
-    out = cfg.with_seeds(noise_seed=9)
-    assert (out.init_seed, out.shuffle_seed, out.noise_seed) == (1, 2, 9)

@@ -98,13 +98,15 @@ def test_random_init_ablation_changes_models():
 def test_parallel_serial_equivalence(monkeypatch):
     fixed, pool, _, arch, cfg = tiny_setup(pool_n=8)
     feat = shadow.Featurizer("whitebox")
-    serial = shadow.gen_shadows(fixed, pool, arch, cfg, feat, workers=1)
-    parallel = shadow.gen_shadows(fixed, pool, arch, cfg, feat, workers=4)
+    monkeypatch.setenv("RECONLAB_THREADS", "1")
+    serial = shadow.gen_shadows(fixed, pool, arch, cfg, feat)
+    monkeypatch.setenv("RECONLAB_THREADS", "4")
+    parallel = shadow.gen_shadows(fixed, pool, arch, cfg, feat)
     assert np.array_equal(serial.features, parallel.features)
 
 
 def per_point_configs(cfg, n):
-    return [cfg.with_seeds(init_seed=cfg.init_seed + i) for i in range(n)]
+    return [replace(cfg, init_seed=cfg.init_seed + i) for i in range(n)]
 
 
 def test_train_many_yields_nn_train_per_point_in_order():
@@ -117,22 +119,25 @@ def test_train_many_yields_nn_train_per_point_in_order():
         assert np.array_equal(model.flatten(), want.flatten())
 
 
-def test_train_many_serial_and_parallel_give_same_bits():
+def test_train_many_serial_and_parallel_give_same_bits(monkeypatch):
     fixed, pool, _, arch, cfg = tiny_setup(pool_n=6)
     configs = per_point_configs(cfg, len(pool))
-    serial = list(shadow.train_many(fixed, pool, arch, configs, workers=1))
-    parallel = list(shadow.train_many(fixed, pool, arch, configs, workers=2))
+    monkeypatch.setenv("RECONLAB_THREADS", "1")
+    serial = list(shadow.train_many(fixed, pool, arch, configs))
+    monkeypatch.setenv("RECONLAB_THREADS", "2")
+    parallel = list(shadow.train_many(fixed, pool, arch, configs))
     assert len(parallel) == len(serial)
     for a, b in zip(serial, parallel):
         assert np.array_equal(a.flatten(), b.flatten())
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_train_many_divergence_names_the_point(workers):
+def test_train_many_divergence_names_the_point(monkeypatch, workers):
     fixed, pool, _, arch, cfg = tiny_setup(pool_n=3)
     configs = [cfg, cfg, replace(cfg, learning_rate=1e300)]
+    monkeypatch.setenv("RECONLAB_THREADS", str(workers))
     with pytest.raises(nn.DivergenceError, match="point 2 diverged"):
-        list(shadow.train_many(fixed, pool, arch, configs, workers=workers))
+        list(shadow.train_many(fixed, pool, arch, configs))
 
 
 def test_workers_env_variable(monkeypatch):
@@ -253,7 +258,7 @@ def test_dp_tradeoff_one_row_per_sigma_in_order():
     phi = shadow.train_reconn(shadow.gen_shadows(fixed, pool, arch, run_config(2.0, 0),
                                                  shadow.Featurizer()), rc)
     released = [nn.train(fixed.with_point(targets[i]), arch,
-                         run_config(2.0, 0).with_seeds(noise_seed=100 + i))
+                         replace(run_config(2.0, 0), noise_seed=100 + i))
                 for i in range(len(targets))]
     mse = np.mean([metrics.mse(targets.X[i], phi(m)) for i, m in enumerate(released)])
     assert rows[1] == (mse, 0.0, np.mean([nn.accuracy(m, targets) for m in released]))
