@@ -30,7 +30,7 @@ shadow_set = shadow.build_shadow_set(models, shadow_pool, featurizer)
 reconstructor = shadow.train_reconn(shadow_set, shadow.RecoNNConfig(epochs=80, seed=7))
 
 released = shadow.train_many(fixed, targets, arch, [config] * len(targets))
-mses = [metrics.mse(targets.X[i], reconstructor(theta)) for i, theta in enumerate(released)]
+mses = shadow.attack_errors(reconstructor, released, targets.X)
 oracle = metrics.oracle_report(targets.X, np.vstack([fixed.X, shadow_pool.X]))
 
 print(f"mean attack MSE      {np.mean(mses):.4f}")

@@ -17,8 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import accounting, data, glm, metrics, mia, nn, rero, shadow
-from .persist import (config_hash, format_header, header_field, load_model, parse_header,
-                      save_model, write_csv)
+from .persist import config_hash, header_field, load_model, save_model, write_csv
 from .rng import _derive
 
 EXIT_OK = 0
@@ -136,10 +135,11 @@ def build_featurizer(cfg: dict, shadow_pool, arch: nn.MlpArchitecture, args):
     if mode == "whitebox":
         return shadow.Featurizer("whitebox"), shadow_pool
     if mode == "layers":
-        layers = args.layers
-        if layers is None:
-            layers = _get(cfg, "featurizer.layers", str(arch.num_layers - 1))
+        key = "featurizer.layers" if args.layers is None else "--layers"
+        layers = _get(cfg, key, str(arch.num_layers - 1)) if args.layers is None else args.layers
         idx = tuple(int(i) for i in str(layers).split(",") if i)
+        if not idx or not all(0 <= i < arch.num_layers for i in idx):
+            raise ConfigError(f"{key} must list layer indices in 0..{arch.num_layers - 1}")
         return shadow.Featurizer("layers", layers=idx), shadow_pool
     if mode == "blackbox":
         key, p = "--probe-size", args.probe_size
@@ -209,9 +209,7 @@ def cmd_gen_shadows(args) -> int:
     )
     os.makedirs(args.out, exist_ok=True)
     prefix = os.path.join(args.out, "shadows")
-    shadow_set.save(prefix)
-    with open(prefix + ".header", "a") as f:  # provenance, which attack checks
-        f.write(format_header({"config_hash": cfg["__hash__"]}))
+    shadow_set.save(prefix, {"config_hash": cfg["__hash__"]})  # provenance, which attack checks
     data.save_csv(shadow_pool, os.path.join(args.out, "shadow_targets.csv"))
     print(
         f"wrote shadow set: k={len(shadow_set)} feature_len={shadow_set.features.shape[1]}"
@@ -230,19 +228,17 @@ def cmd_attack(args) -> int:
         _check_config_hash(meta, path, cfg)
         released.append(theta)
     prefix = os.path.join(args.shadows, "shadows")
-    with open(prefix + ".header") as f:
-        _check_config_hash(parse_header(f.read()), prefix + ".header", cfg)
-    shadow_set = shadow.ShadowSet.load(prefix)
+    shadow_set, fields = shadow.ShadowSet.load(prefix)
+    _check_config_hash(fields, prefix + ".header", cfg)
 
     phi = shadow.train_reconn(shadow_set, reconn_config(cfg))
     pool_X = np.vstack([fixed.X, shadow_pool.X])
     report = metrics.oracle_report(targets.X, pool_X)
     threshold = report.mean_nn_distance
 
-    rows = []
-    for i, theta in enumerate(released):
-        err = metrics.mse(targets.X[i], phi(theta))
-        rows.append((i, err, report.nn_distances[i], metrics.judge_success(err, threshold)))
+    errors = shadow.attack_errors(phi, released, targets.X)
+    rows = [(i, err, report.nn_distances[i], metrics.judge_success(err, threshold))
+            for i, err in enumerate(errors.tolist())]
 
     os.makedirs(args.out, exist_ok=True)
     write_csv(
@@ -251,7 +247,7 @@ def cmd_attack(args) -> int:
         rows,
         cfg["__hash__"],
     )
-    mean_mse = float(np.mean([r[1] for r in rows]))
+    mean_mse = float(np.mean(errors))
     with open(os.path.join(args.out, "summary.txt"), "w") as f:
         f.write(f"# config_hash={cfg['__hash__']}\n")
         f.write(f"mean_attack_mse={mean_mse}\n")
@@ -327,8 +323,14 @@ def cmd_dp_sweep(args) -> int:
     cfg = parse_config(args.config)
     fixed, shadow_pool, targets, arch, base_cfg = load_profile(cfg)
     sigmas = [float(s) for s in args.sigmas.split(",")]
+    if not all(0 <= s < math.inf for s in sigmas):
+        raise ConfigError(f"--sigmas must be finite and >= 0, got {args.sigmas}")
     delta = _get(cfg, "dp.delta", 1e-5, float)
     clip = _get(cfg, "dp.clip_norm", 1.0, float)
+    if not 0 < clip < math.inf:
+        raise ConfigError(f"dp.clip_norm must be finite and > 0, got {clip}")
+    epsilons = [math.inf if sigma == 0.0 else accounting.zcdp_to_approx_dp(
+        accounting.account_dpgd(base_cfg.epochs, clip, sigma), delta) for sigma in sigmas]
     pool_X = np.vstack([fixed.X, shadow_pool.X])
     threshold = metrics.oracle_report(targets.X, pool_X).mean_nn_distance
 
@@ -345,11 +347,7 @@ def cmd_dp_sweep(args) -> int:
         lambda sigma, rep, i: _derive(base_cfg.noise_seed, ("released", sigma, rep, i)),
         reconn_config(cfg),
     )
-    rows = []
-    for sigma, row in zip(sigmas, table):
-        eps = math.inf if sigma == 0.0 else accounting.zcdp_to_approx_dp(
-            accounting.account_dpgd(base_cfg.epochs, clip, sigma), delta)
-        rows.append((sigma, eps, *row))
+    rows = [(sigma, eps, *row) for sigma, eps, row in zip(sigmas, epsilons, table)]
     os.makedirs(args.out, exist_ok=True)
     write_csv(
         os.path.join(args.out, "dp_sweep.csv"),

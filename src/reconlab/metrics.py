@@ -51,12 +51,10 @@ class OracleReport:
     nn_distances: np.ndarray      # per-target nearest-neighbor MSE
     mean_nn_distance: float
     percentiles: dict             # {1: ..., 10: ..., 50: ...} of pooled all-pairs MSE
-    histogram_counts: np.ndarray
-    histogram_edges: np.ndarray
 
 
-def oracle_report(targets, pool, bins: int = 100) -> OracleReport:
-    """Per-target NN distances plus the pooled target-to-pool MSE histogram."""
+def oracle_report(targets, pool) -> OracleReport:
+    """Per-target NN distances plus percentiles of the pooled target-to-pool MSEs."""
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
     pool = _pool_matrix(pool)
     # (t, m) matrix of MSEs via the expanded quadratic form.
@@ -66,14 +64,11 @@ def oracle_report(targets, pool, bins: int = 100) -> OracleReport:
     dists = np.maximum(tn + pn - 2 * cross, 0.0)
     nn_d = dists.min(axis=1)
     flat = dists.ravel()
-    counts, edges = np.histogram(flat, bins=bins, range=(0.0, float(flat.max()) or 1.0))
     percentiles = {p: float(np.percentile(flat, p)) for p in (1, 10, 50)}
     return OracleReport(
         nn_distances=nn_d,
         mean_nn_distance=float(nn_d.mean()),
         percentiles=percentiles,
-        histogram_counts=counts,
-        histogram_edges=edges,
     )
 
 

@@ -80,16 +80,16 @@ def loss_histogram(z: DataPoint, fixed: LabeledDataset, arch: nn.MlpArchitecture
     """Distributions of the target's loss under models trained with and without it."""
     if n_models < 2:
         raise ValueError("n_models must be >= 2")
+    # training is a pure function: without init variation one in/out pair stands for all
+    seeds = ([_derive(config.init_seed, ("hist-init", i)) for i in range(n_models)]
+             if vary_init else [config.init_seed])
     in_losses, out_losses = [], []
-    for i in range(n_models):
-        cfg = config
-        if vary_init:
-            cfg = replace(config, init_seed=_derive(config.init_seed, ("hist-init", i)))
-        theta_in = nn.train(fixed.with_point(z), arch, cfg)
-        theta_out = nn.train(fixed, arch, cfg)
-        in_losses.append(single_example_loss(theta_in, z))
-        out_losses.append(single_example_loss(theta_out, z))
-    return np.asarray(in_losses), np.asarray(out_losses)
+    for seed in seeds:
+        cfg = replace(config, init_seed=seed)
+        in_losses.append(single_example_loss(nn.train(fixed.with_point(z), arch, cfg), z))
+        out_losses.append(single_example_loss(nn.train(fixed, arch, cfg), z))
+    repeats = n_models // len(seeds)
+    return np.repeat(in_losses, repeats), np.repeat(out_losses, repeats)
 
 
 def overlap_coefficient(a: np.ndarray, b: np.ndarray, bins: int = 20) -> float:

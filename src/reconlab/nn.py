@@ -206,10 +206,10 @@ class TrainConfig:
         if self.batch_size != "full" and int(self.batch_size) < 1:
             raise ValueError("batch_size must be a positive int or 'full'")
         if self.optimizer == "dpgd":
-            if self.clip_norm is None or self.clip_norm <= 0:
-                raise ValueError("dpgd requires clip_norm > 0")
-            if self.noise_multiplier is None or self.noise_multiplier < 0:
-                raise ValueError("dpgd requires noise_multiplier >= 0")
+            if self.clip_norm is None or not 0 < self.clip_norm < np.inf:
+                raise ValueError("dpgd requires a finite clip_norm > 0")
+            if self.noise_multiplier is None or not 0 <= self.noise_multiplier < np.inf:
+                raise ValueError("dpgd requires a finite noise_multiplier >= 0")
 
 
 @functools.lru_cache(maxsize=8)

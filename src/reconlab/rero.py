@@ -333,9 +333,7 @@ def prop_gamma(d: int, eta: float, privacy: dict, prior_kind: str,
         raise ValueError(f"unknown prior kind {prior_kind!r}")
 
     if "eps" in privacy:
-        if privacy["eps"] < 0:
-            raise ValueError("eps must be nonnegative")
-        gamma = _clamp(kappa * math.exp(privacy["eps"]))
+        gamma = puredp_to_rero(privacy["eps"], kappa, eta).gamma
     elif "rho" in privacy:
         if kappa >= 1.0:
             gamma = 1.0

@@ -30,6 +30,7 @@ __all__ = [
     "build_shadow_set",
     "train_reconn",
     "attack",
+    "attack_errors",
     "dp_tradeoff",
     "train_many",
     "default_workers",
@@ -112,8 +113,8 @@ class ShadowSet:
     def __len__(self) -> int:
         return self.features.shape[0]
 
-    def save(self, prefix: str) -> None:
-        """Text header (descriptor, dims, NormStats) + little-endian float64 matrix."""
+    def save(self, prefix: str, metadata: dict = None) -> None:
+        """Text header (descriptor, dims, NormStats, metadata) + little-endian float64 matrix."""
         k, flen = self.features.shape
         fields = {
             "k": k,
@@ -129,12 +130,12 @@ class ShadowSet:
             fields["probe_shape"] = f"{p.shape[0]},{p.shape[1]}"
             p.astype("<f8").tofile(prefix + ".probe.bin")
         with open(prefix + ".header", "w") as f:
-            f.write(persist.format_header(fields))
+            f.write(persist.format_header({**fields, **(metadata or {})}))
         np.hstack([self.features, self.targets]).astype("<f8").tofile(prefix + ".bin")
 
     @staticmethod
-    def load(prefix: str) -> "ShadowSet":
-        """A missing file raises OSError; a corrupt one ValueError naming it."""
+    def load(prefix: str):
+        """Returns (shadow set, header fields). Missing file: OSError; corrupt: ValueError."""
         path = prefix + ".header"
         with open(path) as f:
             fields = persist.parse_header(f.read())
@@ -163,7 +164,7 @@ class ShadowSet:
             raise ValueError(f"{path}: {e}") from None
         mat = matrix(".bin", (k, flen + tlen))
         stats = NormStats(field("norm_mean", floats), field("norm_std", floats))
-        return ShadowSet(mat[:, :flen].copy(), mat[:, flen:].copy(), featurizer, stats)
+        return ShadowSet(mat[:, :flen].copy(), mat[:, flen:].copy(), featurizer, stats), fields
 
 
 def default_workers() -> int:
@@ -341,6 +342,12 @@ def attack(phi: RecoNN, released) -> np.ndarray:
     return phi.predict(phi.stats.apply(featurize(released, phi.featurizer)))
 
 
+def attack_errors(phi: RecoNN, released, targets_X) -> np.ndarray:
+    """Per-target attack MSE, in order: one attack per released model; counts must match."""
+    return np.array([metrics.mse(z, attack(phi, m))
+                     for z, m in zip(targets_X, released, strict=True)])
+
+
 def dp_tradeoff(fixed: LabeledDataset, shadow_pool: LabeledDataset, targets: LabeledDataset,
                 arch: nn.MlpArchitecture, sigmas, repeats: int, run_config,
                 released_noise_seed, reconn_config: RecoNNConfig = RecoNNConfig()) -> list:
@@ -364,7 +371,7 @@ def dp_tradeoff(fixed: LabeledDataset, shadow_pool: LabeledDataset, targets: Lab
             configs = [replace(config, noise_seed=released_noise_seed(sigma, rep, i))
                        for i in range(len(targets))]
             released = list(train_many(fixed, targets, arch, configs))
-            mses.append(float(np.mean([metrics.mse(z, phi(m)) for z, m in zip(targets.X, released)])))
+            mses.append(float(np.mean(attack_errors(phi, released, targets.X))))
             accs.append(float(np.mean([nn.accuracy(m, targets) for m in released])))
         se = float(np.std(mses, ddof=1) / math.sqrt(repeats)) if repeats > 1 else 0.0
         rows.append((float(np.mean(mses)), se, float(np.mean(accs))))

@@ -143,8 +143,7 @@ def desk_released(desk_profile):
 def run_desk_attack(models, shadow_pool, featurizer, released, targets):
     s = shadow.build_shadow_set(models, shadow_pool, featurizer)
     phi = shadow.train_reconn(s, RECONN_CFG)
-    return float(np.mean([metrics.mse(targets.X[i], phi(theta))
-                          for i, theta in enumerate(released)]))
+    return float(np.mean(shadow.attack_errors(phi, released, targets.X)))
 
 
 def test_a2_shadow_attack_beats_oracle(desk_profile, desk_shadow_models, desk_released):
@@ -202,8 +201,7 @@ def test_a3_random_init_ablation_defeats_attack(desk_profile):
     rel_cfgs = [replace(DESK_CFG, init_seed=_derive(909, ("release-init", i)))
                 for i in range(len(targets))]
     released = shadow.train_many(fixed, targets, DESK_ARCH, rel_cfgs)
-    mean_mse = float(np.mean([metrics.mse(targets.X[i], phi(theta))
-                              for i, theta in enumerate(released)]))
+    mean_mse = float(np.mean(shadow.attack_errors(phi, released, targets.X)))
     report("A3 random-init ablation defeats attack", mean_mse > oracle.mean_nn_distance,
            f"attack {mean_mse:.4f} vs oracle {oracle.mean_nn_distance:.4f}")
 

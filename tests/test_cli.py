@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reconlab import cli, glm
+from reconlab import cli, glm, nn
 from reconlab.cli import main
 
 TINY_CONFIG = """\
@@ -416,16 +416,36 @@ def test_rero_bound_requires_mode():
     (["rero-bound", "--thm2", "--alpha", "2", "--eps", "-1", "--kappa", "0.1"],
      "eps must be nonnegative"),
     (["rero-bound", "--prop1", "--d", "10", "--eps", "-1"], "eps must be nonnegative"),
+    # an argument starting with "[" is appended to the config as a section
+    (["dp-sweep", "--sigmas", "nan"], "--sigmas"),
+    (["dp-sweep", "--sigmas", "0,-1"], "--sigmas"),
+    (["dp-sweep", "--sigmas", "inf"], "--sigmas"),
+    (["dp-sweep", "--sigmas", "2", "[dp]\nclip_norm=0"], "dp.clip_norm"),
+    (["dp-sweep", "--sigmas", "2", "[dp]\nclip_norm=nan"], "dp.clip_norm"),
+    (["dp-sweep", "--sigmas", "0,2", "[dp]\ndelta=0"], "delta must be in (0, 1)"),
+    (["gen-shadows", "--featurizer", "layers", "--layers", "5"], "--layers"),
+    (["gen-shadows", "--featurizer", "layers", "--layers", "-1"], "--layers"),
+    (["gen-shadows", "--featurizer", "layers", "[featurizer]\nlayers=2"], "featurizer.layers"),
 ])
-def test_bad_input_exits_2_naming_it(argv, named, cfg_path, tmp_path, capsys):
+def test_bad_input_exits_2_naming_it(argv, named, cfg_path, tmp_path, capsys, monkeypatch):
     from reconlab import data
+
+    def untrainable(*args):
+        raise AssertionError("bad input must be refused before any training")
+
+    monkeypatch.setattr(nn, "train", untrainable)
     out = tmp_path / "out"
     if "OOD_CSV" in argv:
         ood_csv = str(tmp_path / "ood.csv")
         data.save_csv(data.synth_classification(8, 2, 60, 0.2, seed=99), ood_csv)
         argv = [ood_csv if a == "OOD_CSV" else a for a in argv]
+    sections = [a for a in argv if a.startswith("[")]
+    if sections:
+        cfg_path = tmp_path / "extra.cfg"
+        cfg_path.write_text(TINY_CONFIG + "\n".join(sections) + "\n")
+        argv = [a for a in argv if a not in sections]
     if argv[0] != "rero-bound":
-        argv = argv + ["--config", cfg_path, "--out", str(out)]
+        argv = argv + ["--config", str(cfg_path), "--out", str(out)]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err

@@ -61,7 +61,6 @@ def test_report_percentiles_monotone():
     rep = metrics.oracle_report(g.uniform(size=(20, 6)), g.uniform(size=(100, 6)))
     p = rep.percentiles
     assert p[1] <= p[10] <= p[50]
-    assert rep.histogram_counts.sum() == 20 * 100
 
 
 def test_report_nn_matches_brute_force():

@@ -86,6 +86,19 @@ def test_loss_histogram_separable_without_init_variation():
     assert in_losses[0] != out_losses[0]
 
 
+def test_loss_histogram_without_init_variation_trains_one_pair(monkeypatch):
+    fixed, z0, _, arch, cfg = setup_game()
+    want_in = mia.single_example_loss(nn.train(fixed.with_point(z0), arch, cfg), z0)
+    want_out = mia.single_example_loss(nn.train(fixed, arch, cfg), z0)
+    calls = []
+    train = nn.train
+    monkeypatch.setattr(nn, "train", lambda *a: calls.append(a) or train(*a))
+    in_losses, out_losses = mia.loss_histogram(z0, fixed, arch, cfg, n_models=5,
+                                               vary_init=False)
+    assert len(calls) == 2
+    assert in_losses.tolist() == [want_in] * 5 and out_losses.tolist() == [want_out] * 5
+
+
 def test_loss_histogram_varied_init_spreads():
     fixed, z0, _, arch, cfg = setup_game()
     in_losses, out_losses = mia.loss_histogram(z0, fixed, arch, cfg, n_models=5,

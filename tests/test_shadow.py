@@ -1,9 +1,10 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from reconlab import metrics, nn, shadow
+from reconlab import metrics, nn, persist, shadow
 from reconlab.data import SplitSpec, synth_classification, split
 
 
@@ -161,7 +162,7 @@ def test_shadow_set_roundtrip(tmp_path, mode):
     s = shadow.gen_shadows(fixed, pool, arch, cfg, feat)
     prefix = str(tmp_path / "shadows")
     s.save(prefix)
-    back = shadow.ShadowSet.load(prefix)
+    back, _ = shadow.ShadowSet.load(prefix)
     assert np.array_equal(back.features, s.features)
     assert np.array_equal(back.targets, s.targets)
     assert back.featurizer.mode == mode
@@ -169,6 +170,24 @@ def test_shadow_set_roundtrip(tmp_path, mode):
     assert np.allclose(back.stats.std, s.stats.std)
     if mode == "blackbox":
         assert np.array_equal(back.featurizer.probe, feat.probe)
+
+
+def test_shadow_set_metadata_follows_its_own_header_fields(tmp_path):
+    fixed, pool, _, arch, cfg = tiny_setup(pool_n=10)
+    s = shadow.gen_shadows(fixed, pool, arch, cfg, shadow.Featurizer("whitebox"))
+    appended, written = str(tmp_path / "appended"), str(tmp_path / "written")
+    s.save(appended)  # the header as save-then-append wrote it
+    with open(appended + ".header", "a") as f:
+        f.write(persist.format_header({"config_hash": "0123456789abcdef"}))
+    s.save(written, {"config_hash": "0123456789abcdef"})
+    for suffix in (".header", ".bin"):
+        assert Path(written + suffix).read_bytes() == Path(appended + suffix).read_bytes()
+    back, fields = shadow.ShadowSet.load(written)
+    assert fields["config_hash"] == "0123456789abcdef"
+    assert np.array_equal(back.features, s.features)
+    s.save(str(tmp_path / "bare"))
+    _, bare = shadow.ShadowSet.load(str(tmp_path / "bare"))
+    assert "config_hash" not in bare
 
 
 # ------------------------------------------------------------- reconn
@@ -231,6 +250,22 @@ def test_attack_outputs_deterministic_and_bounded():
     assert a.min() >= 0.0 and a.max() <= 1.0
 
 
+def test_attack_errors_match_the_per_target_loop():
+    fixed, pool, targets, arch, cfg = tiny_setup(pool_n=40)
+    s = shadow.gen_shadows(fixed, pool, arch, cfg, shadow.Featurizer("whitebox"))
+    phi = shadow.train_reconn(s, shadow.RecoNNConfig(epochs=10, batch_size=16, seed=3))
+    configs = [cfg] * len(targets)
+    released = list(shadow.train_many(fixed, targets, arch, configs))
+    loop = np.array([metrics.mse(targets.X[i], phi(m)) for i, m in enumerate(released)])
+    errors = shadow.attack_errors(phi, released, targets.X)
+    assert errors.dtype == np.float64 and errors.tobytes() == loop.tobytes()
+    lazy = shadow.train_many(fixed, targets, arch, configs)  # a generator, consumed once
+    assert shadow.attack_errors(phi, lazy, targets.X).tobytes() == loop.tobytes()
+    for short_released, short_targets in [(released[:-1], targets.X), (released, targets.X[1:])]:
+        with pytest.raises(ValueError):
+            shadow.attack_errors(phi, short_released, short_targets)
+
+
 # --------------------------------------------------------- dp trade-off
 
 def test_dp_tradeoff_one_row_per_sigma_in_order():
@@ -260,7 +295,7 @@ def test_dp_tradeoff_one_row_per_sigma_in_order():
     released = [nn.train(fixed.with_point(targets[i]), arch,
                          replace(run_config(2.0, 0), noise_seed=100 + i))
                 for i in range(len(targets))]
-    mse = np.mean([metrics.mse(targets.X[i], phi(m)) for i, m in enumerate(released)])
+    mse = np.mean(shadow.attack_errors(phi, released, targets.X))
     assert rows[1] == (mse, 0.0, np.mean([nn.accuracy(m, targets) for m in released]))
     with pytest.raises(ValueError, match="repeats"):
         shadow.dp_tradeoff(fixed, pool, targets, arch, [0.0], 0, run_config,
