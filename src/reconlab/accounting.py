@@ -19,9 +19,12 @@ __all__ = [
 
 def gaussian_mechanism_zcdp(sensitivity: float, noise_std: float) -> float:
     """rho of a Gaussian mechanism with the given l2 sensitivity and noise std."""
-    if noise_std <= 0:
+    if not noise_std > 0:
         raise ValueError("noise_std must be positive (rho would be infinite)")
-    return sensitivity ** 2 / (2.0 * noise_std ** 2)
+    variance = noise_std ** 2
+    if variance == 0.0:
+        raise ValueError(f"noise_std {noise_std!r} squares to 0 (rho would be infinite)")
+    return sensitivity ** 2 / (2.0 * variance)
 
 
 def account_dpgd(steps: int, clip_norm: float, noise_multiplier: float,
@@ -33,11 +36,11 @@ def account_dpgd(steps: int, clip_norm: float, noise_multiplier: float,
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if clip_norm <= 0:
+    if not clip_norm > 0:
         raise ValueError("clip_norm must be positive")
     if adjacency not in ("replace", "addremove"):
         raise ValueError(f"unknown adjacency {adjacency!r}")
-    if noise_multiplier <= 0:
+    if not noise_multiplier > 0:
         raise ValueError("noise_multiplier must be positive (rho would be infinite)")
     delta_sens = 2.0 * clip_norm if adjacency == "replace" else clip_norm
     return steps * gaussian_mechanism_zcdp(delta_sens, noise_multiplier * clip_norm)
@@ -47,7 +50,7 @@ def zcdp_to_approx_dp(rho: float, delta: float) -> float:
     """Standard conversion: epsilon = rho + 2*sqrt(rho*ln(1/delta))."""
     if not 0 < delta < 1:
         raise ValueError("delta must be in (0, 1)")
-    if rho < 0:
+    if not rho >= 0:
         raise ValueError("rho must be nonnegative")
     return rho + 2.0 * math.sqrt(rho * math.log(1.0 / delta))
 
@@ -55,7 +58,7 @@ def zcdp_to_approx_dp(rho: float, delta: float) -> float:
 def calibrate_noise(target_epsilon: float, delta: float, steps: int, clip_norm: float,
                     adjacency: str = "replace", rel_tol: float = 1e-9) -> float:
     """Smallest noise multiplier whose accounted epsilon is <= the target (bisection)."""
-    if target_epsilon <= 0:
+    if not target_epsilon > 0:
         raise ValueError("target epsilon must be positive")
 
     def eps_of(sigma: float) -> float:

@@ -178,7 +178,7 @@ def split(dataset: LabeledDataset, spec: SplitSpec):
     total = spec.fixed_size + spec.shadow_size + spec.test_target_size
     if total > len(dataset):
         raise ValueError(f"split sizes {total} exceed dataset size {len(dataset)}")
-    perm = Rng(spec.split_seed).child("split").permutation(len(dataset))
+    perm = Rng(spec.split_seed).child("split").once().permutation(len(dataset))
     a, b = spec.fixed_size, spec.fixed_size + spec.shadow_size
     return (
         dataset.subset(perm[:a]),
@@ -197,11 +197,11 @@ def synth_classification(d: int, num_classes: int, n: int, cluster_std: float,
     if d <= 0 or num_classes <= 0:
         raise ValueError("d and num_classes must be positive")
     rng = Rng(seed)
-    centers = rng.child("centers").uniform(CENTER_LOW, CENTER_HIGH, size=(num_classes, d))
+    centers = rng.child("centers").once().uniform(CENTER_LOW, CENTER_HIGH, size=(num_classes, d))
     if n == 0:
         return LabeledDataset(np.zeros((0, d)), np.zeros(0, dtype=np.int64), num_classes)
-    y = rng.child("labels").integers(0, num_classes, size=n)
-    noise = rng.child("noise").normal(0.0, cluster_std, size=(n, d))
+    y = rng.child("labels").once().integers(0, num_classes, size=n)
+    noise = rng.child("noise").once().normal(0.0, cluster_std, size=(n, d))
     X = np.clip(centers[y] + noise, 0.0, 1.0)
     return LabeledDataset(X, y, num_classes)
 
@@ -219,5 +219,5 @@ def downsample_images(dataset: LabeledDataset, height: int, width: int, factor: 
 
 def relabel_random(dataset: LabeledDataset, num_classes: int, seed: int) -> LabeledDataset:
     """Replace labels with seeded uniform draws over {0..K-1} (OOD shadow pools)."""
-    y = Rng(seed).child("relabel").integers(0, num_classes, size=len(dataset))
+    y = Rng(seed).child("relabel").once().integers(0, num_classes, size=len(dataset))
     return LabeledDataset(dataset.X, y, num_classes)

@@ -46,7 +46,7 @@ def informed_mia_protocol(fixed: LabeledDataset, z0: DataPoint, z1: DataPoint,
                           arch: nn.MlpArchitecture, config: nn.TrainConfig,
                           attack_fn, trial_seed: int) -> MiaTrial:
     """One round of the informed MIA game: sample b, train on z_b, let M guess."""
-    b = int(Rng(trial_seed).child("bit").integers(0, 2))
+    b = int(Rng(trial_seed).child("bit").once().integers(0, 2))
     theta = nn.train(fixed.with_point(z0 if b == 0 else z1), arch, config)
     b_hat = int(attack_fn(theta, fixed, config, z0, z1))
     return MiaTrial(b, b_hat, b == b_hat)

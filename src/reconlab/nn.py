@@ -220,7 +220,7 @@ def _init_flat(arch: MlpArchitecture, seed: int) -> np.ndarray:
     flat = np.zeros(arch.parameter_count)
     ws = arch.layer_widths
     for i, w in enumerate(ModelParams(arch, flat).weights):
-        g = rng.child(("init", i)).generator
+        g = rng.child(("init", i)).once()
         w[...] = g.normal(0.0, 1.0 / np.sqrt(ws[i]), size=w.shape)
     flat.flags.writeable = False
     return flat
@@ -451,7 +451,7 @@ def train(dataset, arch: MlpArchitecture, config: TrainConfig) -> ModelParams:
         if full_batch:
             batches = ((X, y),)
         else:
-            perm = shuffle_rng.child(("epoch", epoch)).permutation(n)
+            perm = shuffle_rng.child(("epoch", epoch)).once().permutation(n)
             batches = ((X[idx], y[idx]) for idx in (perm[s : s + bs] for s in range(0, n, bs)))
         for Xb, yb in batches:
             if dp:
@@ -464,7 +464,8 @@ def train(dataset, arch: MlpArchitecture, config: TrainConfig) -> ModelParams:
                 # and +0.0 or a nonzero value minus lr * (+-0.0) is the same.
                 np.einsum("n,np->p", _clip_scale(per_example, C, squares), per_example, out=g)
                 if sigma > 0:
-                    g += noise_rng.child(("noise", epoch)).normal(0.0, sigma * C, size=g.shape)
+                    noise = noise_rng.child(("noise", epoch)).once()
+                    g += noise.normal(0.0, sigma * C, size=g.shape)
                 g /= n
             else:
                 loss_and_grad(params, Xb, yb, grad, _work=work)

@@ -52,7 +52,8 @@ class UniformBallPrior:
     d: int
 
     def sample(self, rng: Rng, n: int) -> np.ndarray:
-        g = rng.generator
+        """n points from the stream rng, which the draws spend."""
+        g = rng.once()
         x = g.normal(size=(n, self.d))
         x /= np.linalg.norm(x, axis=1, keepdims=True)
         r = g.uniform(size=(n, 1)) ** (1.0 / self.d)
@@ -76,7 +77,8 @@ class GaussianPrior:
         return self.center.shape[0]
 
     def sample(self, rng: Rng, n: int) -> np.ndarray:
-        return self.center + rng.generator.normal(0.0, self.sigma, size=(n, self.d))
+        """n points from the stream rng, which the draws spend."""
+        return self.center + rng.once().normal(0.0, self.sigma, size=(n, self.d))
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,9 +112,10 @@ class FiniteDiscretePrior:
         return self.points.shape[1]
 
     def sample(self, rng: Rng, n: int) -> np.ndarray:
-        """The draws of ``Generator.choice(m, size=n, p=masses)``, from a CDF
-        built once per prior rather than once per call."""
-        u = rng.generator.random(n)
+        """The draws of ``Generator.choice(m, size=n, p=masses)`` from the
+        stream rng, which they spend, from a CDF built once per prior rather
+        than once per call."""
+        u = rng.once().random(n)
         return self.points[self._cdf.searchsorted(u, side="right")]
 
     def balls(self, error_fn, eta: float) -> np.ndarray:
@@ -267,9 +270,9 @@ def _clamp(g: float) -> float:
 
 def rdp_to_rero(alpha: float, eps: float, kappa: float, eta: float) -> ReRoBound:
     """(alpha, eps)-RDP gives gamma = (kappa * e^eps)^((alpha-1)/alpha)."""
-    if alpha <= 1:
+    if not alpha > 1:
         raise ValueError("alpha must be > 1")
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError("eps must be nonnegative")
     if not 0 < kappa <= 1:
         raise ValueError("kappa must be in (0, 1]")
@@ -279,7 +282,7 @@ def rdp_to_rero(alpha: float, eps: float, kappa: float, eta: float) -> ReRoBound
 
 def puredp_to_rero(eps: float, kappa: float, eta: float) -> ReRoBound:
     """eps-DP gives gamma = kappa * e^eps."""
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError("eps must be nonnegative")
     if not 0 <= kappa <= 1:
         raise ValueError("kappa must be in [0, 1]")
@@ -292,7 +295,7 @@ def zcdp_to_rero(rho: float, kappa: float, eta: float) -> ReRoBound:
     rho < ln(1/kappa); otherwise the bound is vacuous (gamma = 1)."""
     if not 0 < kappa < 1:
         raise ValueError("kappa must be in (0, 1)")
-    if rho < 0:
+    if not rho >= 0:
         raise ValueError("rho must be nonnegative")
     log_inv = math.log(1.0 / kappa)
     if rho >= log_inv:
@@ -304,7 +307,7 @@ def zcdp_to_rero(rho: float, kappa: float, eta: float) -> ReRoBound:
 def rero_to_dp(eps: float, gamma: float) -> float:
     """Exact-reconstruction robustness over two-point priors implies
     (eps, delta)-DP with delta = max(0, (e^eps + 1) * gamma - e^eps)."""
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError("eps must be nonnegative")
     if not 0 <= gamma <= 1:
         raise ValueError("gamma must be in [0, 1]")
@@ -383,9 +386,10 @@ def empirical_rero(mechanism, prior, attack_fn, fixed: np.ndarray, error_fn,
     same trial. The rest runs once over all trials:
     ``mechanism(fixed, zs, rngs) -> thetas`` releases one output per row of
     zs (T, d), trained on fixed plus that row, drawing row t's randomness
-    from rngs[t]; ``attack_fn(thetas) -> guesses`` (T, d); and
-    ``error_fn(zs, guesses)`` pairs rows. Returns (rate, (lo, hi)) with a
-    Wilson interval.
+    from rngs[t] (a mechanism that draws from rngs[t] at one place may
+    call ``rngs[t].once()``, which spends it); ``attack_fn(thetas) ->
+    guesses`` (T, d); and ``error_fn(zs, guesses)`` pairs rows. Returns
+    (rate, (lo, hi)) with a Wilson interval.
     """
     if n_trials < 100:
         raise ValueError("n_trials must be >= 100")
@@ -425,7 +429,7 @@ def rero_soundness_grid(n_trials: int = 500, seed: int = 0):
                 def mechanism(_fixed, zs, rngs, noise=noise):
                     # (fixed_sum + z) / n is bitwise vstack([fixed, z]).mean(axis=0):
                     # numpy reduces axis 0 row by row, in the same order
-                    draws = np.stack([r.normal(0.0, noise, size=zs.shape[1]) for r in rngs])
+                    draws = np.stack([r.once().normal(0.0, noise, size=zs.shape[1]) for r in rngs])
                     return (fixed_sum + zs) / n + draws
 
                 def likelihood(thetas, zs, noise=noise):

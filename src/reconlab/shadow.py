@@ -316,7 +316,7 @@ def train_reconn(shadow_set: ShadowSet, config: RecoNNConfig = RecoNNConfig()) -
     lr, rho, eps = config.learning_rate, RMS_DECAY, RMS_EPS
 
     for epoch in range(config.epochs):
-        perm = shuffle.child(("epoch", epoch)).permutation(k)
+        perm = shuffle.child(("epoch", epoch)).once().permutation(k)
         for start in range(0, k, config.batch_size):
             idx = perm[start : start + config.batch_size]
             loss = _reconn_loss_grad(params, F[idx], T[idx], grad, work)

@@ -39,6 +39,26 @@ def test_account_validation():
         accounting.account_dpgd(1, 1.0, 1.0, adjacency="swap")
 
 
+@pytest.mark.parametrize("call", [
+    lambda: accounting.gaussian_mechanism_zcdp(1.0, math.nan),
+    lambda: accounting.account_dpgd(1, math.nan, 1.0),
+    lambda: accounting.account_dpgd(1, 1.0, math.nan),
+    lambda: accounting.zcdp_to_approx_dp(math.nan, 1e-5),
+    lambda: accounting.calibrate_noise(math.nan, 1e-5, 10, 1.0),
+    # the noise std is positive, but its square underflows to 0.0
+    lambda: accounting.gaussian_mechanism_zcdp(1.0, 1e-170),
+    lambda: accounting.account_dpgd(4, 1.0, 1e-170),
+])
+def test_nan_and_underflowing_noise_raise_value_error(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_noise_with_subnormal_square_keeps_the_formula():
+    # 1e-160 ** 2 is subnormal but not 0.0, so rho is still the closed form
+    assert accounting.gaussian_mechanism_zcdp(1e-160, 1e-160) == 1e-160 ** 2 / (2.0 * 1e-160 ** 2)
+
+
 def test_zcdp_to_approx_dp():
     assert accounting.zcdp_to_approx_dp(0.0, 1e-5) == 0.0
     rho, delta = 0.25, 1e-5

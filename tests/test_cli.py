@@ -426,6 +426,16 @@ def test_rero_bound_requires_mode():
     (["gen-shadows", "--featurizer", "layers", "--layers", "5"], "--layers"),
     (["gen-shadows", "--featurizer", "layers", "--layers", "-1"], "--layers"),
     (["gen-shadows", "--featurizer", "layers", "[featurizer]\nlayers=2"], "featurizer.layers"),
+    (["rero-bound", "--cor1", "--eps", "nan", "--kappa", "0.1"], "eps must be nonnegative"),
+    (["rero-bound", "--prop1", "--d", "10", "--eps", "nan"], "eps must be nonnegative"),
+    (["rero-bound", "--thm2", "--alpha", "2", "--eps", "nan", "--kappa", "0.1"],
+     "eps must be nonnegative"),
+    (["rero-bound", "--thm2", "--alpha", "nan", "--eps", "1", "--kappa", "0.1"],
+     "alpha must be > 1"),
+    (["rero-bound", "--cor2", "--rho", "nan", "--kappa", "0.1"], "rho must be nonnegative"),
+    (["rero-bound", "--thm3", "--eps", "nan", "--gamma", "0.5"], "eps must be nonnegative"),
+    # sigma * clip_norm squares to 0.0, so rho would divide by zero
+    (["dp-sweep", "--sigmas", "1e-170"], "squares to 0"),
 ])
 def test_bad_input_exits_2_naming_it(argv, named, cfg_path, tmp_path, capsys, monkeypatch):
     from reconlab import data

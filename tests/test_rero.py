@@ -232,6 +232,20 @@ def test_thm3_examples():
         assert abs(rero.rero_to_dp(eps, rero.kappa_two_point(p))) < 1e-12
 
 
+@pytest.mark.parametrize("convert", [
+    lambda nan: rero.rdp_to_rero(2.0, nan, 0.1, 0.5),
+    lambda nan: rero.rdp_to_rero(nan, 1.0, 0.1, 0.5),
+    lambda nan: rero.puredp_to_rero(nan, 0.1, 0.5),
+    lambda nan: rero.zcdp_to_rero(nan, 0.1, 0.5),
+    lambda nan: rero.rero_to_dp(nan, 0.5),
+    lambda nan: rero.prop_gamma(10, 0.5, {"eps": nan}, "uniform_ball"),
+])
+def test_converters_reject_nan_privacy(convert):
+    # a NaN comparison is false, so a "< 0" check let NaN through as gamma = 0
+    with pytest.raises(ValueError):
+        convert(math.nan)
+
+
 def test_prop_gamma_uniform_ball():
     b = rero.prop_gamma(10, 0.5, {"eps": 1.0}, "uniform_ball")
     assert abs(b.gamma - 0.5 ** 10 * math.e) < 1e-12

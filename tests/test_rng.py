@@ -1,5 +1,8 @@
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reconlab.rng import Rng, _derive
 
@@ -75,3 +78,84 @@ def test_parent_stream_continues_across_child_calls():
     parent.child("k").normal(size=10)
     rest = parent.normal(size=3)
     assert np.array_equal(np.concatenate([first, rest]), _philox(9).normal(size=6))
+
+
+# one draw of each kind; "uint32" draws one 32-bit word, which leaves the
+# other half of a 64-bit output buffered (Philox's has_uint32)
+_DRAW = {
+    "normal": lambda g: g.normal(size=3),
+    "random": lambda g: g.random(2),
+    "uniform": lambda g: g.uniform(-1.0, 1.0, size=5),
+    "integers": lambda g: g.integers(0, 1000, size=3),
+    "uint32": lambda g: g.integers(0, 7, size=1, dtype=np.uint32),
+    "permutation": lambda g: g.permutation(11),
+}
+
+
+def _assert_once_matches_generator(key, ops):
+    g = Rng(key).once()
+    got = [_DRAW[op](g) for op in ops]
+    want = Rng(key).generator
+    for op, a in zip(ops, got):
+        assert np.array_equal(a, _DRAW[op](want))
+
+
+@pytest.mark.parametrize("key", EDGE_KEYS)
+def test_once_draws_equal_generator_draws(key):
+    _assert_once_matches_generator(key, ["normal", "uint32", "random", "uniform",
+                                         "integers", "uint32", "permutation"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(key=st.integers(0, 2 ** 64 - 1), other=st.integers(0, 2 ** 64 - 1),
+       left=st.lists(st.sampled_from(sorted(_DRAW)), max_size=4),
+       ops=st.lists(st.sampled_from(sorted(_DRAW)), min_size=1, max_size=6))
+def test_once_starts_the_stream_wherever_the_last_stream_stopped(key, other, left, ops):
+    g = Rng(other).once()
+    for op in left:  # leave the shared generator mid-buffer, maybe with a spare uint32
+        _DRAW[op](g)
+    _assert_once_matches_generator(key, ops)
+
+
+def test_once_spends_the_rng():
+    spent = Rng(3)
+    spent.once().normal()
+    with pytest.raises(RuntimeError):
+        spent.generator
+    with pytest.raises(RuntimeError):
+        spent.once()
+    # its children are other streams, and stay usable
+    assert np.array_equal(spent.child("k").once().normal(size=2), Rng(3).child("k").normal(size=2))
+
+
+def test_once_refuses_a_stream_already_drawn_through_generator():
+    r = Rng(3)
+    r.normal()
+    with pytest.raises(RuntimeError):
+        r.once()
+
+
+def test_each_thread_has_its_own_once_generator():
+    # the thread moves its generator to stream 1, the main thread then moves
+    # its own to stream 2; neither move disturbs the other's draws
+    ready, drawn = threading.Event(), threading.Event()
+    seen = {}
+
+    def worker():
+        g = Rng(1).once()
+        seen["gen"] = g
+        ready.set()
+        if drawn.wait(timeout=10):
+            seen["draws"] = g.normal(size=4)
+
+    t = threading.Thread(target=worker)
+    t.start()
+    assert ready.wait(timeout=10)
+    g = Rng(2).once()
+    main_draws = g.normal(size=4)
+    drawn.set()
+    t.join(timeout=10)
+    assert not t.is_alive()
+    assert seen["gen"] is not g
+    assert np.array_equal(seen["draws"], _philox(1).normal(size=4))
+    assert np.array_equal(main_draws, _philox(2).normal(size=4))
