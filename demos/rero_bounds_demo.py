@@ -36,7 +36,7 @@ gamma = rero.zcdp_to_rero(rho, kappa, eta).gamma
 
 def mechanism(fixed, zs, rngs):
     # one noisy mean of fixed + z per trial; row t draws from rngs[t]
-    noise_draws = np.stack([r.normal(0.0, noise, size=zs.shape[1]) for r in rngs])
+    noise_draws = np.stack([r.once().normal(0.0, noise, size=zs.shape[1]) for r in rngs])
     return (fixed.sum(axis=0) + zs) / n + noise_draws
 
 

@@ -270,9 +270,12 @@ def cmd_glm_attack(args) -> int:
     Y = table[:, li]
     X = np.delete(table, li, axis=1)
     theta = np.loadtxt(args.theta, delimiter=",", ndmin=1)
+    for path, values in ((args.fixed, table), (args.theta, theta)):
+        if not np.isfinite(values).all():
+            raise ConfigError(f"{path}: every value must be finite")
     if args.no_intercept:
-        if args.target_label is None:
-            raise ConfigError("--no-intercept requires --target-label")
+        if args.target_label is None or not np.isfinite(args.target_label):
+            raise ConfigError("--no-intercept requires a finite --target-label")
         c1, c2 = glm.reconstruct_linreg_no_intercept(theta, X, Y, args.target_label)
         print("candidate_1=" + ",".join(repr(float(v)) for v in c1))
         print("candidate_2=" + ",".join(repr(float(v)) for v in c2))

@@ -51,18 +51,12 @@ class GlmSpec:
         if fam not in ("linear", "logistic"):
             raise ValueError(f"unknown GLM family {self.family!r}")
         object.__setattr__(self, "family", fam)
-        if self.lam < 0:
-            raise ValueError("lam must be nonnegative")
+        if not 0.0 <= self.lam < float("inf"):
+            raise ValueError(f"lam must be finite and nonnegative, got {self.lam!r}")
 
     def inverse_link(self, u):
         """b' = g^{-1}: identity for linear, sigmoid for logistic."""
         return u if self.family == "linear" else _sigmoid(u)
-
-    def inverse_link_deriv(self, u):
-        if self.family == "linear":
-            return np.ones_like(u)
-        s = _sigmoid(u)
-        return s * (1.0 - s)
 
 
 def add_intercept(X: np.ndarray) -> np.ndarray:
@@ -95,22 +89,26 @@ def fit_glm(X: np.ndarray, Y: np.ndarray, spec: GlmSpec, tol: float = DEFAULT_TO
             raise GlmError(f"singular system: {e}") from None
         # One iterative-refinement step to push the residual to fit tolerance.
         theta -= np.linalg.solve(A, glm_gradient(theta, X, Y, spec))
+        g = glm_gradient(theta, X, Y, spec)
     else:
+        # glm_gradient's terms, with the sigmoid shared by the Hessian weights
         theta = np.zeros(d)
+        ridge = spec.lam * np.eye(d)
         for _ in range(NEWTON_MAX_ITER):
-            g = glm_gradient(theta, X, Y, spec)
+            s = _sigmoid(X @ theta)
+            g = X.T @ (s - Y) + spec.lam * theta
             if np.linalg.norm(g) <= tol:
                 break
-            w = spec.inverse_link_deriv(X @ theta)
-            H = X.T @ (w[:, None] * X) + spec.lam * np.eye(d)
+            H = X.T @ ((s * (1.0 - s))[:, None] * X) + ridge
             try:
                 step = np.linalg.solve(H, g)
             except np.linalg.LinAlgError as e:
                 raise GlmError(f"singular Hessian: {e}") from None
             theta = theta - step
+        else:
+            g = glm_gradient(theta, X, Y, spec)
 
-    g = glm_gradient(theta, X, Y, spec)
-    if not np.isfinite(theta).all() or np.linalg.norm(g) > tol:
+    if not np.isfinite(theta).all() or not np.linalg.norm(g) <= tol:
         raise GlmError(
             f"did not reach fit tolerance: |grad| = {np.linalg.norm(g):.3e} > {tol:.1e}"
         )
@@ -150,6 +148,11 @@ def reconstruct_glm(theta: np.ndarray, X_fixed: np.ndarray, Y_fixed: np.ndarray,
     intercept row gives the label y = g^{-1}(<x, theta>) + denom. The result
     is back-substituted into the optimality condition as a check: GlmError
     unless the gradient norm is at most 10*tol.
+
+    That check holds by construction, so it cannot see the fit's own error:
+    theta is only optimal up to a gradient of norm tol, which x carries
+    divided by denom. GlmError unless |denom| >= 100*tol, which bounds that
+    error by about 1e-2.
     """
     theta = np.asarray(theta, dtype=np.float64)
     X_fixed = np.atleast_2d(np.asarray(X_fixed, dtype=np.float64))
@@ -159,8 +162,9 @@ def reconstruct_glm(theta: np.ndarray, X_fixed: np.ndarray, Y_fixed: np.ndarray,
 
     B = spec.inverse_link(X_fixed @ theta) - Y_fixed
     denom = float(B.sum() + spec.lam * theta[0])  # X_1' B + lam * theta_1
-    if abs(denom) < DENOM_EPS:
-        raise GlmError(f"near-zero denominator {denom:.3e}")
+    if not abs(denom) >= max(100 * tol, DENOM_EPS):
+        raise GlmError(f"near-zero denominator {denom:.3e}: a fit to gradient norm "
+                       f"{tol:.1e} does not pin the point")
 
     x = (X_fixed.T @ B + spec.lam * theta) / denom
     x[0] = 1.0
@@ -169,7 +173,7 @@ def reconstruct_glm(theta: np.ndarray, X_fixed: np.ndarray, Y_fixed: np.ndarray,
     Xf = np.vstack([X_fixed, x[None, :]])
     Yf = np.concatenate([Y_fixed, [y]])
     gnorm = np.linalg.norm(glm_gradient(theta, Xf, Yf, spec))
-    if gnorm > 10 * tol:
+    if not gnorm <= 10 * tol:
         raise GlmError(f"reconstruction fails the optimality check: |grad| = {gnorm:.3e}")
     return x, y
 

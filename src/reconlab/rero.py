@@ -386,9 +386,8 @@ def empirical_rero(mechanism, prior, attack_fn, fixed: np.ndarray, error_fn,
     same trial. The rest runs once over all trials:
     ``mechanism(fixed, zs, rngs) -> thetas`` releases one output per row of
     zs (T, d), trained on fixed plus that row, drawing row t's randomness
-    from rngs[t] (a mechanism that draws from rngs[t] at one place may
-    call ``rngs[t].once()``, which spends it); ``attack_fn(thetas) ->
-    guesses`` (T, d); and ``error_fn(zs, guesses)`` pairs rows. Returns
+    through ``rngs[t].once()``, which spends rngs[t]; ``attack_fn(thetas)
+    -> guesses`` (T, d); and ``error_fn(zs, guesses)`` pairs rows. Returns
     (rate, (lo, hi)) with a Wilson interval.
     """
     if n_trials < 100:

@@ -306,6 +306,22 @@ def test_glm_attack_recovers_planted_point(tmp_path, capsys):
     assert abs(y_hat - y_true) <= 1e-6
 
 
+@pytest.mark.parametrize("lam", ["0", "1e-8", "1e-6", "1e-4"])
+def test_glm_attack_refuses_a_point_the_fit_cannot_pin(lam, tmp_path, capsys):
+    # separable: x1 < 0 has label 0, x1 > 0 label 1; the target is x1 = 3, y = 1
+    X = np.array([[1.0, -2.0], [1.0, -1.0], [1.0, 1.0], [1.0, 2.0], [1.0, 3.0]])
+    Y = np.array([0.0, 0.0, 1.0, 1.0, 1.0])
+    theta = glm.fit_glm(X, Y, glm.GlmSpec("logistic", float(lam)))
+    fixed_csv = tmp_path / "fixed.csv"
+    fixed_csv.write_text("x1,label\n-2,0\n-1,0\n1,1\n2,1\n")
+    theta_csv = str(tmp_path / "theta.csv")
+    np.savetxt(theta_csv, theta, delimiter=",")
+    rc = main(["glm-attack", "--fixed", str(fixed_csv), "--theta", theta_csv,
+               "--family", "logistic", "--lam", lam])
+    assert rc == 3
+    assert "near-zero denominator" in capsys.readouterr().err
+
+
 def test_glm_attack_no_intercept_needs_label(tmp_path):
     fixed_csv = tmp_path / "fixed.csv"
     fixed_csv.write_text("x0,label\n1.0,2.0\n")
@@ -436,6 +452,13 @@ def test_rero_bound_requires_mode():
     (["rero-bound", "--thm3", "--eps", "nan", "--gamma", "0.5"], "eps must be nonnegative"),
     # sigma * clip_norm squares to 0.0, so rho would divide by zero
     (["dp-sweep", "--sigmas", "1e-170"], "squares to 0"),
+    # the .csv names are files written by the test
+    (["glm-attack", "--fixed", "fixed.csv", "--theta", "nan_theta.csv"], "nan_theta.csv"),
+    (["glm-attack", "--fixed", "fixed.csv", "--theta", "theta.csv", "--lam", "nan"],
+     "lam must be finite"),
+    (["glm-attack", "--fixed", "nan_fixed.csv", "--theta", "theta.csv"], "nan_fixed.csv"),
+    (["glm-attack", "--fixed", "fixed.csv", "--theta", "theta.csv", "--no-intercept",
+      "--target-label", "nan"], "--target-label"),
 ])
 def test_bad_input_exits_2_naming_it(argv, named, cfg_path, tmp_path, capsys, monkeypatch):
     from reconlab import data
@@ -454,7 +477,13 @@ def test_bad_input_exits_2_naming_it(argv, named, cfg_path, tmp_path, capsys, mo
         cfg_path = tmp_path / "extra.cfg"
         cfg_path.write_text(TINY_CONFIG + "\n".join(sections) + "\n")
         argv = [a for a in argv if a not in sections]
-    if argv[0] != "rero-bound":
+    if argv[0] == "glm-attack":
+        (tmp_path / "fixed.csv").write_text("x1,label\n-2,0\n-1,0\n1,1\n2,1\n")
+        (tmp_path / "nan_fixed.csv").write_text("x1,label\n-2,0\nnan,0\n1,1\n2,1\n")
+        (tmp_path / "theta.csv").write_text("0.0\n1.0\n")
+        (tmp_path / "nan_theta.csv").write_text("1.0\nnan\n")
+        argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
+    elif argv[0] != "rero-bound":
         argv = argv + ["--config", str(cfg_path), "--out", str(out)]
     assert main(argv) == 2
     err = capsys.readouterr().err

@@ -52,8 +52,9 @@ def test_ridge_family_alias():
     assert glm.GlmSpec("ridge", 0.3).family == "linear"
     with pytest.raises(ValueError):
         glm.GlmSpec("poisson")
-    with pytest.raises(ValueError):
-        glm.GlmSpec("linear", -1.0)
+    for lam in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="lam must be finite and nonnegative"):
+            glm.GlmSpec("linear", lam)
 
 
 def test_newton_and_gd_reach_same_optimum():
@@ -120,6 +121,39 @@ def test_fit_then_reconstruct_round_trip(family, d, extra, lam, seed):
     x_hat, y_hat = glm.reconstruct_glm(theta, X[:-1], Y[:-1], spec)
     assert np.max(np.abs(x_hat - X[-1])) <= 1e-6
     assert abs(y_hat - Y[-1]) <= 1e-6
+
+
+# intercept plus one feature; the last row, x1 = 3 with label 1, is the
+# target. A threshold between x1 = -1 and 1 separates the labels.
+SEPARABLE_X = np.array([[1.0, -2.0], [1.0, -1.0], [1.0, 1.0], [1.0, 2.0], [1.0, 3.0]])
+SEPARABLE_Y = np.array([0.0, 0.0, 1.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-8, 1e-6, 1e-4])
+def test_reconstruct_refuses_a_point_the_fit_cannot_pin(lam):
+    # theta is optimal only up to a gradient of norm tol; with the target's
+    # residual near 1e-11 that moves x1 to 7.0, 1.19, 1.09 or -18.2 (true 3),
+    # and the back-substitution check holds for the wrong point anyway
+    spec = glm.GlmSpec("logistic", lam)
+    with pytest.raises(glm.GlmError, match="near-zero denominator"):
+        theta = glm.fit_glm(SEPARABLE_X, SEPARABLE_Y, spec)
+        glm.reconstruct_glm(theta, SEPARABLE_X[:-1], SEPARABLE_Y[:-1], spec)
+
+
+def test_reconstruct_with_enough_ridge_recovers_separable_point():
+    spec = glm.GlmSpec("logistic", 1e-2)
+    theta = glm.fit_glm(SEPARABLE_X, SEPARABLE_Y, spec)
+    x, y = glm.reconstruct_glm(theta, SEPARABLE_X[:-1], SEPARABLE_Y[:-1], spec)
+    assert np.max(np.abs(x - SEPARABLE_X[-1])) <= 1e-6
+    assert abs(y - 1.0) <= 1e-6
+
+
+def test_reconstruct_refuses_nan_theta():
+    spec = glm.GlmSpec("logistic", 0.1)
+    theta = glm.fit_glm(SEPARABLE_X, SEPARABLE_Y, spec)
+    theta[1] = np.nan
+    with pytest.raises(glm.GlmError):
+        glm.reconstruct_glm(theta, SEPARABLE_X[:-1], SEPARABLE_Y[:-1], spec)
 
 
 def test_reconstruct_requires_intercept_column():

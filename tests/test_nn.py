@@ -368,7 +368,7 @@ def _train_dp_reference(dataset, arch, config):
     for step in range(config.epochs):
         g = np.sum(nn.clip_rows(nn.per_example_grads(params, X, y), C), axis=0)
         if sigma > 0:
-            g += noise_rng.child(("noise", step)).normal(0.0, sigma * C, size=g.shape)
+            g += noise_rng.child(("noise", step)).once().normal(0.0, sigma * C, size=g.shape)
         g /= n
         velocity *= config.momentum
         velocity += g

@@ -469,7 +469,7 @@ def test_empirical_rero_reproducible():
     prior = rero.UniformBallPrior(2)
 
     def mechanism(fixed, zs, rngs):
-        noise = np.stack([r.normal(0, 0.1, size=2) for r in rngs])
+        noise = np.stack([r.once().normal(0, 0.1, size=2) for r in rngs])
         return (fixed.sum(axis=0) + zs) / (len(fixed) + 1) + noise
 
     kwargs = dict(
@@ -521,9 +521,9 @@ def _grid_rates_per_trial(n_trials, seed):
                 successes = 0
                 for i in range(n_trials):
                     trial = root.child(("trial", i))
-                    z = points[trial.child("z").generator.choice(5, size=1, p=masses)][0]
+                    z = points[trial.child("z").once().choice(5, size=1, p=masses)][0]
                     theta = (np.vstack([fixed, z[None, :]]).mean(axis=0)
-                             + trial.child("mech").normal(0.0, noise, size=2))
+                             + trial.child("mech").once().normal(0.0, noise, size=2))
                     mu = (fixed.sum(axis=0)[None, :] + points) / n
                     lik = np.exp(-((theta[None, :] - mu) ** 2).sum(axis=1) / (2 * noise ** 2))
                     post = masses * lik

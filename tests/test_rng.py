@@ -15,33 +15,33 @@ def _philox(key):
 
 
 def _draws(g):
-    """Consecutive draws from a Generator or an Rng."""
+    """Consecutive draws from a Generator."""
     return [g.normal(size=7), g.permutation(11), g.integers(0, 1000, size=5)]
 
 
 def test_same_seed_same_stream():
-    a = Rng(42).normal(size=100)
-    b = Rng(42).normal(size=100)
+    a = Rng(42).once().normal(size=100)
+    b = Rng(42).once().normal(size=100)
     assert np.array_equal(a, b)
 
 
 def test_child_streams_reproducible():
-    a = Rng(7).child(("shadow", 3)).uniform(size=50)
-    b = Rng(7).child(("shadow", 3)).uniform(size=50)
+    a = Rng(7).child(("shadow", 3)).once().uniform(size=50)
+    b = Rng(7).child(("shadow", 3)).once().uniform(size=50)
     assert np.array_equal(a, b)
 
 
 def test_child_streams_differ_by_label():
-    a = Rng(7).child("x").normal(size=50)
-    b = Rng(7).child("y").normal(size=50)
+    a = Rng(7).child("x").once().normal(size=50)
+    b = Rng(7).child("y").once().normal(size=50)
     assert not np.array_equal(a, b)
 
 
 def test_children_independent_of_parent_consumption():
     r1 = Rng(9)
-    r1.normal(size=1000)  # consume from the parent
-    a = r1.child("k").normal(size=10)
-    b = Rng(9).child("k").normal(size=10)
+    r1.once().normal(size=1000)  # consume from the parent
+    a = r1.child("k").once().normal(size=10)
+    b = Rng(9).child("k").once().normal(size=10)
     assert np.array_equal(a, b)
 
 
@@ -54,30 +54,15 @@ def test_derive_is_stable_64bit():
 
 
 def test_permutation_is_permutation():
-    p = Rng(1).permutation(100)
+    p = Rng(1).once().permutation(100)
     assert sorted(p.tolist()) == list(range(100))
 
 
 @pytest.mark.parametrize("key", EDGE_KEYS)
-def test_generator_matches_philox_keyed_directly(key):
-    for got, want in zip(_draws(Rng(key).generator), _draws(_philox(key))):
-        assert np.array_equal(got, want)
-
-
-@pytest.mark.parametrize("key", EDGE_KEYS)
 def test_child_matches_philox_keyed_by_derived_seed(key):
-    got = _draws(Rng(key).child(("trial", 3)))
+    got = _draws(Rng(key).child(("trial", 3)).once())
     for a, b in zip(got, _draws(_philox(_derive(key, ("trial", 3))))):
         assert np.array_equal(a, b)
-
-
-def test_parent_stream_continues_across_child_calls():
-    parent = Rng(9)
-    parent.child("before-first-draw")
-    first = parent.normal(size=3)
-    parent.child("k").normal(size=10)
-    rest = parent.normal(size=3)
-    assert np.array_equal(np.concatenate([first, rest]), _philox(9).normal(size=6))
 
 
 # one draw of each kind; "uint32" draws one 32-bit word, which leaves the
@@ -92,18 +77,18 @@ _DRAW = {
 }
 
 
-def _assert_once_matches_generator(key, ops):
+def _assert_once_matches_philox(key, ops):
     g = Rng(key).once()
     got = [_DRAW[op](g) for op in ops]
-    want = Rng(key).generator
+    want = _philox(key)
     for op, a in zip(ops, got):
         assert np.array_equal(a, _DRAW[op](want))
 
 
 @pytest.mark.parametrize("key", EDGE_KEYS)
 def test_once_draws_equal_generator_draws(key):
-    _assert_once_matches_generator(key, ["normal", "uint32", "random", "uniform",
-                                         "integers", "uint32", "permutation"])
+    _assert_once_matches_philox(key, ["normal", "uint32", "random", "uniform",
+                                      "integers", "uint32", "permutation"])
 
 
 @settings(max_examples=200, deadline=None)
@@ -114,25 +99,17 @@ def test_once_starts_the_stream_wherever_the_last_stream_stopped(key, other, lef
     g = Rng(other).once()
     for op in left:  # leave the shared generator mid-buffer, maybe with a spare uint32
         _DRAW[op](g)
-    _assert_once_matches_generator(key, ops)
+    _assert_once_matches_philox(key, ops)
 
 
 def test_once_spends_the_rng():
     spent = Rng(3)
     spent.once().normal()
     with pytest.raises(RuntimeError):
-        spent.generator
-    with pytest.raises(RuntimeError):
         spent.once()
     # its children are other streams, and stay usable
-    assert np.array_equal(spent.child("k").once().normal(size=2), Rng(3).child("k").normal(size=2))
-
-
-def test_once_refuses_a_stream_already_drawn_through_generator():
-    r = Rng(3)
-    r.normal()
-    with pytest.raises(RuntimeError):
-        r.once()
+    assert np.array_equal(spent.child("k").once().normal(size=2),
+                          _philox(_derive(3, "k")).normal(size=2))
 
 
 def test_each_thread_has_its_own_once_generator():
