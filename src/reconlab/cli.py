@@ -384,6 +384,10 @@ def cmd_rero_bound(args) -> int:
     missing = ["--" + name for name in required if getattr(args, name) is None]
     if missing:
         raise ConfigError(f"--{flag} requires {', '.join(missing)}")
+    for name in ("eta", "sigma"):
+        value = getattr(args, name)
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"--{name} must be finite, got {value}")
     if flag == "thm3":
         print(f"delta={bound()!r}")
         return EXIT_OK

@@ -11,6 +11,7 @@ Monte-Carlo machinery for checking the bounds empirically.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,13 +52,30 @@ class UniformBallPrior:
 
     d: int
 
+    def __post_init__(self):
+        if not isinstance(self.d, numbers.Integral) or isinstance(self.d, bool) or self.d < 1:
+            raise ValueError(f"d must be an int >= 1, got {self.d!r}")
+
     def sample(self, rng: Rng, n: int) -> np.ndarray:
         """n points from the stream rng, which the draws spend."""
         g = rng.once()
         x = g.normal(size=(n, self.d))
+        return self._to_ball(x, g.uniform(size=(n, 1)))
+
+    def sample_each(self, rngs) -> np.ndarray:
+        """(len(rngs), d): row t is the point ``sample(rngs[t], 1)`` draws."""
+        x = np.empty((len(rngs), self.d))
+        u = np.empty((len(rngs), 1))
+        for t, rng in enumerate(rngs):
+            g = rng.once()
+            x[t] = g.normal(size=self.d)
+            u[t] = g.uniform()
+        return self._to_ball(x, u)
+
+    def _to_ball(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Normal rows x (n, d) and uniforms u (n, 1) as points of the ball."""
         x /= np.linalg.norm(x, axis=1, keepdims=True)
-        r = g.uniform(size=(n, 1)) ** (1.0 / self.d)
-        return x * r
+        return x * u ** (1.0 / self.d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,8 +87,10 @@ class GaussianPrior:
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=np.float64))
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
+        if not np.all(np.isfinite(self.center)):
+            raise ValueError("center must be finite")
 
     @property
     def d(self) -> int:
@@ -79,6 +99,13 @@ class GaussianPrior:
     def sample(self, rng: Rng, n: int) -> np.ndarray:
         """n points from the stream rng, which the draws spend."""
         return self.center + rng.once().normal(0.0, self.sigma, size=(n, self.d))
+
+    def sample_each(self, rngs) -> np.ndarray:
+        """(len(rngs), d): row t is the point ``sample(rngs[t], 1)`` draws."""
+        x = np.empty((len(rngs), self.d))
+        for t, rng in enumerate(rngs):
+            x[t] = rng.once().normal(0.0, self.sigma, size=self.d)
+        return np.add(self.center, x, out=x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,6 +143,12 @@ class FiniteDiscretePrior:
         stream rng, which they spend, from a CDF built once per prior rather
         than once per call."""
         u = rng.once().random(n)
+        return self.points[self._cdf.searchsorted(u, side="right")]
+
+    def sample_each(self, rngs) -> np.ndarray:
+        """(len(rngs), d): row t is the point ``sample(rngs[t], 1)`` draws,
+        found for all streams by one search of the CDF."""
+        u = np.array([rng.once().random() for rng in rngs], dtype=np.float64)
         return self.points[self._cdf.searchsorted(u, side="right")]
 
     def balls(self, error_fn, eta: float) -> np.ndarray:
@@ -202,9 +235,9 @@ def kappa_uniform_ball(eta: float, d: int):
     The sup over guesses is attained at the center, where the eta-ball is
     fully contained. Returns (kappa, degenerate); eta >= 1 is vacuous.
     """
-    if d < 1:
+    if not d >= 1:
         raise ValueError("d must be >= 1")
-    if eta <= 0:
+    if not eta > 0:
         raise ValueError("eta must be positive")
     if eta >= 1:
         return 1.0, True
@@ -213,7 +246,7 @@ def kappa_uniform_ball(eta: float, d: int):
 
 def kappa_gaussian_bound(eta: float, sigma: float, d: int) -> float:
     """Chi-squared tail upper bound exp((d/2)(1 - q + ln q)), q = eta^2/(sigma^2 d)."""
-    if eta <= 0 or sigma <= 0 or d < 1:
+    if not (eta > 0 and sigma > 0 and d >= 1):
         raise ValueError("eta, sigma must be positive and d >= 1")
     q = eta ** 2 / (sigma ** 2 * d)
     if q >= 1:
@@ -321,6 +354,8 @@ def prop_gamma(d: int, eta: float, privacy: dict, prior_kind: str,
 
     privacy is {"eps": e} or {"rho": r}; prior_kind is "uniform_ball" or
     "gaussian" (the latter needs sigma >= 2*eta/sqrt(d))."""
+    if not d >= 1:
+        raise ValueError("d must be >= 1")
     if prior_kind == "uniform_ball":
         kappa, degenerate = kappa_uniform_ball(eta, d)
         source = "prop1"
@@ -383,7 +418,9 @@ def empirical_rero(mechanism, prior, attack_fn, fixed: np.ndarray, error_fn,
 
     Trial i draws its target z_i from the stream ``Rng(seed).child(("trial",
     i)).child("z")`` and gets the mechanism stream ``.child("mech")`` of the
-    same trial. The rest runs once over all trials:
+    same trial. The targets come from one ``prior.sample_each`` call over
+    the trials' "z" streams, row i being ``prior.sample(z_stream_i, 1)``.
+    The rest runs once over all trials:
     ``mechanism(fixed, zs, rngs) -> thetas`` releases one output per row of
     zs (T, d), trained on fixed plus that row, drawing row t's randomness
     through ``rngs[t].once()``, which spends rngs[t]; ``attack_fn(thetas)
@@ -394,12 +431,9 @@ def empirical_rero(mechanism, prior, attack_fn, fixed: np.ndarray, error_fn,
         raise ValueError("n_trials must be >= 100")
     fixed = np.atleast_2d(np.asarray(fixed, dtype=np.float64))
     root = Rng(seed)
-    zs, rngs = [], []
-    for i in range(n_trials):
-        trial = root.child(("trial", i))
-        zs.append(prior.sample(trial.child("z"), 1))
-        rngs.append(trial.child("mech"))
-    zs = np.concatenate(zs)
+    trials = [root.child(("trial", i)) for i in range(n_trials)]
+    zs = prior.sample_each([trial.child("z") for trial in trials])
+    rngs = [trial.child("mech") for trial in trials]
     guesses = attack_fn(mechanism(fixed, zs, rngs))
     successes = int(np.count_nonzero(error_fn(zs, guesses) <= eta))
     return successes / n_trials, wilson_interval(successes, n_trials, confidence)
@@ -415,26 +449,37 @@ def rero_soundness_grid(n_trials: int = 500, seed: int = 0):
         FiniteDiscretePrior(g.uniform(0, 1, size=(5, 2)), g.dirichlet(np.ones(5)))
         for _ in range(3)
     ]
+    etas = (0.05, 0.15, 0.4)
+    # per prior, and per (prior, eta): the same in every noise level's cells
+    diams = [max(float(np.linalg.norm(a - b)) for a in prior.points for b in prior.points)
+             for prior in priors]
+    kappas = {(pi, eta): kappa_monte_carlo(prior, l2_error, eta, prior.points)[0]
+              for pi, prior in enumerate(priors) for eta in etas}
     for noise in (0.02, 0.05, 0.15):
-        for eta in (0.05, 0.15, 0.4):
+
+        def mechanism(_fixed, zs, rngs, noise=noise):
+            # row t is rngs[t]'s normal(0.0, noise, size=d) plus the mean:
+            # numpy draws that as 0.0 + noise * g, and the 0.0 only turns a
+            # -0.0 into 0.0, which adding the mean erases. (fixed_sum + z) / n
+            # is bitwise vstack([fixed, z]).mean(axis=0): numpy reduces axis
+            # 0 row by row, in the same order
+            draws = np.empty(zs.shape)
+            for row, rng in zip(draws, rngs):
+                rng.once().standard_normal(out=row)
+            draws *= noise
+            draws += (fixed_sum + zs) / n
+            return draws
+
+        def likelihood(thetas, zs, noise=noise):
+            mu = (fixed_sum + zs) / n
+            sq = ((thetas[:, None, :] - mu) ** 2).sum(axis=2)
+            return np.exp(-sq / (2 * noise ** 2))
+
+        for eta in etas:
             for pi, prior in enumerate(priors):
-                diam = max(
-                    float(np.linalg.norm(a - b)) for a in prior.points for b in prior.points
-                )
-                rho = gaussian_mechanism_zcdp(diam / n, noise)
-                kappa, _ = kappa_monte_carlo(prior, l2_error, eta, prior.points)
+                rho = gaussian_mechanism_zcdp(diams[pi] / n, noise)
+                kappa = kappas[pi, eta]
                 gamma = 1.0 if kappa >= 1.0 else zcdp_to_rero(rho, kappa, eta).gamma
-
-                def mechanism(_fixed, zs, rngs, noise=noise):
-                    # (fixed_sum + z) / n is bitwise vstack([fixed, z]).mean(axis=0):
-                    # numpy reduces axis 0 row by row, in the same order
-                    draws = np.stack([r.once().normal(0.0, noise, size=zs.shape[1]) for r in rngs])
-                    return (fixed_sum + zs) / n + draws
-
-                def likelihood(thetas, zs, noise=noise):
-                    mu = (fixed_sum + zs) / n
-                    sq = ((thetas[:, None, :] - mu) ** 2).sum(axis=2)
-                    return np.exp(-sq / (2 * noise ** 2))
 
                 def attack_fn(thetas, prior=prior, eta=eta, likelihood=likelihood):
                     return map_attack_finite(prior, likelihood, thetas, l2_error, eta)

@@ -25,11 +25,21 @@ import numpy as np
 __all__ = ["Rng"]
 
 _MASK64 = (1 << 64) - 1
+_new = object.__new__
+
+
+def _key(seed: int, label) -> int:
+    """The key of the child labelled ``label`` of the stream keyed by seed, a
+    key in [0, 2**64): the 64-bit blake2b digest of the seed's 8
+    little-endian bytes followed by ``repr(label)``, read little-endian."""
+    data = seed.to_bytes(8, "little") + repr(label).encode()
+    return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")
 
 
 def _derive(seed: int, label) -> int:
-    data = int(seed & _MASK64).to_bytes(8, "little") + repr(label).encode()
-    return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")
+    """``Rng(seed).child(label).seed``, for callers that need a child's key
+    as the seed of a config rather than as a stream."""
+    return _key(int(seed & _MASK64), label)
 
 
 class _Shared(threading.local):
@@ -72,7 +82,12 @@ class Rng:
 
     def child(self, label) -> "Rng":
         """Derive an independent, reproducible stream labeled by ``label``."""
-        return Rng(_derive(self.seed, label))
+        # self.seed is already a 64-bit key, so the child is built without
+        # Rng.__init__ and its re-masking: a ReRo trial derives three streams
+        child = _new(Rng)
+        child.seed = _key(self.seed, label)
+        child._spent = False
+        return child
 
     def once(self) -> np.random.Generator:
         """The thread's shared Generator, moved to the start of this stream.

@@ -8,6 +8,7 @@ released model is then pushed through the same featurizer and network.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass, replace
@@ -181,23 +182,26 @@ def shadow_config(config: nn.TrainConfig, index: int, random_init: bool) -> nn.T
 
 
 def _train_point(job):
-    index, fixed, point, arch, config = job
+    name, fixed, point, arch, config = job
     try:
         return nn.train(fixed.with_point(point), arch, config)
     except nn.DivergenceError as e:
-        raise nn.DivergenceError(f"point {index} diverged: {e}") from None
+        raise nn.DivergenceError(f"{name} diverged: {e}") from None
 
 
-def train_many(fixed: LabeledDataset, points, arch: nn.MlpArchitecture, configs):
+def train_many(fixed: LabeledDataset, points, arch: nn.MlpArchitecture, configs,
+               names=None):
     """Yield, in point order, the model trained on fixed + points[i] with configs[i].
 
     Every model is a pure function of its (point, config), so serial and
     parallel runs give the same bits; seeds are the caller's choice. Runs in
     ``default_workers()`` processes. A divergence raises nn.DivergenceError
-    naming the point's index.
+    naming the point: by names[i] if names is given, else as "point i".
     """
     workers = default_workers()
-    jobs = [(i, fixed, points[i], arch, c) for i, c in enumerate(configs)]
+    if names is None:
+        names = [f"point {i}" for i in range(len(configs))]
+    jobs = [(names[i], fixed, points[i], arch, c) for i, c in enumerate(configs)]
     if workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -357,20 +361,31 @@ def dp_tradeoff(fixed: LabeledDataset, shadow_pool: LabeledDataset, targets: Lab
     Each repeat trains shadows and a reconstructor under run_config(sigma, rep)
     and attacks released models trained under that config with only the DP
     noise seed replaced by released_noise_seed(sigma, rep, i): the informed
-    adversary shares every other seed with the release.
+    adversary shares every other seed with the release. A repeat's shadows
+    and released models are trained in one train_many call, so one worker
+    pool serves both; a divergence names the shadow or target index.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
+    k = len(shadow_pool)
+    points = [shadow_pool[i] for i in range(k)] + [targets[i] for i in range(len(targets))]
+    names = [f"shadow {i}" for i in range(k)] + [f"target {i}" for i in range(len(targets))]
     rows = []
     for sigma in sigmas:
         mses, accs = [], []
         for rep in range(repeats):
             config = run_config(sigma, rep)
-            phi = train_reconn(gen_shadows(fixed, shadow_pool, arch, config, Featurizer()),
-                               reconn_config)
-            configs = [replace(config, noise_seed=released_noise_seed(sigma, rep, i))
-                       for i in range(len(targets))]
-            released = list(train_many(fixed, targets, arch, configs))
+            configs = [shadow_config(config, i, random_init=False) for i in range(k)]
+            configs += [replace(config, noise_seed=released_noise_seed(sigma, rep, i))
+                        for i in range(len(targets))]
+            models = train_many(fixed, points, arch, configs, names)
+            # the shadows come first, and the reconstructor trains on them
+            # before the released models are drawn: serially, in the order
+            # and memory of separate calls; in a pool, while they train
+            phi = train_reconn(
+                build_shadow_set(list(itertools.islice(models, k)), shadow_pool, Featurizer()),
+                reconn_config)
+            released = list(models)
             mses.append(float(np.mean(attack_errors(phi, released, targets.X))))
             accs.append(float(np.mean([nn.accuracy(m, targets) for m in released])))
         se = float(np.std(mses, ddof=1) / math.sqrt(repeats)) if repeats > 1 else 0.0

@@ -459,6 +459,20 @@ def test_rero_bound_requires_mode():
     (["glm-attack", "--fixed", "nan_fixed.csv", "--theta", "theta.csv"], "nan_fixed.csv"),
     (["glm-attack", "--fixed", "fixed.csv", "--theta", "theta.csv", "--no-intercept",
       "--target-label", "nan"], "--target-label"),
+    # a non-finite --eta or --sigma, whichever formula reads it or not
+    (["rero-bound", "--cor2", "--rho", "0.1", "--kappa", "0.1", "--eta", "nan"], "--eta"),
+    (["rero-bound", "--prop1", "--d", "3", "--eps", "1", "--eta", "nan"], "--eta"),
+    (["rero-bound", "--cor1", "--eps", "1", "--kappa", "0.1", "--eta", "inf"], "--eta"),
+    (["rero-bound", "--thm2", "--alpha", "2", "--eps", "1", "--kappa", "0.1", "--eta", "nan"],
+     "--eta"),
+    (["rero-bound", "--thm3", "--eps", "1", "--gamma", "0.5", "--eta=-inf"], "--eta"),
+    (["rero-bound", "--prop2", "--d", "16", "--rho", "0.1", "--sigma", "1", "--eta", "nan"],
+     "--eta"),
+    (["rero-bound", "--prop2", "--d", "16", "--rho", "0.1", "--sigma", "nan"], "--sigma"),
+    (["rero-bound", "--prop2", "--d", "16", "--eps", "1", "--sigma", "inf"], "--sigma"),
+    # sqrt(d) divided the sigma check by zero before d was checked
+    (["rero-bound", "--prop2", "--d", "0", "--eps", "1", "--sigma", "1"], "d must be >= 1"),
+    (["rero-bound", "--prop2", "--d", "-1", "--eps", "1", "--sigma", "1"], "d must be >= 1"),
 ])
 def test_bad_input_exits_2_naming_it(argv, named, cfg_path, tmp_path, capsys, monkeypatch):
     from reconlab import data

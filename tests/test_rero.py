@@ -30,6 +30,28 @@ def test_finite_prior_rejects_non_finite_masses():
             rero.FiniteDiscretePrior(np.zeros((3, 1)), np.array(bad))
 
 
+@pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
+def test_gaussian_prior_rejects_bad_sigma(sigma):
+    with pytest.raises(ValueError, match="sigma"):
+        rero.GaussianPrior(np.zeros(2), sigma)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_gaussian_prior_rejects_non_finite_center(bad):
+    with pytest.raises(ValueError, match="center"):
+        rero.GaussianPrior(np.array([0.0, bad]), 1.0)
+
+
+@pytest.mark.parametrize("d", [0, -2, 2.0, 1.5, "3", None, True])
+def test_uniform_ball_prior_rejects_d_that_is_not_a_positive_int(d):
+    with pytest.raises(ValueError, match="d must be an int >= 1"):
+        rero.UniformBallPrior(d)
+
+
+def test_uniform_ball_prior_takes_numpy_ints():
+    assert rero.UniformBallPrior(np.int64(3)).sample(Rng(0), 4).shape == (4, 3)
+
+
 def test_priors_compare_and_hash_by_identity():
     points, masses = np.array([[0.0], [1.0]]), np.array([0.5, 0.5])
     a = rero.FiniteDiscretePrior(points, masses)
@@ -99,6 +121,19 @@ def test_kappa_gaussian_bound_boundary_and_bound():
         sigma = 2 * 0.5 / math.sqrt(d)
         b = rero.kappa_gaussian_bound(0.5, sigma, d)
         assert b < math.exp(-0.3 * d)
+
+
+@pytest.mark.parametrize("kappa", [
+    lambda nan: rero.kappa_uniform_ball(nan, 3),
+    lambda nan: rero.kappa_gaussian_bound(nan, 1.0, 3),
+    lambda nan: rero.kappa_gaussian_bound(0.5, nan, 3),
+    lambda nan: rero.kappa_uniform_ball(0.5, nan),
+    lambda nan: rero.kappa_gaussian_bound(0.5, 1.0, nan),
+])
+def test_kappas_reject_nan_eta_sigma_and_d(kappa):
+    # "<= 0" and "< 1" are false for NaN, which let it through as a NaN kappa
+    with pytest.raises(ValueError, match="positive|d must be >= 1"):
+        kappa(math.nan)
 
 
 def test_kappa_gaussian_bound_dominates_exact():
@@ -485,9 +520,16 @@ def test_empirical_rero_reproducible():
     assert rero.empirical_rero(**kwargs) == rero.empirical_rero(**kwargs)
 
 
-def test_empirical_rero_hands_mechanism_the_trial_streams():
-    # trial i's target comes from child ("trial", i) -> "z" of the seed's
-    # stream, and row i of the mechanism's streams is the same trial's "mech"
+@pytest.mark.parametrize("prior", [
+    rero.UniformBallPrior(3),
+    rero.GaussianPrior(np.array([0.5, -1.0, 2.0]), 0.3),
+    rero.FiniteDiscretePrior(np.arange(12, dtype=np.float64).reshape(4, 3),
+                             np.array([0.1, 0.2, 0.3, 0.4])),
+], ids=["uniform_ball", "gaussian", "finite"])
+def test_empirical_rero_hands_mechanism_the_trial_streams(prior):
+    # trial i's target is what prior.sample draws from child ("trial", i) ->
+    # "z" of the seed's stream, and row i of the mechanism's streams is the
+    # same trial's "mech"
     seen = {}
 
     def mechanism(fixed, zs, rngs):
@@ -495,7 +537,6 @@ def test_empirical_rero_hands_mechanism_the_trial_streams():
         seen["seeds"] = [r.seed for r in rngs]
         return zs
 
-    prior = rero.UniformBallPrior(3)
     rero.empirical_rero(mechanism, prior, lambda thetas: thetas, np.ones((4, 3)),
                         rero.l2_error, 0.1, n_trials=100, seed=5)
     root = Rng(5)
@@ -504,6 +545,25 @@ def test_empirical_rero_hands_mechanism_the_trial_streams():
     assert seen["fixed"].shape == (4, 3)
     assert seen["zs"].tobytes() == want_zs.tobytes()
     assert seen["seeds"] == [root.child(("trial", i)).child("mech").seed for i in range(100)]
+
+
+@pytest.mark.parametrize("prior", [
+    rero.UniformBallPrior(1),
+    rero.UniformBallPrior(20),
+    rero.GaussianPrior(np.linspace(-1.0, 1.0, 20), 2.5),
+    rero.FiniteDiscretePrior(np.arange(6, dtype=np.float64)[:, None],
+                             np.array([0.0, 0.3, 0.0, 0.5, 0.2, 0.0])),
+], ids=["ball_d1", "ball_d20", "gaussian_d20", "finite_zero_masses"])
+@pytest.mark.parametrize("n", [0, 1, 257])
+def test_sample_each_row_equals_one_sample_per_stream(prior, n):
+    streams = [Rng(2 ** 64 - 1 - t) for t in range(n)]
+    got = prior.sample_each(streams)
+    want = [prior.sample(Rng(2 ** 64 - 1 - t), 1) for t in range(n)]
+    assert got.shape == (n, prior.d)
+    assert got.tobytes() == (np.concatenate(want).tobytes() if n else b"")
+    if n:  # every stream is spent
+        with pytest.raises(RuntimeError):
+            streams[-1].once()
 
 
 def _grid_rates_per_trial(n_trials, seed):

@@ -1,3 +1,4 @@
+import hashlib
 import threading
 
 import numpy as np
@@ -51,6 +52,30 @@ def test_derive_is_stable_64bit():
     assert 0 <= s < 2 ** 64
     assert s != _derive(123, ("label", 5))
     assert s != _derive(124, ("label", 4))
+
+
+_LABELS = st.one_of(
+    st.text(max_size=12),
+    st.floats(allow_nan=False),
+    st.tuples(st.text(max_size=6), st.integers(-2 ** 70, 2 ** 70)),
+    st.tuples(st.text(max_size=6), st.floats(allow_nan=False), st.integers(0, 4)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.one_of(st.integers(-2 ** 80, -1), st.integers(0, 2 ** 64 - 1),
+                      st.integers(2 ** 64, 2 ** 80)),
+       label=_LABELS)
+def test_child_key_is_blake2b_of_seed_bytes_and_label_repr(seed, label):
+    # the stream layout written out independently of the library: every
+    # stream of every experiment is keyed this way
+    data = (seed & 2 ** 64 - 1).to_bytes(8, "little") + repr(label).encode()
+    want = int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")
+    assert Rng(seed).child(label).seed == want
+    assert _derive(seed, label) == want
+    grandchild = Rng(seed).child(label).child(label).seed
+    assert grandchild == int.from_bytes(hashlib.blake2b(
+        want.to_bytes(8, "little") + repr(label).encode(), digest_size=8).digest(), "little")
 
 
 def test_permutation_is_permutation():

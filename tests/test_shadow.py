@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from reconlab import metrics, nn, persist, shadow
-from reconlab.data import SplitSpec, synth_classification, split
+from reconlab.data import LabeledDataset, SplitSpec, synth_classification, split
 
 
 def tiny_setup(d=8, k=3, fixed_n=30, pool_n=60, seed=1):
@@ -300,3 +300,55 @@ def test_dp_tradeoff_one_row_per_sigma_in_order():
     with pytest.raises(ValueError, match="repeats"):
         shadow.dp_tradeoff(fixed, pool, targets, arch, [0.0], 0, run_config,
                            released_noise_seed, rc)
+
+
+def test_dp_tradeoff_trains_each_repeat_in_one_train_many_call(monkeypatch):
+    # shadows and released models of a (sigma, rep) share one call, and so
+    # one worker pool; the row is the one separate calls give
+    fixed, pool, targets, arch, cfg = tiny_setup(pool_n=40)
+    calls = []
+    train_many = shadow.train_many
+
+    def counting(fixed, points, arch, configs, names=None):
+        calls.append(len(configs))
+        return train_many(fixed, points, arch, configs, names)
+
+    def run_config(sigma, rep):
+        return replace(cfg, optimizer="dpgd", clip_norm=1.0, noise_multiplier=sigma,
+                       init_seed=20 + rep)
+
+    rc = shadow.RecoNNConfig(epochs=5, batch_size=16, seed=3)
+    monkeypatch.setattr(shadow, "train_many", counting)
+    rows = shadow.dp_tradeoff(fixed, pool, targets, arch, [0.5, 2.0], 2, run_config,
+                              lambda sigma, rep, i: 100 + i, rc)
+    assert calls == [len(pool) + len(targets)] * 4
+    monkeypatch.setattr(shadow, "train_many", train_many)
+    mses = []
+    for rep in range(2):
+        config = run_config(2.0, rep)
+        phi = shadow.train_reconn(shadow.gen_shadows(fixed, pool, arch, config,
+                                                     shadow.Featurizer()), rc)
+        released = list(shadow.train_many(
+            fixed, targets, arch,
+            [replace(config, noise_seed=100 + i) for i in range(len(targets))]))
+        mses.append(float(np.mean(shadow.attack_errors(phi, released, targets.X))))
+    assert rows[1][0] == np.mean(mses)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("diverging,named", [("shadow", "shadow 0 diverged"),
+                                             ("target", "target 1 diverged")])
+def test_dp_tradeoff_divergence_names_the_shadow_or_target(monkeypatch, workers,
+                                                           diverging, named):
+    fixed, pool, targets, arch, cfg = tiny_setup(pool_n=20)
+    if diverging == "shadow":
+        cfg = replace(cfg, learning_rate=1e300)
+    else:  # a finite target whose first layer overflows
+        X = targets.X.copy()
+        X[1] = 1.7e308
+        targets = LabeledDataset(X, targets.y, targets.num_classes)
+    monkeypatch.setenv("RECONLAB_THREADS", str(workers))
+    with pytest.raises(nn.DivergenceError, match=named):
+        shadow.dp_tradeoff(fixed, pool, targets, arch, [0.0], 1, lambda sigma, rep: cfg,
+                           lambda sigma, rep, i: i, shadow.RecoNNConfig(batch_size=8))
