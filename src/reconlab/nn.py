@@ -199,8 +199,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.optimizer not in ("gd_momentum", "sgd_momentum", "dpgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be nonnegative")
+        if not 0 <= self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if not 0 <= self.momentum < 1:
             raise ValueError("momentum must be in [0, 1)")
         if self.batch_size != "full" and int(self.batch_size) < 1:
@@ -232,53 +234,59 @@ def init_params(arch: MlpArchitecture, seed: int) -> ModelParams:
 
 
 class _Workspace:
-    """The buffers of one training step for an architecture and batches of up
-    to n rows, allocated once per training run; a shorter batch uses leading
-    rows. pre[i] holds layer i's pre-activations, post[i] a hidden layer's
+    """The buffers of one training step for an architecture, batches of up
+    to n rows and a leading shape lead: (K,) for a stack of K models, each
+    buffer then holding one (rows, width) block per model, or () for one.
+    Allocated once per training run; with lead == () a shorter batch uses
+    leading rows, a stacked workspace serves batches of exactly n rows.
+    pre[i] holds layer i's pre-activations, post[i] a hidden layer's
     outputs, delta[i] the loss gradient at pre[i] and dact[i] the activation
-    derivative there; head (three (n, k) arrays), row (n,) and cols (k, n) are
-    scratch for the loss at the k outputs."""
+    derivative there; head (three (n, k) arrays), row (n,) and cols (k, n)
+    are scratch for the loss at the k outputs."""
 
-    def __init__(self, arch: MlpArchitecture, n: int):
+    def __init__(self, arch: MlpArchitecture, n: int, lead: tuple = ()):
         widths = arch.layer_widths[1:]
         k = widths[-1]
-        self.pre = [np.empty((n, w)) for w in widths]
-        self.delta = [np.empty((n, w)) for w in widths]
-        self.post = [np.empty((n, w)) for w in widths[:-1]]
-        self.dact = [np.empty((n, w)) for w in widths[:-1]]
-        self.head = [np.empty((n, k)) for _ in range(3)]
-        self.row = np.empty(n)
-        self.cols = np.empty((k, n))
-        self.row_start = np.arange(0, n * k, k)
+        self.pre = [np.empty(lead + (n, w)) for w in widths]
+        self.delta = [np.empty(lead + (n, w)) for w in widths]
+        self.post = [np.empty(lead + (n, w)) for w in widths[:-1]]
+        self.dact = [np.empty(lead + (n, w)) for w in widths[:-1]]
+        self.head = [np.empty(lead + (n, k)) for _ in range(3)]
+        self.row = np.empty(lead + (n,))
+        self.cols = np.empty(lead + (k, n))
+        self.row_start = np.arange(0, self.row.size * k, k).reshape(self.row.shape)
         self._labels = self._label_at = None
 
     def label_index(self, y: np.ndarray) -> np.ndarray:
-        """Flat index of each row's label logit in a C-ordered (len(y), k)
-        array; computed once per label array, so once per GD training run."""
+        """Flat index of each row's label logit in a C-ordered (..., len, k)
+        array for labels y of shape (..., len); computed once per label
+        array, so once per GD training run."""
         if y is not self._labels:
-            k = self.head[0].shape[1]
-            if len(y) and (y.min() < 0 or y.max() >= k):
+            k = self.head[0].shape[-1]
+            if y.size and (y.min() < 0 or y.max() >= k):
                 raise IndexError(f"labels must lie in [0, {k})")
-            self._labels, self._label_at = y, self.row_start[: len(y)] + y
+            self._labels, self._label_at = y, self.row_start[..., : y.shape[-1]] + y
         return self._label_at
 
 
 def _forward_cached(params: ModelParams, X: np.ndarray, work: _Workspace = None):
     """Forward pass keeping post-activation outputs and pre-activations, in
-    work's buffers (fresh ones if work is None)."""
-    n = X.shape[0]
+    work's buffers (fresh ones if work is None). X is (n, d) for one model,
+    (K, n, d) for a stack of K whose params.flat is (K, P)."""
+    n = X.shape[-2]
     if work is None:
-        work = _Workspace(params.arch, n)
+        work = _Workspace(params.arch, n, X.shape[:-2])
     act, _ = ACTIVATIONS[params.arch.activation]
     a = X
     activations = [a]  # post-activation inputs to each layer
     pre = []
     last = params.arch.num_layers - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = np.matmul(a, w, out=work.pre[i][:n])
-        z += b
+        # a stacked matmul calls the same gemm on each model's 2-D slice
+        z = np.matmul(a, w, out=work.pre[i][..., :n, :])
+        z += b[..., None, :]
         pre.append(z)
-        a = z if i == last else act(z, out=work.post[i][:n])
+        a = z if i == last else act(z, out=work.post[i][..., :n, :])
         activations.append(a)
     return activations, pre
 
@@ -295,63 +303,75 @@ def forward(params: ModelParams, x: np.ndarray) -> np.ndarray:
 
 
 def _log_softmax(logits: np.ndarray, out=None, tmp=None, row=None, cols=None) -> np.ndarray:
-    """Row-wise log-softmax of (n, k) logits, written into out; tmp (n, k),
-    row (n,) and cols (k, n) are scratch. The row max is a running maximum
-    over the columns, one reduction over the rows of the transposed copy: a
-    max is exact in any order, so it equals logits.max(axis=1) bit for bit
-    without a reduction along each short row."""
+    """Row-wise log-softmax of (..., n, k) logits, written into out; tmp
+    (..., n, k), row (..., n) and cols (..., k, n) are scratch. The row max is
+    a running maximum over the columns, one reduction over the rows of the
+    transposed copy: a max is exact in any order, so it equals
+    logits.max(axis=-1) bit for bit without a reduction along each short row.
+    Every row sum runs along the last axis, so a leading axis keeps each
+    row's bits."""
     if cols is None:
-        cols = np.empty(logits.shape[::-1])
-    np.copyto(cols, logits.T)
-    m = np.maximum.reduce(cols, axis=0, out=row)
-    s = np.subtract(logits, m[:, None], out=out)
-    np.sum(np.exp(s, out=tmp), axis=1, out=m)
-    s -= np.log(m, out=m)[:, None]
+        cols = np.empty(logits.shape[:-2] + logits.shape[:-3:-1])
+    np.copyto(cols, np.swapaxes(logits, -1, -2))
+    m = np.maximum.reduce(cols, axis=-2, out=row)
+    s = np.subtract(logits, m[..., None], out=out)
+    np.sum(np.exp(s, out=tmp), axis=-1, out=m)
+    s -= np.log(m, out=m)[..., None]
     return s
 
 
 def _col_sum(a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """np.sum(a, axis=0, out=out) bit for bit for a 2-D a whose rows are
-    contiguous (such as leading rows of a C-ordered buffer), and faster on
-    the few-column arrays of a training step. With two or more columns both
-    add each column's rows in order, starting from +0.0; with one, np.sum
-    takes a pairwise path, so that case stays np.sum."""
-    if a.shape[1] == 1:
-        return np.sum(a, axis=0, out=out)
-    return np.einsum("nj->j", a, out=out)
+    """np.sum(a, axis=-2, out=out) bit for bit for a 2-D or 3-D a whose rows
+    are contiguous (such as leading rows of a C-ordered buffer), and faster
+    on the few-column arrays of a training step. With two or more columns
+    both add each column's rows in order, starting from +0.0; with one,
+    np.sum takes a pairwise path, so that case stays np.sum."""
+    if a.shape[-1] == 1:
+        return np.sum(a, axis=-2, out=out)
+    return np.einsum("...nj->...j", a, out=out)
+
+
+def _deltas(params: ModelParams, pre, delta, work: _Workspace) -> list:
+    """The loss gradient at each layer's pre-activations, given delta, the
+    one at the output layer's; hidden deltas go into work's buffers."""
+    _, dact = ACTIVATIONS[params.arch.activation]
+    n = delta.shape[-2]
+    deltas = [delta]
+    for i in range(params.arch.num_layers - 1, 0, -1):
+        delta = np.matmul(delta, np.swapaxes(params.weights[i], -1, -2),
+                          out=work.delta[i - 1][..., :n, :])
+        delta *= dact(pre[i - 1], out=work.dact[i - 1][..., :n, :])
+        deltas.append(delta)
+    return deltas[::-1]
 
 
 def _backprop(params: ModelParams, activations, pre, delta, grad: ModelParams,
               work: _Workspace) -> None:
     """Backpropagate delta (the loss gradient at the output pre-activations)
     through the layers, writing each layer's gradient into grad in place:
-    summed over the batch if grad.flat is (P,), one row per example if (n, P).
-    Hidden deltas go into work's buffers."""
-    _, dact = ACTIVATIONS[params.arch.activation]
-    n = delta.shape[0]
-    per_example = grad.flat.ndim == 2
-    for i in range(params.arch.num_layers - 1, -1, -1):
+    summed over the batch if grad.flat is shaped like params.flat (one
+    model's (P,) or a stack's (K, P)), one row per example if one model's
+    is (n, P). Hidden deltas go into work's buffers."""
+    per_example = grad.flat.ndim > params.flat.ndim
+    for i, d in enumerate(_deltas(params, pre, delta, work)):
         if per_example:
-            np.einsum("ni,nj->nij", activations[i], delta, out=grad.weights[i])
-            grad.biases[i][...] = delta
+            np.einsum("ni,nj->nij", activations[i], d, out=grad.weights[i])
+            grad.biases[i][...] = d
         else:
-            np.matmul(activations[i].T, delta, out=grad.weights[i])
-            _col_sum(delta, grad.biases[i])
-        if i > 0:
-            delta = np.matmul(delta, params.weights[i].T, out=work.delta[i - 1][:n])
-            delta *= dact(pre[i - 1], out=work.dact[i - 1][:n])
+            np.matmul(np.swapaxes(activations[i], -1, -2), d, out=grad.weights[i])
+            _col_sum(d, grad.biases[i])
 
 
 def _cross_entropy_delta(params: ModelParams, X, y, work: _Workspace):
     """Forward pass, log-softmax, and the gradient of the summed cross-entropy
     at the logits (softmax minus one-hot), all in work's buffers.
     Returns (activations, pre-activations, log-probabilities, label index, delta)."""
-    n = X.shape[0]
+    n = X.shape[-2]
     activations, pre = _forward_cached(params, X, work)
-    logp = _log_softmax(activations[-1], work.head[0][:n], work.delta[-1][:n], work.row[:n],
-                        work.cols[:, :n])
+    logp = _log_softmax(activations[-1], work.head[0][..., :n, :], work.delta[-1][..., :n, :],
+                        work.row[..., :n], work.cols[..., :n])
     at = work.label_index(y)
-    delta = np.exp(logp, out=work.delta[-1][:n])
+    delta = np.exp(logp, out=work.delta[-1][..., :n, :])
     delta.reshape(-1)[at] -= 1.0
     return activations, pre, logp, at, delta
 
@@ -418,6 +438,101 @@ def clip_rows(grads: np.ndarray, clip_norm: float) -> np.ndarray:
     return grads
 
 
+def _train_stack(X: np.ndarray, y: np.ndarray, arch: MlpArchitecture, configs) -> tuple:
+    """Heavy-ball descent of one model per config, the k-th on (X[k], y[k]),
+    in one loop over a (K, P) parameter stack; X is (K, n, d), y (K, n), and
+    the configs agree in everything but init_seed and noise_seed.
+
+    Each model gets the bits nn.train gives it alone: the forward and
+    backward passes run on the stack, where a stacked matmul calls the same
+    gemm on each model's slice and every reduction runs along the same axis
+    as for one model, and DP-GD forms each model's clipped sum and noise in
+    turn, in one shared pair of (n, P) buffers. Returns (theta, errors): the
+    (K, P) trained parameters and, per model, None or the message of the
+    first divergence nn.train would raise for it. A diverged model trains on
+    in the stack, and its row is garbage; the loop stops once model 0 has
+    diverged, since a caller reports the first divergence in stack order.
+    """
+    config = configs[0]
+    K, n = y.shape
+    if n == 0 and config.epochs > 0:
+        raise ValueError("empty batch")
+    theta = np.stack([_init_flat(arch, c.init_seed) for c in configs])
+    params = ModelParams(arch, theta)
+    grad = ModelParams(arch, np.empty_like(theta))
+    g = grad.flat
+    velocity = np.zeros_like(theta)
+    lr, mu = config.learning_rate, config.momentum
+    errors = [None] * K
+
+    dp = config.optimizer == "dpgd"
+    full_batch = config.optimizer != "sgd_momentum" or config.batch_size == "full"
+    bs = n if full_batch else int(config.batch_size)
+    works = {}  # one workspace per batch length: a full batch and a short last one
+    shuffle_rng = Rng(config.shuffle_seed)
+    if dp:
+        C, sigma = float(config.clip_norm), config.noise_multiplier
+        per_example = np.empty((n, theta.shape[1]))
+        squares = np.empty_like(per_example)
+        rows = ModelParams(arch, per_example)
+        noise_rngs = [Rng(c.noise_seed) for c in configs]
+
+    for epoch in range(config.epochs):
+        if full_batch:
+            batches = ((X, y),)
+        else:
+            perm = shuffle_rng.child(("epoch", epoch)).once().permutation(n)
+            batches = ((X[:, idx], y[:, idx])
+                       for idx in (perm[s : s + bs] for s in range(0, n, bs)))
+        for Xb, yb in batches:
+            m = yb.shape[1]
+            work = works.get(m)
+            if work is None:
+                work = works[m] = _Workspace(arch, m, (K,))
+            activations, pre, logp, at, delta = _cross_entropy_delta(params, Xb, yb, work)
+            if dp:
+                deltas = _deltas(params, pre, delta, work)
+                for k in range(K):
+                    # per_example_grads, then np.sum(clip_rows(...), axis=0)
+                    # without the in-place scaling: the same products, added
+                    # over the rows in the same order from +0.0. Were a zero
+                    # in g, and so in velocity, of the other sign, theta
+                    # could not see it: theta holds no -0.0 (biases start at
+                    # +0.0, and x - y is -0.0 only for x = -0.0), and +0.0 or
+                    # a nonzero value minus lr * (+-0.0) is the same.
+                    for i, d in enumerate(deltas):
+                        np.einsum("ni,nj->nij", activations[i][k], d[k], out=rows.weights[i])
+                        rows.biases[i][...] = d[k]
+                    np.einsum("n,np->p", _clip_scale(per_example, C, squares), per_example,
+                              out=g[k])
+                    if sigma > 0:
+                        noise = noise_rngs[k].child(("noise", epoch)).once()
+                        g[k] += noise.normal(0.0, sigma * C, size=g.shape[1])
+                g /= n
+            else:
+                # the summed loss of each model is finite iff loss_and_grad's
+                # mean is; the label indices are in range, so "clip" only
+                # skips take's buffered copy
+                loss = np.add.reduce(np.take(logp, at, out=work.row, mode="clip"), axis=-1)
+                if not np.isfinite(loss).all():
+                    for k in np.flatnonzero(~np.isfinite(loss)):
+                        errors[k] = errors[k] or "non-finite loss"
+                    if errors[0]:
+                        return theta, errors
+                delta /= m
+                _backprop(params, activations, pre, delta, grad, work)
+            velocity *= mu
+            velocity += g
+            theta -= lr * velocity
+        finite = np.isfinite(theta).all(axis=1)
+        if not finite.all():
+            for k in np.flatnonzero(~finite):
+                errors[k] = errors[k] or f"non-finite parameters at epoch {epoch}"
+            if errors[0]:
+                return theta, errors
+    return theta, errors
+
+
 def train(dataset, arch: MlpArchitecture, config: TrainConfig) -> ModelParams:
     """Heavy-ball descent under the configured optimizer; a pure function of
     (dataset, arch, config).
@@ -425,56 +540,14 @@ def train(dataset, arch: MlpArchitecture, config: TrainConfig) -> ModelParams:
     GD, SGD and DP-GD differ only in each step's gradient g: the mean loss
     gradient over the full batch (GD) or over each shuffled minibatch (SGD),
     or the per-example gradients clipped to clip_norm, summed, noised and
-    divided by n (full-batch DP-GD).
+    divided by n (full-batch DP-GD). This is the one-model case of the
+    stacked loop shadow.train_many runs, which gives each of its models
+    these bits.
     """
-    X, y = dataset.X, dataset.y
-    n = len(y)
-    params = init_params(arch, config.init_seed)
-    theta = params.flat
-    grad = ModelParams(arch, np.empty_like(theta))
-    g = grad.flat
-    velocity = np.zeros_like(theta)
-    lr, mu = config.learning_rate, config.momentum
-
-    dp = config.optimizer == "dpgd"
-    full_batch = config.optimizer != "sgd_momentum" or config.batch_size == "full"
-    bs = n if full_batch else int(config.batch_size)
-    work = _Workspace(arch, min(bs, n))
-    shuffle_rng = Rng(config.shuffle_seed)
-    if dp:
-        C, sigma = float(config.clip_norm), config.noise_multiplier
-        per_example = np.empty((n, theta.size))
-        squares = np.empty_like(per_example)
-        noise_rng = Rng(config.noise_seed)
-
-    for epoch in range(config.epochs):
-        if full_batch:
-            batches = ((X, y),)
-        else:
-            perm = shuffle_rng.child(("epoch", epoch)).once().permutation(n)
-            batches = ((X[idx], y[idx]) for idx in (perm[s : s + bs] for s in range(0, n, bs)))
-        for Xb, yb in batches:
-            if dp:
-                per_example_grads(params, Xb, yb, out=per_example, _work=work)
-                # np.sum(clip_rows(per_example, C), axis=0) without the in-place
-                # scaling: the same products, added over the rows in the same
-                # order from +0.0. Were a zero in g, and so in velocity, of the
-                # other sign, theta could not see it: theta holds no -0.0
-                # (biases start at +0.0, and x - y is -0.0 only for x = -0.0),
-                # and +0.0 or a nonzero value minus lr * (+-0.0) is the same.
-                np.einsum("n,np->p", _clip_scale(per_example, C, squares), per_example, out=g)
-                if sigma > 0:
-                    noise = noise_rng.child(("noise", epoch)).once()
-                    g += noise.normal(0.0, sigma * C, size=g.shape)
-                g /= n
-            else:
-                loss_and_grad(params, Xb, yb, grad, _work=work)
-            velocity *= mu
-            velocity += g
-            theta -= lr * velocity
-        if not np.isfinite(theta).all():
-            raise DivergenceError(f"non-finite parameters at epoch {epoch}")
-    return params
+    theta, errors = _train_stack(dataset.X[None], dataset.y[None], arch, [config])
+    if errors[0]:
+        raise DivergenceError(errors[0])
+    return ModelParams(arch, theta[0])
 
 
 def accuracy(params: ModelParams, dataset) -> float:

@@ -8,6 +8,7 @@ released model is then pushed through the same featurizer and network.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import os
@@ -38,6 +39,9 @@ __all__ = [
 ]
 
 DEGENERATE_STD = 1e-12
+# models train_many trains together: enough to spread numpy's per-call cost,
+# few enough that a stack's working set stays in cache
+STACK = 8
 RMS_DECAY = 0.9  # the reconstructor's RMSProp decay and epsilon
 RMS_EPS = 1e-8
 
@@ -181,36 +185,61 @@ def shadow_config(config: nn.TrainConfig, index: int, random_init: bool) -> nn.T
                    noise_seed=_derive(config.noise_seed, ("shadow-noise", index)))
 
 
-def _train_point(job):
-    name, fixed, point, arch, config = job
-    try:
-        return nn.train(fixed.with_point(point), arch, config)
-    except nn.DivergenceError as e:
-        raise nn.DivergenceError(f"{name} diverged: {e}") from None
+def _stacks(configs) -> list:
+    """Consecutive indices into configs in runs of at most STACK whose
+    configs differ only in init_seed and noise_seed."""
+    stacks = []
+    for _, run in itertools.groupby(range(len(configs)), key=lambda i: replace(
+            configs[i], init_seed=0, noise_seed=0)):
+        run = list(run)
+        stacks += [run[s : s + STACK] for s in range(0, len(run), STACK)]
+    return stacks
+
+
+def _train_job(job):
+    """nn._train_stack's (theta, errors) on fixed plus each of points, in
+    one (K, n + 1, d) block built for the stack."""
+    fixed, points, arch, configs = job
+    last = LabeledDataset([p.x for p in points], [p.y for p in points])
+    K, n = len(last), len(fixed)
+    X = np.concatenate([np.broadcast_to(fixed.X, (K, n, fixed.dim)), last.X[:, None]], axis=1)
+    y = np.concatenate([np.broadcast_to(fixed.y, (K, n)), last.y[:, None]], axis=1)
+    return nn._train_stack(X, y, arch, configs)
 
 
 def train_many(fixed: LabeledDataset, points, arch: nn.MlpArchitecture, configs,
                names=None):
     """Yield, in point order, the model trained on fixed + points[i] with configs[i].
 
-    Every model is a pure function of its (point, config), so serial and
-    parallel runs give the same bits; seeds are the caller's choice. Runs in
-    ``default_workers()`` processes. A divergence raises nn.DivergenceError
-    naming the point: by names[i] if names is given, else as "point i".
+    Consecutive points whose configs differ only in init_seed and noise_seed
+    train together, up to STACK at a time, in nn's stacked loop; each model
+    keeps the bits nn.train gives it alone. Every model is a pure function of
+    its (point, config), so serial and parallel runs give the same bits;
+    seeds are the caller's choice. Stacks run in ``default_workers()``
+    processes. A divergence raises nn.DivergenceError, after every earlier
+    model was yielded, naming the point: by names[i] if names is given, else
+    as "point i". points, configs and names must have the same length.
     """
-    workers = default_workers()
     if names is None:
         names = [f"point {i}" for i in range(len(configs))]
-    jobs = [(names[i], fixed, points[i], arch, c) for i, c in enumerate(configs)]
-    if workers > 1 and len(jobs) > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    if not len(points) == len(configs) == len(names):
+        raise ValueError(f"train_many got {len(points)} points, {len(configs)} configs "
+                         f"and {len(names)} names")
+    stacks = _stacks(configs)
+    jobs = ((fixed, [points[i] for i in s], arch, [configs[i] for i in s]) for s in stacks)
+    workers = default_workers()
+    with contextlib.ExitStack() as resources:
+        results = map(_train_job, jobs)
+        if workers > 1 and len(stacks) > 1:
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(_train_point, jobs,
-                                chunksize=max(1, len(jobs) // (4 * workers)))
-    else:
-        for job in jobs:
-            yield _train_point(job)
+            pool = resources.enter_context(ProcessPoolExecutor(max_workers=workers))
+            results = pool.map(_train_job, jobs, chunksize=max(1, len(stacks) // (4 * workers)))
+        for s, (theta, errors) in zip(stacks, results):
+            for i, row, error in zip(s, theta, errors):
+                if error:
+                    raise nn.DivergenceError(f"{names[i]} diverged: {error}")
+                yield nn.ModelParams(arch, row)
 
 
 def gen_shadow_models(fixed: LabeledDataset, shadow_pool: LabeledDataset,
@@ -246,6 +275,15 @@ class RecoNNConfig:
     batch_size: int = 128
     epochs: int = 100
     seed: int = 0
+
+    def __post_init__(self):
+        if not 0 <= self.learning_rate < np.inf:
+            raise ValueError(f"reconn learning_rate must be finite and >= 0, "
+                             f"got {self.learning_rate}")
+        if self.epochs < 0:
+            raise ValueError(f"reconn epochs must be >= 0, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ValueError(f"reconn batch_size must be >= 1, got {self.batch_size}")
 
     def resolve_widths(self, feature_len: int) -> tuple:
         if self.hidden_widths is not None:
@@ -380,8 +418,9 @@ def dp_tradeoff(fixed: LabeledDataset, shadow_pool: LabeledDataset, targets: Lab
                         for i in range(len(targets))]
             models = train_many(fixed, points, arch, configs, names)
             # the shadows come first, and the reconstructor trains on them
-            # before the released models are drawn: serially, in the order
-            # and memory of separate calls; in a pool, while they train
+            # before the released models are drawn: serially, after at most
+            # the one stack that holds the last shadows and the first
+            # targets; in a pool, while they train
             phi = train_reconn(
                 build_shadow_set(list(itertools.islice(models, k)), shadow_pool, Featurizer()),
                 reconn_config)

@@ -473,6 +473,17 @@ def test_rero_bound_requires_mode():
     # sqrt(d) divided the sigma check by zero before d was checked
     (["rero-bound", "--prop2", "--d", "0", "--eps", "1", "--sigma", "1"], "d must be >= 1"),
     (["rero-bound", "--prop2", "--d", "-1", "--eps", "1", "--sigma", "1"], "d must be >= 1"),
+    # a negative epoch count trained nothing and exited 0; a NaN rate failed
+    # only after training, with exit 3
+    (["train-released", "[released]\nepochs=-3"], "epochs must be >= 0"),
+    (["train-released", "[released]\nlearning_rate=nan"], "learning_rate must be finite"),
+    (["gen-shadows", "[released]\nlearning_rate=inf"], "learning_rate must be finite"),
+    (["dp-sweep", "--sigmas", "0", "[reconn]\nepochs=-1"], "reconn epochs must be >= 0"),
+    (["dp-sweep", "--sigmas", "0", "[reconn]\nbatch_size=0"], "reconn batch_size must be >= 1"),
+    (["dp-sweep", "--sigmas", "0", "[reconn]\nlearning_rate=nan"],
+     "reconn learning_rate must be finite"),
+    (["dp-sweep", "--sigmas", "0", "[reconn]\nlearning_rate=-1"],
+     "reconn learning_rate must be finite"),
 ])
 def test_bad_input_exits_2_naming_it(argv, named, cfg_path, tmp_path, capsys, monkeypatch):
     from reconlab import data
@@ -481,6 +492,7 @@ def test_bad_input_exits_2_naming_it(argv, named, cfg_path, tmp_path, capsys, mo
         raise AssertionError("bad input must be refused before any training")
 
     monkeypatch.setattr(nn, "train", untrainable)
+    monkeypatch.setattr(nn, "_train_stack", untrainable)
     out = tmp_path / "out"
     if "OOD_CSV" in argv:
         ood_csv = str(tmp_path / "ood.csv")

@@ -328,6 +328,17 @@ def test_train_reports_divergence():
         nn.train(ds, arch, cfg)
 
 
+def test_train_refuses_an_empty_dataset():
+    arch = nn.MlpArchitecture((8, 6, 3))
+    empty = LabeledDataset(np.empty((0, 8)), np.empty(0, dtype=np.int64), 3)
+    for cfg in (nn.TrainConfig(epochs=2),
+                nn.TrainConfig(optimizer="dpgd", clip_norm=1.0, noise_multiplier=1.0, epochs=2)):
+        with pytest.raises(ValueError, match="empty batch"):
+            nn.train(empty, arch, cfg)
+    assert nn.train(empty, arch, nn.TrainConfig(epochs=0)).flat.tobytes() == \
+        nn.init_params(arch, 0).flat.tobytes()
+
+
 # ---------------------------------------------------------------- dp-gd
 
 def test_clip_rows_bounds_norms():

@@ -141,6 +141,87 @@ def test_train_many_divergence_names_the_point(monkeypatch, workers):
         list(shadow.train_many(fixed, pool, arch, configs))
 
 
+def test_train_many_refuses_mismatched_lengths():
+    fixed, pool, _, arch, cfg = tiny_setup(pool_n=4)
+    with pytest.raises(ValueError, match="4 points, 2 configs and 2 names"):
+        list(shadow.train_many(fixed, pool, arch, [cfg] * 2))
+    with pytest.raises(ValueError, match="4 points, 4 configs and 3 names"):
+        list(shadow.train_many(fixed, pool, arch, [cfg] * 4, names=["a", "b", "c"]))
+
+
+STACKED_OPTIMIZERS = {
+    "gd": dict(),
+    "sgd_full_batch": dict(optimizer="sgd_momentum"),
+    "sgd_minibatch": dict(optimizer="sgd_momentum", batch_size=13),
+    "dpgd_sigma_0": dict(optimizer="dpgd", clip_norm=1.3, noise_multiplier=0.0),
+    "dpgd_sigma_2": dict(optimizer="dpgd", clip_norm=1.3, noise_multiplier=2.0),
+}
+
+
+def stacked_jobs(optimizer, activation):
+    """19 points, so stacks of 8, 3, 1 and 7 under STACK = 8: point 11's
+    learning rate breaks the run, and the odd points draw a random init. The
+    width-1 hidden layer sums its single bias column with np.sum."""
+    fixed, pool, _, _, cfg = tiny_setup(pool_n=19)
+    arch = nn.MlpArchitecture((8, 6, 1, 3), activation=activation)
+    cfg = replace(cfg, **STACKED_OPTIMIZERS[optimizer])
+    configs = [shadow.shadow_config(cfg, i, random_init=i % 2 == 1) for i in range(len(pool))]
+    configs[11] = replace(configs[11], learning_rate=0.1)
+    return fixed, pool, arch, configs
+
+
+def assert_models_match_nn_train(models, fixed, pool, arch, configs):
+    assert len(models) == len(configs)
+    for i, model in enumerate(models):
+        want = nn.train(fixed.with_point(pool[i]), arch, configs[i])
+        assert model.flat.tobytes() == want.flat.tobytes(), i
+
+
+@pytest.mark.parametrize("optimizer", sorted(STACKED_OPTIMIZERS))
+@pytest.mark.parametrize("activation", sorted(nn.ACTIVATIONS))
+def test_train_many_stacks_match_nn_train_bitwise(activation, optimizer):
+    fixed, pool, arch, configs = stacked_jobs(optimizer, activation)
+    assert [len(s) for s in shadow._stacks(configs)] == [8, 3, 1, 7]
+    models = list(shadow.train_many(fixed, pool, arch, configs))
+    assert_models_match_nn_train(models, fixed, pool, arch, configs)
+
+
+@pytest.mark.parametrize("optimizer", ["sgd_minibatch", "dpgd_sigma_2"])
+def test_train_many_stacks_in_a_pool_match_nn_train_bitwise(optimizer, monkeypatch):
+    fixed, pool, arch, configs = stacked_jobs(optimizer, "tanh")
+    monkeypatch.setenv("RECONLAB_THREADS", "2")
+    models = list(shadow.train_many(fixed, pool, arch, configs))
+    assert_models_match_nn_train(models, fixed, pool, arch, configs)
+
+
+def test_train_many_divergence_inside_a_stack_names_the_first_point():
+    # fixed rows at the origin, all of class 0: with this learning rate the
+    # biases overflow at epoch 2 unless the point's label is 1, and a point
+    # far from the origin overflows its weights sooner
+    fixed = LabeledDataset(np.zeros((30, 4)), np.zeros(30, dtype=np.int64), 3)
+    arch = nn.MlpArchitecture((4, 3))
+    cfg = nn.TrainConfig(learning_rate=1e308, epochs=3)
+    points = LabeledDataset(np.array([[0.0] * 4, [1.0] * 4, [0.0] * 4, [1.0] * 4, [100.0] * 4]),
+                            np.array([1, 1, 0, 1, 0]), 3)
+    serial = {}
+    for i in (2, 4):
+        with pytest.raises(nn.DivergenceError) as e:
+            nn.train(fixed.with_point(points[i]), arch, cfg)
+        serial[i] = str(e.value)
+    # point 4 diverges two epochs before point 2, in the same stack
+    assert serial == {2: "non-finite parameters at epoch 2",
+                      4: "non-finite parameters at epoch 0"}
+    configs = [cfg] * len(points)
+    assert len(shadow._stacks(configs)) == 1
+    models = shadow.train_many(fixed, points, arch, configs)
+    for i in (0, 1):
+        want = nn.train(fixed.with_point(points[i]), arch, cfg)
+        assert next(models).flat.tobytes() == want.flat.tobytes()
+    with pytest.raises(nn.DivergenceError) as e:
+        next(models)
+    assert str(e.value) == f"point 2 diverged: {serial[2]}"
+
+
 def test_workers_env_variable(monkeypatch):
     monkeypatch.setenv("RECONLAB_THREADS", "3")
     assert shadow.default_workers() == 3
