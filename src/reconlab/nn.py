@@ -8,6 +8,7 @@ all randomness drawn from labeled child streams of the three seeds.
 from __future__ import annotations
 
 import functools
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,10 @@ __all__ = [
 
 
 class DivergenceError(RuntimeError):
-    """Raised when training produces non-finite parameters or loss."""
+    """Raised when training produces non-finite parameters or loss. From a
+    stack of models, trained holds the models before the one that diverged."""
+
+    trained = None
 
 
 def _out(z, out):
@@ -237,8 +241,7 @@ class _Workspace:
     """The buffers of one training step for an architecture, batches of up
     to n rows and a leading shape lead: (K,) for a stack of K models, each
     buffer then holding one (rows, width) block per model, or () for one.
-    Allocated once per training run; with lead == () a shorter batch uses
-    leading rows, a stacked workspace serves batches of exactly n rows.
+    Allocated once per training run; rows(m) cuts it to a shorter batch.
     pre[i] holds layer i's pre-activations, post[i] a hidden layer's
     outputs, delta[i] the loss gradient at pre[i] and dact[i] the activation
     derivative there; head (three (n, k) arrays), row (n,) and cols (k, n)
@@ -256,16 +259,37 @@ class _Workspace:
         self.cols = np.empty(lead + (k, n))
         self.row_start = np.arange(0, self.row.size * k, k).reshape(self.row.shape)
         self._labels = self._label_at = None
+        self._cuts = {}  # never holding self: a cycle would outlive the run
+
+    def rows(self, m: int) -> "_Workspace":
+        """The workspace for batches of m rows: the first m rows of every
+        buffer, cut once per m. A stacked workspace only serves batches of
+        the n rows it was made for, the one cut whose buffers are contiguous
+        as the flat label index needs."""
+        if m == self.row.shape[-1]:
+            return self
+        cut = self._cuts.get(m)
+        if cut is None:
+            if self.row.ndim > 1:
+                raise ValueError(f"a stacked workspace of {self.row.shape[-1]} rows "
+                                 f"cannot serve {m}")
+            cut = self._cuts[m] = object.__new__(_Workspace)
+            for name in ("pre", "delta", "post", "dact", "head"):
+                setattr(cut, name, [a[:m] for a in getattr(self, name)])
+            cut.row, cut.cols, cut.row_start = self.row[:m], self.cols[:, :m], self.row_start[:m]
+            cut._labels = cut._label_at = None
+            cut._cuts = {}
+        return cut
 
     def label_index(self, y: np.ndarray) -> np.ndarray:
-        """Flat index of each row's label logit in a C-ordered (..., len, k)
-        array for labels y of shape (..., len); computed once per label
-        array, so once per GD training run."""
+        """Flat index of each row's label logit in the C-ordered (..., n, k)
+        logits of the workspace's batches, for labels y of shape (..., n);
+        computed once per label array, so once per GD training run."""
         if y is not self._labels:
             k = self.head[0].shape[-1]
             if y.size and (y.min() < 0 or y.max() >= k):
                 raise IndexError(f"labels must lie in [0, {k})")
-            self._labels, self._label_at = y, self.row_start[..., : y.shape[-1]] + y
+            self._labels, self._label_at = y, self.row_start + y
         return self._label_at
 
 
@@ -274,8 +298,7 @@ def _forward_cached(params: ModelParams, X: np.ndarray, work: _Workspace = None)
     work's buffers (fresh ones if work is None). X is (n, d) for one model,
     (K, n, d) for a stack of K whose params.flat is (K, P)."""
     n = X.shape[-2]
-    if work is None:
-        work = _Workspace(params.arch, n, X.shape[:-2])
+    work = _Workspace(params.arch, n, X.shape[:-2]) if work is None else work.rows(n)
     act, _ = ACTIVATIONS[params.arch.activation]
     a = X
     activations = [a]  # post-activation inputs to each layer
@@ -283,10 +306,10 @@ def _forward_cached(params: ModelParams, X: np.ndarray, work: _Workspace = None)
     last = params.arch.num_layers - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         # a stacked matmul calls the same gemm on each model's 2-D slice
-        z = np.matmul(a, w, out=work.pre[i][..., :n, :])
+        z = np.matmul(a, w, out=work.pre[i])
         z += b[..., None, :]
         pre.append(z)
-        a = z if i == last else act(z, out=work.post[i][..., :n, :])
+        a = z if i == last else act(z, out=work.post[i])
         activations.append(a)
     return activations, pre
 
@@ -312,7 +335,7 @@ def _log_softmax(logits: np.ndarray, out=None, tmp=None, row=None, cols=None) ->
     row's bits."""
     if cols is None:
         cols = np.empty(logits.shape[:-2] + logits.shape[:-3:-1])
-    np.copyto(cols, np.swapaxes(logits, -1, -2))
+    np.copyto(cols, logits.mT)
     m = np.maximum.reduce(cols, axis=-2, out=row)
     s = np.subtract(logits, m[..., None], out=out)
     np.sum(np.exp(s, out=tmp), axis=-1, out=m)
@@ -335,12 +358,11 @@ def _deltas(params: ModelParams, pre, delta, work: _Workspace) -> list:
     """The loss gradient at each layer's pre-activations, given delta, the
     one at the output layer's; hidden deltas go into work's buffers."""
     _, dact = ACTIVATIONS[params.arch.activation]
-    n = delta.shape[-2]
+    work = work.rows(delta.shape[-2])
     deltas = [delta]
     for i in range(params.arch.num_layers - 1, 0, -1):
-        delta = np.matmul(delta, np.swapaxes(params.weights[i], -1, -2),
-                          out=work.delta[i - 1][..., :n, :])
-        delta *= dact(pre[i - 1], out=work.dact[i - 1][..., :n, :])
+        delta = np.matmul(delta, params.weights[i].mT, out=work.delta[i - 1])
+        delta *= dact(pre[i - 1], out=work.dact[i - 1])
         deltas.append(delta)
     return deltas[::-1]
 
@@ -348,30 +370,23 @@ def _deltas(params: ModelParams, pre, delta, work: _Workspace) -> list:
 def _backprop(params: ModelParams, activations, pre, delta, grad: ModelParams,
               work: _Workspace) -> None:
     """Backpropagate delta (the loss gradient at the output pre-activations)
-    through the layers, writing each layer's gradient into grad in place:
-    summed over the batch if grad.flat is shaped like params.flat (one
-    model's (P,) or a stack's (K, P)), one row per example if one model's
-    is (n, P). Hidden deltas go into work's buffers."""
-    per_example = grad.flat.ndim > params.flat.ndim
+    through the layers, writing each layer's gradient, summed over the
+    batch, into grad in place, shaped like params: one model's (P,) or a
+    stack's (K, P). Hidden deltas go into work's buffers."""
     for i, d in enumerate(_deltas(params, pre, delta, work)):
-        if per_example:
-            np.einsum("ni,nj->nij", activations[i], d, out=grad.weights[i])
-            grad.biases[i][...] = d
-        else:
-            np.matmul(np.swapaxes(activations[i], -1, -2), d, out=grad.weights[i])
-            _col_sum(d, grad.biases[i])
+        np.matmul(activations[i].mT, d, out=grad.weights[i])
+        _col_sum(d, grad.biases[i])
 
 
 def _cross_entropy_delta(params: ModelParams, X, y, work: _Workspace):
     """Forward pass, log-softmax, and the gradient of the summed cross-entropy
     at the logits (softmax minus one-hot), all in work's buffers.
     Returns (activations, pre-activations, log-probabilities, label index, delta)."""
-    n = X.shape[-2]
+    work = work.rows(X.shape[-2])
     activations, pre = _forward_cached(params, X, work)
-    logp = _log_softmax(activations[-1], work.head[0][..., :n, :], work.delta[-1][..., :n, :],
-                        work.row[..., :n], work.cols[..., :n])
+    logp = _log_softmax(activations[-1], work.head[0], work.delta[-1], work.row, work.cols)
     at = work.label_index(y)
-    delta = np.exp(logp, out=work.delta[-1][..., :n, :])
+    delta = np.exp(logp, out=work.delta[-1])
     delta.reshape(-1)[at] -= 1.0
     return activations, pre, logp, at, delta
 
@@ -379,8 +394,8 @@ def _cross_entropy_delta(params: ModelParams, X, y, work: _Workspace):
 def _as_batch(X, y):
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.atleast_1d(np.asarray(y, dtype=np.int64))
-    if len(y) != X.shape[0]:
-        raise ValueError(f"{X.shape[0]} rows but {len(y)} labels")
+    if y.shape != X.shape[:-1]:
+        raise ValueError(f"features of shape {X.shape} but labels of shape {y.shape}")
     return X, y
 
 
@@ -388,40 +403,68 @@ def loss_and_grad(params: ModelParams, X: np.ndarray, y: np.ndarray,
                   grad: ModelParams = None, _work: _Workspace = None):
     """Mean cross-entropy over the batch and its backprop gradient.
 
-    If grad is given (a ModelParams), the gradient is written into it and it
-    is returned, so a training loop can reuse one buffer.
+    X is (n, d) and y (n,) for one model; for a stack of K models, whose
+    params.flat is (K, P), X is (K, n, d) and y (K, n). One model's loss is
+    a float, and a non-finite one raises DivergenceError; a stack's is the
+    (K,) array of each model's loss, left for the caller to check.
+
+    If grad is given (a ModelParams shaped like params), the gradient is
+    written into it and it is returned, so a training loop can reuse one
+    buffer.
     """
     X, y = _as_batch(X, y)
-    n = X.shape[0]
+    n = X.shape[-2]
     if n == 0:
         raise ValueError("empty batch")
     if grad is None:
-        grad = ModelParams(params.arch, np.empty(params.arch.parameter_count))
-    work = _Workspace(params.arch, n) if _work is None else _work
+        grad = ModelParams(params.arch, np.empty(params.flat.shape))
+    work = _Workspace(params.arch, n, X.shape[:-2]) if _work is None else _work.rows(n)
     activations, pre, logp, at, delta = _cross_entropy_delta(params, X, y, work)
     # the label indices are in range, so "clip" only skips take's buffered copy
-    loss = float(-np.take(logp, at, out=work.row[:n], mode="clip").mean())
-    if not np.isfinite(loss):
-        raise DivergenceError("non-finite loss")
+    # x.mean(axis=-1) bit for bit, without its Python-level overhead
+    loss = -np.add.reduce(np.take(logp, at, out=work.row, mode="clip"), axis=-1) / n
+    if loss.ndim == 0:
+        loss = float(loss)
+        if not np.isfinite(loss):
+            raise DivergenceError("non-finite loss")
     delta /= n
     _backprop(params, activations, pre, delta, grad, work)
     return loss, grad
 
 
 def per_example_grads(params: ModelParams, X: np.ndarray, y: np.ndarray,
-                      out: np.ndarray = None, _work: _Workspace = None) -> np.ndarray:
-    """Per-example gradients of the summed cross-entropy, flattened, shape (n, P).
+                      out: np.ndarray = None, _work: _Workspace = None,
+                      _each=None) -> np.ndarray:
+    """Per-example gradients of the summed cross-entropy, flattened: (n, P)
+    for one model, (K, n, P) for a stack of K (X and y shaped as for
+    loss_and_grad).
 
-    If out is given (a float64 (n, P) array), the gradients are written into
-    it and it is returned, so a training loop can reuse one buffer.
+    If out is given (a float64 array of that shape), the gradients are
+    written into it and it is returned, so a training loop can reuse one
+    buffer. Given _each, the models' gradients instead pass in turn through
+    one (n, P) out, and _each(k, out) is called once model k's are in it:
+    the forward and backward passes run on the stack, and each model's
+    gradients are used while they are in cache.
     """
     X, y = _as_batch(X, y)
-    n = X.shape[0]
+    stacked = X.ndim == 3
     if out is None:
-        out = np.empty((n, params.arch.parameter_count))
-    work = _Workspace(params.arch, n) if _work is None else _work
+        out = np.empty((X.shape[:-1] if _each is None else X.shape[-2:-1])
+                       + (params.arch.parameter_count,))
+    work = _Workspace(params.arch, X.shape[-2], X.shape[:-2]) if _work is None else _work
     activations, pre, _, _, delta = _cross_entropy_delta(params, X, y, work)
-    _backprop(params, activations, pre, delta, ModelParams(params.arch, out), work)
+    deltas = _deltas(params, pre, delta, work)
+    rows = ModelParams(params.arch, out)
+    shared = _each is not None or not stacked  # every model's gradients go to out itself
+    for k in range(len(X) if stacked else 1):
+        for i, delta in enumerate(deltas):
+            a, d = (activations[i][k], delta[k]) if stacked else (activations[i], delta)
+            w, b = (rows.weights[i], rows.biases[i]) if shared else \
+                (rows.weights[i][k], rows.biases[i][k])
+            np.einsum("ni,nj->nij", a, d, out=w)
+            b[...] = d
+        if _each is not None:
+            _each(k, out)
     return out
 
 
@@ -438,32 +481,50 @@ def clip_rows(grads: np.ndarray, clip_norm: float) -> np.ndarray:
     return grads
 
 
-def _train_stack(X: np.ndarray, y: np.ndarray, arch: MlpArchitecture, configs) -> tuple:
-    """Heavy-ball descent of one model per config, the k-th on (X[k], y[k]),
-    in one loop over a (K, P) parameter stack; X is (K, n, d), y (K, n), and
-    the configs agree in everything but init_seed and noise_seed.
+def _seedless(config: TrainConfig) -> dict:
+    """config's fields but the init and noise seeds, which the models of a
+    stack may differ in."""
+    return {**vars(config), "init_seed": None, "noise_seed": None}
 
-    Each model gets the bits nn.train gives it alone: the forward and
-    backward passes run on the stack, where a stacked matmul calls the same
-    gemm on each model's slice and every reduction runs along the same axis
-    as for one model, and DP-GD forms each model's clipped sum and noise in
-    turn, in one shared pair of (n, P) buffers. Returns (theta, errors): the
-    (K, P) trained parameters and, per model, None or the message of the
-    first divergence nn.train would raise for it. A diverged model trains on
-    in the stack, and its row is garbage; the loop stops once model 0 has
-    diverged, since a caller reports the first divergence in stack order.
+
+def train(dataset, arch: MlpArchitecture, config: TrainConfig, *configs) -> ModelParams:
+    """Heavy-ball descent under the configured optimizer; a pure function of
+    (dataset, arch, config).
+
+    GD, SGD and DP-GD differ only in each step's gradient g: the mean loss
+    gradient over the full batch (GD) or over each shuffled minibatch (SGD),
+    or the per-example gradients clipped to clip_norm, summed, noised and
+    divided by n (full-batch DP-GD).
+
+    Given K configs in all, train trains a stack of K models in the same
+    loop: dataset.X is then (K, n, d) and dataset.y (K, n), the k-th model
+    trains on row k of both under the k-th config, the configs may differ
+    only in init_seed and noise_seed, and the result's flat is (K, P). Each
+    model gets the bits it gets alone: a stacked matmul calls the same gemm
+    on each model's slice, every reduction runs along the same axis, and
+    DP-GD clips, sums and noises each model's gradients in turn. A stack's
+    divergence raises the error of its first diverging model, with the
+    message that model raises alone, once the models before it have
+    finished; they are the error's trained, a ModelParams with flat (j, P).
+    A model that diverges leaves the stack at once, and every model after
+    it with it.
     """
-    config = configs[0]
-    K, n = y.shape
+    configs = (config,) + configs
+    X, y = dataset.X, dataset.y
+    lead = y.shape[:-1]
+    if len(configs) != (lead[0] if lead else 1):
+        raise ValueError(f"{len(configs)} configs for labels of shape {y.shape}")
+    if any(_seedless(c) != _seedless(config) for c in configs[1:]):
+        raise ValueError("a stack's configs may differ only in init_seed and noise_seed")
+    n = y.shape[-1]
     if n == 0 and config.epochs > 0:
         raise ValueError("empty batch")
-    theta = np.stack([_init_flat(arch, c.init_seed) for c in configs])
-    params = ModelParams(arch, theta)
-    grad = ModelParams(arch, np.empty_like(theta))
-    g = grad.flat
-    velocity = np.zeros_like(theta)
+    stack = np.stack([_init_flat(arch, c.init_seed) for c in configs]).reshape(lead + (-1,))
+    theta, velocity, g = stack, np.zeros_like(stack), np.empty_like(stack)
+    params, grad = ModelParams(arch, theta), ModelParams(arch, g)
     lr, mu = config.learning_rate, config.momentum
-    errors = [None] * K
+    live = len(configs)  # models still training: the first live of the stack
+    errors = {}  # model index -> the divergence it raises alone
 
     dp = config.optimizer == "dpgd"
     full_batch = config.optimizer != "sgd_momentum" or config.batch_size == "full"
@@ -472,82 +533,72 @@ def _train_stack(X: np.ndarray, y: np.ndarray, arch: MlpArchitecture, configs) -
     shuffle_rng = Rng(config.shuffle_seed)
     if dp:
         C, sigma = float(config.clip_norm), config.noise_multiplier
-        per_example = np.empty((n, theta.shape[1]))
+        per_example = np.empty((n, arch.parameter_count))
         squares = np.empty_like(per_example)
-        rows = ModelParams(arch, per_example)
         noise_rngs = [Rng(c.noise_seed) for c in configs]
 
-    for epoch in range(config.epochs):
-        if full_batch:
-            batches = ((X, y),)
-        else:
-            perm = shuffle_rng.child(("epoch", epoch)).once().permutation(n)
-            batches = ((X[:, idx], y[:, idx])
-                       for idx in (perm[s : s + bs] for s in range(0, n, bs)))
-        for Xb, yb in batches:
-            m = yb.shape[1]
-            work = works.get(m)
-            if work is None:
-                work = works[m] = _Workspace(arch, m, (K,))
-            activations, pre, logp, at, delta = _cross_entropy_delta(params, Xb, yb, work)
-            if dp:
-                deltas = _deltas(params, pre, delta, work)
-                for k in range(K):
-                    # per_example_grads, then np.sum(clip_rows(...), axis=0)
-                    # without the in-place scaling: the same products, added
-                    # over the rows in the same order from +0.0. Were a zero
-                    # in g, and so in velocity, of the other sign, theta
-                    # could not see it: theta holds no -0.0 (biases start at
-                    # +0.0, and x - y is -0.0 only for x = -0.0), and +0.0 or
-                    # a nonzero value minus lr * (+-0.0) is the same.
-                    for i, d in enumerate(deltas):
-                        np.einsum("ni,nj->nij", activations[i][k], d[k], out=rows.weights[i])
-                        rows.biases[i][...] = d[k]
-                    np.einsum("n,np->p", _clip_scale(per_example, C, squares), per_example,
-                              out=g[k])
-                    if sigma > 0:
-                        noise = noise_rngs[k].child(("noise", epoch)).once()
-                        g[k] += noise.normal(0.0, sigma * C, size=g.shape[1])
-                g /= n
+        def clipped_sum(k, rows):
+            """Model k's rows clipped to C, summed and noised, into g."""
+            gk = g[k] if lead else g
+            # np.sum(clip_rows(rows, C), axis=0) without the in-place scaling:
+            # the same products, added over the rows in the same order from
+            # +0.0. Were a zero in g, and so in velocity, of the other sign,
+            # theta could not see it: theta holds no -0.0 (biases start at
+            # +0.0, and x - y is -0.0 only for x = -0.0), and +0.0 or a
+            # nonzero value minus lr * (+-0.0) is the same.
+            np.einsum("n,np->p", _clip_scale(rows, C, squares), rows, out=gk)
+            if sigma > 0:
+                noise = noise_rngs[k].child(("noise", epoch)).once()
+                gk += noise.normal(0.0, sigma * C, size=gk.shape)
+
+    # a diverging model's inf and NaN are reported as a DivergenceError, not
+    # as numpy's warnings, which -W error would raise before the models
+    # ahead of it in the stack finish (np.errstate would slow every ufunc)
+    with warnings.catch_warnings(action="ignore", category=RuntimeWarning):
+        for epoch in range(config.epochs):
+            if full_batch:
+                batches = (None,)
             else:
-                # the summed loss of each model is finite iff loss_and_grad's
-                # mean is; the label indices are in range, so "clip" only
-                # skips take's buffered copy
-                loss = np.add.reduce(np.take(logp, at, out=work.row, mode="clip"), axis=-1)
-                if not np.isfinite(loss).all():
-                    for k in np.flatnonzero(~np.isfinite(loss)):
-                        errors[k] = errors[k] or "non-finite loss"
-                    if errors[0]:
-                        return theta, errors
-                delta /= m
-                _backprop(params, activations, pre, delta, grad, work)
-            velocity *= mu
-            velocity += g
-            theta -= lr * velocity
-        finite = np.isfinite(theta).all(axis=1)
-        if not finite.all():
-            for k in np.flatnonzero(~finite):
-                errors[k] = errors[k] or f"non-finite parameters at epoch {epoch}"
-            if errors[0]:
-                return theta, errors
-    return theta, errors
-
-
-def train(dataset, arch: MlpArchitecture, config: TrainConfig) -> ModelParams:
-    """Heavy-ball descent under the configured optimizer; a pure function of
-    (dataset, arch, config).
-
-    GD, SGD and DP-GD differ only in each step's gradient g: the mean loss
-    gradient over the full batch (GD) or over each shuffled minibatch (SGD),
-    or the per-example gradients clipped to clip_norm, summed, noised and
-    divided by n (full-batch DP-GD). This is the one-model case of the
-    stacked loop shadow.train_many runs, which gives each of its models
-    these bits.
-    """
-    theta, errors = _train_stack(dataset.X[None], dataset.y[None], arch, [config])
-    if errors[0]:
-        raise DivergenceError(errors[0])
-    return ModelParams(arch, theta[0])
+                perm = shuffle_rng.child(("epoch", epoch)).once().permutation(n)
+                batches = [perm[s : s + bs] for s in range(0, n, bs)]
+            for b, idx in enumerate(batches):
+                Xb, yb = (X, y) if idx is None else (X[..., idx, :], y[..., idx])
+                m = yb.shape[-1]
+                work = works.get(m)
+                if work is None:
+                    work = works[m] = _Workspace(arch, m, yb.shape[:-1])
+                if dp:
+                    per_example_grads(params, Xb, yb, out=per_example, _work=work,
+                                      _each=clipped_sum)
+                    g /= n
+                else:
+                    # one model's non-finite loss raises in loss_and_grad
+                    loss, _ = loss_and_grad(params, Xb, yb, grad, _work=work)
+                    if lead and not np.isfinite(loss).all():
+                        for k in np.flatnonzero(~np.isfinite(loss)):
+                            errors.setdefault(k, "non-finite loss")
+                velocity *= mu
+                velocity += g
+                theta -= lr * velocity
+                if b == len(batches) - 1 and not np.isfinite(theta).all():
+                    for k in np.flatnonzero(~np.isfinite(theta).all(axis=-1)):
+                        errors.setdefault(k, f"non-finite parameters at epoch {epoch}")
+                if errors and min(errors) < live:
+                    live = min(errors)
+                    if live == 0:
+                        break
+                    # the models before the first diverged one train on alone
+                    theta, velocity, g, X, y = (a[:live] for a in (theta, velocity, g, X, y))
+                    params, grad = ModelParams(arch, theta), ModelParams(arch, g)
+                    works.clear()
+            if live == 0:
+                break
+    if errors:
+        error = DivergenceError(errors[live])
+        if lead:
+            error.trained = ModelParams(arch, stack[:live])
+        raise error
+    return params
 
 
 def accuracy(params: ModelParams, dataset) -> float:

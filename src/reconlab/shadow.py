@@ -13,6 +13,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -185,26 +186,30 @@ def shadow_config(config: nn.TrainConfig, index: int, random_init: bool) -> nn.T
                    noise_seed=_derive(config.noise_seed, ("shadow-noise", index)))
 
 
-def _stacks(configs) -> list:
-    """Consecutive indices into configs in runs of at most STACK whose
+def _stacks(configs, size: int = STACK) -> list:
+    """Consecutive indices into configs in runs of at most size whose
     configs differ only in init_seed and noise_seed."""
     stacks = []
-    for _, run in itertools.groupby(range(len(configs)), key=lambda i: replace(
-            configs[i], init_seed=0, noise_seed=0)):
+    for _, run in itertools.groupby(range(len(configs)),
+                                    key=lambda i: nn._seedless(configs[i])):
         run = list(run)
-        stacks += [run[s : s + STACK] for s in range(0, len(run), STACK)]
+        stacks += [run[s : s + size] for s in range(0, len(run), size)]
     return stacks
 
 
 def _train_job(job):
-    """nn._train_stack's (theta, errors) on fixed plus each of points, in
-    one (K, n + 1, d) block built for the stack."""
+    """nn.train's stack on fixed plus each of points, built as one
+    (K, n + 1, d) block: (the (j, P) rows of the models trained, the
+    divergence message of model j or None)."""
     fixed, points, arch, configs = job
     last = LabeledDataset([p.x for p in points], [p.y for p in points])
     K, n = len(last), len(fixed)
     X = np.concatenate([np.broadcast_to(fixed.X, (K, n, fixed.dim)), last.X[:, None]], axis=1)
     y = np.concatenate([np.broadcast_to(fixed.y, (K, n)), last.y[:, None]], axis=1)
-    return nn._train_stack(X, y, arch, configs)
+    try:
+        return nn.train(SimpleNamespace(X=X, y=y), arch, *configs).flat, None
+    except nn.DivergenceError as e:
+        return e.trained.flat, str(e)
 
 
 def train_many(fixed: LabeledDataset, points, arch: nn.MlpArchitecture, configs,
@@ -212,22 +217,24 @@ def train_many(fixed: LabeledDataset, points, arch: nn.MlpArchitecture, configs,
     """Yield, in point order, the model trained on fixed + points[i] with configs[i].
 
     Consecutive points whose configs differ only in init_seed and noise_seed
-    train together, up to STACK at a time, in nn's stacked loop; each model
-    keeps the bits nn.train gives it alone. Every model is a pure function of
-    its (point, config), so serial and parallel runs give the same bits;
-    seeds are the caller's choice. Stacks run in ``default_workers()``
-    processes. A divergence raises nn.DivergenceError, after every earlier
-    model was yielded, naming the point: by names[i] if names is given, else
-    as "point i". points, configs and names must have the same length.
+    train together, up to STACK at a time, as one stack of nn.train; each
+    model keeps the bits nn.train gives it alone. Every model is a pure
+    function of its (point, config), so serial and parallel runs give the
+    same bits; seeds are the caller's choice. Stacks run in
+    ``default_workers()`` processes, made smaller than STACK when that keeps
+    every worker busy. A divergence raises nn.DivergenceError, after every
+    earlier model was yielded, naming the point: by names[i] if names is
+    given, else as "point i". points, configs and names must have the same
+    length.
     """
     if names is None:
         names = [f"point {i}" for i in range(len(configs))]
     if not len(points) == len(configs) == len(names):
         raise ValueError(f"train_many got {len(points)} points, {len(configs)} configs "
                          f"and {len(names)} names")
-    stacks = _stacks(configs)
-    jobs = ((fixed, [points[i] for i in s], arch, [configs[i] for i in s]) for s in stacks)
     workers = default_workers()
+    stacks = _stacks(configs, min(STACK, max(1, -(-len(configs) // workers))))
+    jobs = ((fixed, [points[i] for i in s], arch, [configs[i] for i in s]) for s in stacks)
     with contextlib.ExitStack() as resources:
         results = map(_train_job, jobs)
         if workers > 1 and len(stacks) > 1:
@@ -235,11 +242,11 @@ def train_many(fixed: LabeledDataset, points, arch: nn.MlpArchitecture, configs,
 
             pool = resources.enter_context(ProcessPoolExecutor(max_workers=workers))
             results = pool.map(_train_job, jobs, chunksize=max(1, len(stacks) // (4 * workers)))
-        for s, (theta, errors) in zip(stacks, results):
-            for i, row, error in zip(s, theta, errors):
-                if error:
-                    raise nn.DivergenceError(f"{names[i]} diverged: {error}")
+        for s, (theta, error) in zip(stacks, results):
+            for row in theta:
                 yield nn.ModelParams(arch, row)
+            if error:
+                raise nn.DivergenceError(f"{names[s[len(theta)]]} diverged: {error}")
 
 
 def gen_shadow_models(fixed: LabeledDataset, shadow_pool: LabeledDataset,
@@ -315,19 +322,19 @@ def _reconn_loss_grad(params: nn.ModelParams, F: np.ndarray, T: np.ndarray,
     backprop; the gradient is written into grad. _work, if given, is an
     nn._Workspace for the architecture and at least len(F) rows."""
     n = F.shape[0]
-    work = nn._Workspace(params.arch, n) if _work is None else _work
+    work = nn._Workspace(params.arch, n) if _work is None else _work.rows(n)
     acts, pre = nn._forward_cached(params, F, work)
-    out, diff, tmp = (h[:n] for h in work.head)
+    out, diff, tmp = work.head
     np.negative(acts[-1], out=out)
     np.exp(out, out=out)
     out += 1.0
     np.divide(1.0, out, out=out)
     np.subtract(out, T, out=diff)
     err = np.abs(diff, out=tmp)
-    err += np.square(diff, out=work.delta[-1][:n])
+    err += np.square(diff, out=work.delta[-1])
     loss = float(np.mean(err))
     # (sign(diff) + 2 diff) * out * (1 - out) / diff.size, in that order
-    delta = np.sign(diff, out=work.delta[-1][:n])
+    delta = np.sign(diff, out=work.delta[-1])
     delta += np.multiply(diff, 2.0, out=tmp)
     delta *= out
     delta *= np.subtract(1.0, out, out=tmp)

@@ -492,7 +492,6 @@ def test_bad_input_exits_2_naming_it(argv, named, cfg_path, tmp_path, capsys, mo
         raise AssertionError("bad input must be refused before any training")
 
     monkeypatch.setattr(nn, "train", untrainable)
-    monkeypatch.setattr(nn, "_train_stack", untrainable)
     out = tmp_path / "out"
     if "OOD_CSV" in argv:
         ood_csv = str(tmp_path / "ood.csv")

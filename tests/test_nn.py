@@ -1,5 +1,7 @@
 import math
 import pickle
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -337,6 +339,74 @@ def test_train_refuses_an_empty_dataset():
             nn.train(empty, arch, cfg)
     assert nn.train(empty, arch, nn.TrainConfig(epochs=0)).flat.tobytes() == \
         nn.init_params(arch, 0).flat.tobytes()
+
+
+def stack_of_datasets(K=3, n=12, d=8, k=3):
+    """K datasets of n rows sharing n - 1 and differing in the last, as one
+    (K, n, d) stack and as K datasets."""
+    X, y = small_batch(d=d, k=k, n=n - 1 + K)
+    Xs = np.stack([np.vstack([X[: n - 1], X[n - 1 + i]]) for i in range(K)])
+    ys = np.stack([np.append(y[: n - 1], y[n - 1 + i]) for i in range(K)])
+    return SimpleNamespace(X=Xs, y=ys), [LabeledDataset(Xs[i], ys[i], k) for i in range(K)]
+
+
+@pytest.mark.parametrize("cfg", [
+    nn.TrainConfig(epochs=6),
+    nn.TrainConfig(optimizer="sgd_momentum", batch_size=5, epochs=4),
+    nn.TrainConfig(optimizer="dpgd", clip_norm=0.7, noise_multiplier=1.5, epochs=4),
+], ids=["gd", "sgd", "dpgd"])
+def test_train_a_stack_gives_each_model_its_bits_alone(cfg):
+    stack, alone = stack_of_datasets()
+    arch = nn.MlpArchitecture((8, 6, 3))
+    configs = [replace(cfg, init_seed=i, noise_seed=10 + i) for i in range(3)]
+    trained = nn.train(stack, arch, *configs)
+    assert trained.flat.shape == (3, arch.parameter_count)
+    for row, ds, c in zip(trained.flat, alone, configs):
+        assert row.tobytes() == nn.train(ds, arch, c).flat.tobytes()
+
+
+def test_train_refuses_a_stack_it_cannot_train():
+    stack, _ = stack_of_datasets()
+    arch = nn.MlpArchitecture((8, 6, 3))
+    cfg = nn.TrainConfig(epochs=2)
+    with pytest.raises(ValueError, match="2 configs for labels of shape"):
+        nn.train(stack, arch, cfg, cfg)
+    with pytest.raises(ValueError, match="differ only in init_seed and noise_seed"):
+        nn.train(stack, arch, cfg, replace(cfg, init_seed=4), replace(cfg, epochs=3))
+
+
+def test_stacked_step_gives_each_model_its_bits_alone():
+    stack, alone = stack_of_datasets()
+    arch = nn.MlpArchitecture((8, 6, 3))
+    params = nn.ModelParams(arch, np.stack([nn.init_params(arch, i).flat for i in range(3)]))
+    loss, grad = nn.loss_and_grad(params, stack.X, stack.y)
+    per_example = nn.per_example_grads(params, stack.X, stack.y)
+    assert loss.shape == (3,) and per_example.shape == (3, 12, arch.parameter_count)
+    for i, ds in enumerate(alone):
+        one = nn.init_params(arch, i)
+        want_loss, want_grad = nn.loss_and_grad(one, ds.X, ds.y)
+        assert loss[i] == want_loss
+        assert grad.flat[i].tobytes() == want_grad.flat.tobytes()
+        assert per_example[i].tobytes() == nn.per_example_grads(one, ds.X, ds.y).tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_stack_hands_back_the_models_before_the_first_divergence():
+    # model 1's last point is far out and of a class the model does not
+    # predict for it: its loss overflows, and models 2 and 3 leave the stack
+    # with it
+    stack, alone = stack_of_datasets(K=4)
+    stack.X[1, -1], stack.y[1, -1] = 1e150, 1
+    arch = nn.MlpArchitecture((8, 6, 3))
+    cfg = nn.TrainConfig(epochs=4)
+    with pytest.raises(nn.DivergenceError) as alone_error:
+        nn.train(LabeledDataset(stack.X[1], stack.y[1], 3), arch, cfg)
+    assert str(alone_error.value) == "non-finite loss"
+    with pytest.raises(nn.DivergenceError) as e:
+        nn.train(stack, arch, *[cfg] * 4)
+    assert str(e.value) == str(alone_error.value)
+    assert e.value.trained.flat.shape == (1, arch.parameter_count)
+    assert e.value.trained.flat[0].tobytes() == nn.train(alone[0], arch, cfg).flat.tobytes()
 
 
 # ---------------------------------------------------------------- dp-gd

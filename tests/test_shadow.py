@@ -194,6 +194,37 @@ def test_train_many_stacks_in_a_pool_match_nn_train_bitwise(optimizer, monkeypat
     assert_models_match_nn_train(models, fixed, pool, arch, configs)
 
 
+@pytest.mark.parametrize("points,stacks", [(8, [4, 4]), (11, [6, 5]), (19, [8, 8, 3])])
+def test_train_many_gives_every_worker_a_stack(points, stacks, monkeypatch):
+    import concurrent.futures
+
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            assert max_workers == 2
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            jobs = list(jobs)
+            sizes.extend(len(job[1]) for job in jobs)
+            return map(fn, jobs)
+
+    fixed, pool, _, arch, cfg = tiny_setup(pool_n=points)
+    configs = [shadow.shadow_config(cfg, i, random_init=True) for i in range(points)]
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setenv("RECONLAB_THREADS", "2")
+    models = list(shadow.train_many(fixed, pool, arch, configs))
+    assert sizes == stacks
+    assert_models_match_nn_train(models, fixed, pool, arch, configs)
+
+
+@pytest.mark.filterwarnings("error")
 def test_train_many_divergence_inside_a_stack_names_the_first_point():
     # fixed rows at the origin, all of class 0: with this learning rate the
     # biases overflow at epoch 2 unless the point's label is 1, and a point
