@@ -244,22 +244,32 @@ class _Workspace:
     Allocated once per training run; rows(m) cuts it to a shorter batch.
     pre[i] holds layer i's pre-activations, post[i] a hidden layer's
     outputs, delta[i] the loss gradient at pre[i] and dact[i] the activation
-    derivative there; head (three (n, k) arrays), row (n,) and cols (k, n)
-    are scratch for the loss at the k outputs."""
+    derivative there; row (n,) and cols (k, n) are scratch for the loss at
+    the k outputs, and so is head, three (n, k) arrays built only if asked
+    for (the classifier's loss works over the logits in place)."""
 
-    def __init__(self, arch: MlpArchitecture, n: int, lead: tuple = ()):
+    def __init__(self, arch: MlpArchitecture, n: int, lead: tuple = (), head: bool = False):
         widths = arch.layer_widths[1:]
         k = widths[-1]
         self.pre = [np.empty(lead + (n, w)) for w in widths]
         self.delta = [np.empty(lead + (n, w)) for w in widths]
         self.post = [np.empty(lead + (n, w)) for w in widths[:-1]]
         self.dact = [np.empty(lead + (n, w)) for w in widths[:-1]]
-        self.head = [np.empty(lead + (n, k)) for _ in range(3)]
+        self.head = [np.empty(lead + (n, k)) for _ in range(3 if head else 0)]
         self.row = np.empty(lead + (n,))
         self.cols = np.empty(lead + (k, n))
         self.row_start = np.arange(0, self.row.size * k, k).reshape(self.row.shape)
         self._labels = self._label_at = None
         self._cuts = {}  # never holding self: a cycle would outlive the run
+
+    def _cut(self, key, cols_key) -> "_Workspace":
+        cut = object.__new__(_Workspace)
+        for name in ("pre", "delta", "post", "dact", "head"):
+            setattr(cut, name, [a[key] for a in getattr(self, name)])
+        cut.row, cut.cols, cut.row_start = self.row[key], self.cols[cols_key], self.row_start[key]
+        cut._labels = cut._label_at = None
+        cut._cuts = {}
+        return cut
 
     def rows(self, m: int) -> "_Workspace":
         """The workspace for batches of m rows: the first m rows of every
@@ -273,20 +283,20 @@ class _Workspace:
             if self.row.ndim > 1:
                 raise ValueError(f"a stacked workspace of {self.row.shape[-1]} rows "
                                  f"cannot serve {m}")
-            cut = self._cuts[m] = object.__new__(_Workspace)
-            for name in ("pre", "delta", "post", "dact", "head"):
-                setattr(cut, name, [a[:m] for a in getattr(self, name)])
-            cut.row, cut.cols, cut.row_start = self.row[:m], self.cols[:, :m], self.row_start[:m]
-            cut._labels = cut._label_at = None
-            cut._cuts = {}
+            cut = self._cuts[m] = self._cut(np.s_[:m], np.s_[:, :m])
         return cut
+
+    def models(self, K: int) -> "_Workspace":
+        """A stacked workspace for the first K of its models: the first K
+        blocks of every buffer, as contiguous as the whole."""
+        return self if K == len(self.row) else self._cut(np.s_[:K], np.s_[:K])
 
     def label_index(self, y: np.ndarray) -> np.ndarray:
         """Flat index of each row's label logit in the C-ordered (..., n, k)
         logits of the workspace's batches, for labels y of shape (..., n);
         computed once per label array, so once per GD training run."""
         if y is not self._labels:
-            k = self.head[0].shape[-1]
+            k = self.cols.shape[-2]
             if y.size and (y.min() < 0 or y.max() >= k):
                 raise IndexError(f"labels must lie in [0, {k})")
             self._labels, self._label_at = y, self.row_start + y
@@ -384,7 +394,8 @@ def _cross_entropy_delta(params: ModelParams, X, y, work: _Workspace):
     Returns (activations, pre-activations, log-probabilities, label index, delta)."""
     work = work.rows(X.shape[-2])
     activations, pre = _forward_cached(params, X, work)
-    logp = _log_softmax(activations[-1], work.head[0], work.delta[-1], work.row, work.cols)
+    # the logits become the log-probabilities: backprop reads no output pre-activation
+    logp = _log_softmax(activations[-1], activations[-1], work.delta[-1], work.row, work.cols)
     at = work.label_index(y)
     delta = np.exp(logp, out=work.delta[-1])
     delta.reshape(-1)[at] -= 1.0
@@ -487,7 +498,8 @@ def _seedless(config: TrainConfig) -> dict:
     return {**vars(config), "init_seed": None, "noise_seed": None}
 
 
-def train(dataset, arch: MlpArchitecture, config: TrainConfig, *configs) -> ModelParams:
+def train(dataset, arch: MlpArchitecture, config: TrainConfig, *configs,
+          _work: _Workspace = None) -> ModelParams:
     """Heavy-ball descent under the configured optimizer; a pure function of
     (dataset, arch, config).
 
@@ -508,6 +520,10 @@ def train(dataset, arch: MlpArchitecture, config: TrainConfig, *configs) -> Mode
     finished; they are the error's trained, a ModelParams with flat (j, P).
     A model that diverges leaves the stack at once, and every model after
     it with it.
+
+    _work, if given, is a stacked _Workspace of n rows for at least the
+    stack's K models; the full batches run in its first K blocks, so a
+    caller that trains stack after stack allocates them once.
     """
     configs = (config,) + configs
     X, y = dataset.X, dataset.y
@@ -530,6 +546,8 @@ def train(dataset, arch: MlpArchitecture, config: TrainConfig, *configs) -> Mode
     full_batch = config.optimizer != "sgd_momentum" or config.batch_size == "full"
     bs = n if full_batch else int(config.batch_size)
     works = {}  # one workspace per batch length: a full batch and a short last one
+    if _work is not None:
+        works[n] = _work.models(len(configs))
     shuffle_rng = Rng(config.shuffle_seed)
     if dp:
         C, sigma = float(config.clip_norm), config.noise_multiplier
@@ -590,7 +608,7 @@ def train(dataset, arch: MlpArchitecture, config: TrainConfig, *configs) -> Mode
                     # the models before the first diverged one train on alone
                     theta, velocity, g, X, y = (a[:live] for a in (theta, velocity, g, X, y))
                     params, grad = ModelParams(arch, theta), ModelParams(arch, g)
-                    works.clear()
+                    works = {m: w.models(live) for m, w in works.items()}
             if live == 0:
                 break
     if errors:

@@ -8,10 +8,10 @@ released model is then pushed through the same featurizer and network.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import math
 import os
+import warnings
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
@@ -174,7 +174,19 @@ class ShadowSet:
 
 
 def default_workers() -> int:
-    return max(1, int(os.environ.get("RECONLAB_THREADS", "1")))
+    """RECONLAB_THREADS if set, else the number of cores this process may run on."""
+    value = os.environ.get("RECONLAB_THREADS")
+    if value is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
+    try:
+        workers = int(value)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"RECONLAB_THREADS must be a positive integer, got {value!r}")
+    return workers
 
 
 def shadow_config(config: nn.TrainConfig, index: int, random_init: bool) -> nn.TrainConfig:
@@ -197,19 +209,65 @@ def _stacks(configs, size: int = STACK) -> list:
     return stacks
 
 
-def _train_job(job):
-    """nn.train's stack on fixed plus each of points, built as one
-    (K, n + 1, d) block: (the (j, P) rows of the models trained, the
-    divergence message of model j or None)."""
-    fixed, points, arch, configs = job
+def _slot(fixed: LabeledDataset, arch: nn.MlpArchitecture, K: int):
+    """The buffers one thread trains its stacks of up to K models in, made
+    once: the (K, n + 1, d) features and (K, n + 1) labels of fixed plus one
+    point per model, fixed's rows filled in, and nn.train's workspace."""
+    n = len(fixed)
+    X = np.empty((K, n + 1, fixed.dim))
+    y = np.empty((K, n + 1), dtype=np.int64)
+    X[:, :n], y[:, :n] = fixed.X, fixed.y
+    return X, y, nn._Workspace(arch, n + 1, (K,))
+
+
+def _train_stack(slot, arch, points, configs):
+    """nn.train's stack on the slot's fixed rows plus each of points: (the
+    (j, P) rows of the models trained, the divergence message of model j or
+    None)."""
+    X, y, work = slot
     last = LabeledDataset([p.x for p in points], [p.y for p in points])
-    K, n = len(last), len(fixed)
-    X = np.concatenate([np.broadcast_to(fixed.X, (K, n, fixed.dim)), last.X[:, None]], axis=1)
-    y = np.concatenate([np.broadcast_to(fixed.y, (K, n)), last.y[:, None]], axis=1)
+    K = len(last)
+    X, y = X[:K], y[:K]
+    X[:, -1], y[:, -1] = last.X, last.y
     try:
-        return nn.train(SimpleNamespace(X=X, y=y), arch, *configs).flat, None
+        return nn.train(SimpleNamespace(X=X, y=y), arch, *configs, _work=work).flat, None
     except nn.DivergenceError as e:
         return e.trained.flat, str(e)
+
+
+def _train_in_threads(fixed, arch, size: int, jobs: list, workers: int) -> list:
+    """_train_stack's result for each job, in order, from a pool of threads
+    that each train one stack at a time in their own slot. Once a stack
+    diverges no further one starts, and a job never started reads None."""
+    from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+
+    results = [None] * len(jobs)
+    todo = iter(enumerate(jobs))
+    running = {}  # future -> (job index, the slot it trains in)
+
+    def start(pool, slot):
+        i, job = next(todo, (None, None))
+        if job is not None:
+            running[pool.submit(_train_stack, slot, arch, *job)] = i, slot
+
+    # nn.train's own catch_warnings swaps the process-wide filter list, so
+    # threads entering and leaving it race: one may restore another's list,
+    # or read the caller's while numpy overflows. Under this guard every list
+    # they swap in ignores RuntimeWarning, and the caller's comes back last.
+    with warnings.catch_warnings(action="ignore", category=RuntimeWarning), \
+            ThreadPoolExecutor(max_workers=workers) as pool:
+        for _ in range(min(workers, len(jobs))):
+            start(pool, _slot(fixed, arch, size))
+        diverged = False
+        while running:
+            done, _ = wait(running, return_when=FIRST_COMPLETED)
+            for future in done:
+                i, slot = running.pop(future)
+                results[i] = future.result()
+                diverged = diverged or results[i][1] is not None
+                if not diverged:
+                    start(pool, slot)
+    return results
 
 
 def train_many(fixed: LabeledDataset, points, arch: nn.MlpArchitecture, configs,
@@ -220,12 +278,13 @@ def train_many(fixed: LabeledDataset, points, arch: nn.MlpArchitecture, configs,
     train together, up to STACK at a time, as one stack of nn.train; each
     model keeps the bits nn.train gives it alone. Every model is a pure
     function of its (point, config), so serial and parallel runs give the
-    same bits; seeds are the caller's choice. Stacks run in
-    ``default_workers()`` processes, made smaller than STACK when that keeps
-    every worker busy. A divergence raises nn.DivergenceError, after every
-    earlier model was yielded, naming the point: by names[i] if names is
-    given, else as "point i". points, configs and names must have the same
-    length.
+    same bits; seeds are the caller's choice. With ``default_workers()``
+    above 1 the stacks train on that many threads, made smaller than STACK
+    when that keeps every thread busy, and every model is trained before
+    the first is yielded; with 1 they train one by one as they are drawn.
+    A divergence raises nn.DivergenceError, after every earlier model was
+    yielded, naming the point: by names[i] if names is given, else as
+    "point i". points, configs and names must have the same length.
     """
     if names is None:
         names = [f"point {i}" for i in range(len(configs))]
@@ -233,20 +292,19 @@ def train_many(fixed: LabeledDataset, points, arch: nn.MlpArchitecture, configs,
         raise ValueError(f"train_many got {len(points)} points, {len(configs)} configs "
                          f"and {len(names)} names")
     workers = default_workers()
-    stacks = _stacks(configs, min(STACK, max(1, -(-len(configs) // workers))))
-    jobs = ((fixed, [points[i] for i in s], arch, [configs[i] for i in s]) for s in stacks)
-    with contextlib.ExitStack() as resources:
-        results = map(_train_job, jobs)
-        if workers > 1 and len(stacks) > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            pool = resources.enter_context(ProcessPoolExecutor(max_workers=workers))
-            results = pool.map(_train_job, jobs, chunksize=max(1, len(stacks) // (4 * workers)))
-        for s, (theta, error) in zip(stacks, results):
-            for row in theta:
-                yield nn.ModelParams(arch, row)
-            if error:
-                raise nn.DivergenceError(f"{names[s[len(theta)]]} diverged: {error}")
+    size = min(STACK, max(1, -(-len(configs) // workers)))
+    stacks = _stacks(configs, size)
+    jobs = [([points[i] for i in s], [configs[i] for i in s]) for s in stacks]
+    if workers > 1 and len(stacks) > 1:
+        results = _train_in_threads(fixed, arch, size, jobs, workers)
+    else:
+        slot = _slot(fixed, arch, size)
+        results = (_train_stack(slot, arch, *job) for job in jobs)
+    for s, (theta, error) in zip(stacks, results):
+        for row in theta:
+            yield nn.ModelParams(arch, row)
+        if error:
+            raise nn.DivergenceError(f"{names[s[len(theta)]]} diverged: {error}")
 
 
 def gen_shadow_models(fixed: LabeledDataset, shadow_pool: LabeledDataset,
@@ -320,9 +378,9 @@ def _reconn_loss_grad(params: nn.ModelParams, F: np.ndarray, T: np.ndarray,
                       grad: nn.ModelParams, _work=None) -> float:
     """Mean (|o-t| + (o-t)^2) over batch and coords, sigmoid output, exact
     backprop; the gradient is written into grad. _work, if given, is an
-    nn._Workspace for the architecture and at least len(F) rows."""
+    nn._Workspace for the architecture and at least len(F) rows, with head."""
     n = F.shape[0]
-    work = nn._Workspace(params.arch, n) if _work is None else _work.rows(n)
+    work = nn._Workspace(params.arch, n, head=True) if _work is None else _work.rows(n)
     acts, pre = nn._forward_cached(params, F, work)
     out, diff, tmp = work.head
     np.negative(acts[-1], out=out)
@@ -360,7 +418,7 @@ def train_reconn(shadow_set: ShadowSet, config: RecoNNConfig = RecoNNConfig()) -
     gv = grad.flat
     cache = np.zeros_like(theta)
     denom = np.empty_like(theta)
-    work = nn._Workspace(arch, config.batch_size)
+    work = nn._Workspace(arch, config.batch_size, head=True)
     shuffle = Rng(_derive(config.seed, "reconn-shuffle"))
     lr, rho, eps = config.learning_rate, RMS_DECAY, RMS_EPS
 
@@ -407,7 +465,7 @@ def dp_tradeoff(fixed: LabeledDataset, shadow_pool: LabeledDataset, targets: Lab
     and attacks released models trained under that config with only the DP
     noise seed replaced by released_noise_seed(sigma, rep, i): the informed
     adversary shares every other seed with the release. A repeat's shadows
-    and released models are trained in one train_many call, so one worker
+    and released models are trained in one train_many call, so one thread
     pool serves both; a divergence names the shadow or target index.
     """
     if repeats < 1:
@@ -423,15 +481,10 @@ def dp_tradeoff(fixed: LabeledDataset, shadow_pool: LabeledDataset, targets: Lab
             configs = [shadow_config(config, i, random_init=False) for i in range(k)]
             configs += [replace(config, noise_seed=released_noise_seed(sigma, rep, i))
                         for i in range(len(targets))]
-            models = train_many(fixed, points, arch, configs, names)
-            # the shadows come first, and the reconstructor trains on them
-            # before the released models are drawn: serially, after at most
-            # the one stack that holds the last shadows and the first
-            # targets; in a pool, while they train
-            phi = train_reconn(
-                build_shadow_set(list(itertools.islice(models, k)), shadow_pool, Featurizer()),
-                reconn_config)
-            released = list(models)
+            models = list(train_many(fixed, points, arch, configs, names))
+            phi = train_reconn(build_shadow_set(models[:k], shadow_pool, Featurizer()),
+                               reconn_config)
+            released = models[k:]
             mses.append(float(np.mean(attack_errors(phi, released, targets.X))))
             accs.append(float(np.mean([nn.accuracy(m, targets) for m in released])))
         se = float(np.std(mses, ddof=1) / math.sqrt(repeats)) if repeats > 1 else 0.0

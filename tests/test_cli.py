@@ -102,6 +102,16 @@ def test_train_released_parallel_matches_serial(cfg_path, tmp_path, monkeypatch)
         assert file_hash(os.path.join(runs["1"], f)) == file_hash(os.path.join(runs["2"], f))
 
 
+@pytest.mark.parametrize("threads", ["abc", "0", "-3"])
+def test_bad_thread_count_exits_2_naming_the_variable(threads, cfg_path, tmp_path,
+                                                      monkeypatch, capsys):
+    monkeypatch.setenv("RECONLAB_THREADS", threads)
+    rc = main(["train-released", "--config", cfg_path, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"error: RECONLAB_THREADS must be a positive integer, got '{threads}'" in \
+        capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["train-released", "gen-shadows"])
 def test_diverging_training_exits_3_naming_the_point(command, tmp_path, capsys):
     p = tmp_path / "diverge.cfg"

@@ -1,3 +1,7 @@
+import os
+import sys
+import threading
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -196,36 +200,26 @@ def test_train_many_stacks_in_a_pool_match_nn_train_bitwise(optimizer, monkeypat
 
 @pytest.mark.parametrize("points,stacks", [(8, [4, 4]), (11, [6, 5]), (19, [8, 8, 3])])
 def test_train_many_gives_every_worker_a_stack(points, stacks, monkeypatch):
-    import concurrent.futures
+    sizes, threads = [], set()
+    train_stack = shadow._train_stack
 
-    sizes = []
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            assert max_workers == 2
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs, chunksize=1):
-            jobs = list(jobs)
-            sizes.extend(len(job[1]) for job in jobs)
-            return map(fn, jobs)
+    def recording(slot, arch, stack_points, configs):
+        sizes.append(len(stack_points))
+        threads.add(threading.current_thread())
+        return train_stack(slot, arch, stack_points, configs)
 
     fixed, pool, _, arch, cfg = tiny_setup(pool_n=points)
     configs = [shadow.shadow_config(cfg, i, random_init=True) for i in range(points)]
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(shadow, "_train_stack", recording)
     monkeypatch.setenv("RECONLAB_THREADS", "2")
     models = list(shadow.train_many(fixed, pool, arch, configs))
-    assert sizes == stacks
+    # the threads finish their stacks in either order
+    assert sorted(sizes, reverse=True) == stacks
+    assert threading.main_thread() not in threads and len(threads) <= 2
     assert_models_match_nn_train(models, fixed, pool, arch, configs)
 
 
-@pytest.mark.filterwarnings("error")
-def test_train_many_divergence_inside_a_stack_names_the_first_point():
+def check_divergence_inside_a_stack_names_the_first_point():
     # fixed rows at the origin, all of class 0: with this learning rate the
     # biases overflow at epoch 2 unless the point's label is 1, and a point
     # far from the origin overflows its weights sooner
@@ -253,11 +247,72 @@ def test_train_many_divergence_inside_a_stack_names_the_first_point():
     assert str(e.value) == f"point 2 diverged: {serial[2]}"
 
 
+@pytest.mark.filterwarnings("error")
+def test_train_many_divergence_inside_a_stack_names_the_first_point(monkeypatch):
+    monkeypatch.setenv("RECONLAB_THREADS", "1")
+    check_divergence_inside_a_stack_names_the_first_point()
+
+
+@pytest.mark.filterwarnings("error")
+def test_train_many_divergence_inside_a_stack_names_the_first_point_on_threads(monkeypatch):
+    # two threads, stacks of 3 and 2: point 4, in the second, diverges first
+    monkeypatch.setenv("RECONLAB_THREADS", "2")
+    check_divergence_inside_a_stack_names_the_first_point()
+
+
+@pytest.mark.filterwarnings("error")
+def test_threaded_divergence_keeps_the_warning_filters(monkeypatch):
+    # nn.train's catch_warnings swaps the process-wide filter list; two
+    # threads leaving it out of order would leave one's list behind, or let
+    # numpy's overflow warning through as the error. Stack 0 (20 epochs)
+    # mostly enters first and leaves first; in stack 1 (100 epochs), point
+    # 7's huge features overflow at the first step.
+    fixed, pool, _, arch, cfg = tiny_setup(pool_n=8)
+    points = [pool[i] for i in range(7)] + [replace(pool[7], x=np.full(8, 1e200))]
+    configs = [replace(cfg, epochs=20)] * 4 + [replace(cfg, epochs=100)] * 4
+    want = [nn.train(fixed.with_point(points[i]), arch, configs[i]) for i in range(7)]
+    monkeypatch.setenv("RECONLAB_THREADS", "2")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(20):
+            filters = list(warnings.filters)
+            models = shadow.train_many(fixed, points, arch, configs)
+            for w in want:
+                assert next(models).flat.tobytes() == w.flat.tobytes()
+            with pytest.raises(nn.DivergenceError,
+                               match="^point 7 diverged: non-finite loss$"):
+                next(models)
+            assert warnings.filters == filters
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_workers_env_variable(monkeypatch):
     monkeypatch.setenv("RECONLAB_THREADS", "3")
     assert shadow.default_workers() == 3
-    monkeypatch.delenv("RECONLAB_THREADS")
+    monkeypatch.setenv("RECONLAB_THREADS", "1")
     assert shadow.default_workers() == 1
+    monkeypatch.delenv("RECONLAB_THREADS")
+    assert shadow.default_workers() == len(os.sched_getaffinity(0))
+
+
+def test_workers_default_without_sched_getaffinity(monkeypatch):
+    # as on macOS, where os has no sched_getaffinity
+    monkeypatch.delenv("RECONLAB_THREADS", raising=False)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert shadow.default_workers() == 5
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert shadow.default_workers() == 1
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5", ""])
+def test_workers_env_variable_refuses_non_positive_integers(monkeypatch, value):
+    monkeypatch.setenv("RECONLAB_THREADS", value)
+    with pytest.raises(ValueError, match=f"RECONLAB_THREADS must be a positive integer, "
+                                         f"got '{value}'"):
+        shadow.default_workers()
 
 
 # ------------------------------------------------------------ persistence
