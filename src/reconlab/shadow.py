@@ -481,10 +481,14 @@ def dp_tradeoff(fixed: LabeledDataset, shadow_pool: LabeledDataset, targets: Lab
             configs = [shadow_config(config, i, random_init=False) for i in range(k)]
             configs += [replace(config, noise_seed=released_noise_seed(sigma, rep, i))
                         for i in range(len(targets))]
-            models = list(train_many(fixed, points, arch, configs, names))
-            phi = train_reconn(build_shadow_set(models[:k], shadow_pool, Featurizer()),
-                               reconn_config)
-            released = models[k:]
+            models = train_many(fixed, points, arch, configs, names)
+            # the shadows come first, and the reconstructor trains on them
+            # before the released models are drawn; serially, those wait but
+            # for the one stack that holds the last shadows and first targets
+            phi = train_reconn(
+                build_shadow_set(list(itertools.islice(models, k)), shadow_pool, Featurizer()),
+                reconn_config)
+            released = list(models)
             mses.append(float(np.mean(attack_errors(phi, released, targets.X))))
             accs.append(float(np.mean([nn.accuracy(m, targets) for m in released])))
         se = float(np.std(mses, ddof=1) / math.sqrt(repeats)) if repeats > 1 else 0.0
