@@ -294,7 +294,8 @@ def test_workers_env_variable(monkeypatch):
     monkeypatch.setenv("RECONLAB_THREADS", "1")
     assert shadow.default_workers() == 1
     monkeypatch.delenv("RECONLAB_THREADS")
-    assert shadow.default_workers() == len(os.sched_getaffinity(0))
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert shadow.default_workers() == cores
 
 
 def test_workers_default_without_sched_getaffinity(monkeypatch):
