@@ -195,6 +195,8 @@ def cmd_gen_shadows(args) -> int:
         raise ConfigError("--k must be positive")
     if args.ood_pool:
         ood = data.load_csv(args.ood_pool, args.ood_label_column)
+        if ood.dim != fixed.dim:
+            raise ConfigError(f"--ood-pool has {ood.dim} features, the fixed set {fixed.dim}")
         shadow_pool = data.relabel_random(
             ood, fixed.num_classes, seed=_get(cfg, "profile.seed", 11, int)
         )

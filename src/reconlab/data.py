@@ -210,6 +210,8 @@ def downsample_images(dataset: LabeledDataset, height: int, width: int, factor: 
     """Block-mean pool each H x W image by the given factor."""
     if dataset.dim != height * width:
         raise ValueError("feature dim does not match H*W")
+    if factor < 1:
+        raise ValueError(f"downsample factor must be >= 1, got {factor}")
     if height % factor or width % factor:
         raise ValueError("factor must divide both height and width")
     imgs = dataset.X.reshape(len(dataset), height // factor, factor, width // factor, factor)

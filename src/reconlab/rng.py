@@ -69,7 +69,7 @@ class Rng:
 
     Identical seeds produce identical streams. ``child(label)`` derives an
     independent stream deterministically from (seed, label), so work split
-    across processes draws the same numbers as a serial run; deriving a
+    across threads draws the same numbers as one thread; deriving a
     child costs one hash. ``once()`` draws from the stream (see the module
     docstring).
     """

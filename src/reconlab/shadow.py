@@ -235,57 +235,23 @@ def _train_stack(slot, arch, points, configs):
         return e.trained.flat, str(e)
 
 
-def _train_in_threads(fixed, arch, size: int, jobs: list, workers: int) -> list:
-    """_train_stack's result for each job, in order, from a pool of threads
-    that each train one stack at a time in their own slot. Once a stack
-    diverges no further one starts, and a job never started reads None."""
-    from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-
-    results = [None] * len(jobs)
-    todo = iter(enumerate(jobs))
-    running = {}  # future -> (job index, the slot it trains in)
-
-    def start(pool, slot):
-        i, job = next(todo, (None, None))
-        if job is not None:
-            running[pool.submit(_train_stack, slot, arch, *job)] = i, slot
-
-    # nn.train's own catch_warnings swaps the process-wide filter list, so
-    # threads entering and leaving it race: one may restore another's list,
-    # or read the caller's while numpy overflows. Under this guard every list
-    # they swap in ignores RuntimeWarning, and the caller's comes back last.
-    with warnings.catch_warnings(action="ignore", category=RuntimeWarning), \
-            ThreadPoolExecutor(max_workers=workers) as pool:
-        for _ in range(min(workers, len(jobs))):
-            start(pool, _slot(fixed, arch, size))
-        diverged = False
-        while running:
-            done, _ = wait(running, return_when=FIRST_COMPLETED)
-            for future in done:
-                i, slot = running.pop(future)
-                results[i] = future.result()
-                diverged = diverged or results[i][1] is not None
-                if not diverged:
-                    start(pool, slot)
-    return results
-
-
 def train_many(fixed: LabeledDataset, points, arch: nn.MlpArchitecture, configs,
                names=None):
     """Yield, in point order, the model trained on fixed + points[i] with configs[i].
 
     Consecutive points whose configs differ only in init_seed and noise_seed
-    train together, up to STACK at a time, as one stack of nn.train; each
-    model keeps the bits nn.train gives it alone. Every model is a pure
-    function of its (point, config), so serial and parallel runs give the
-    same bits; seeds are the caller's choice. With ``default_workers()``
-    above 1 the stacks train on that many threads, made smaller than STACK
-    when that keeps every thread busy, and every model is trained before
-    the first is yielded; with 1 they train one by one as they are drawn.
-    A divergence raises nn.DivergenceError, after every earlier model was
-    yielded, naming the point: by names[i] if names is given, else as
-    "point i". points, configs and names must have the same length.
+    train together, up to STACK at a time, as one stack of nn.train, each
+    model with the bits nn.train gives it alone. ``default_workers()``
+    threads take the stacks in order until none is left or one has diverged
+    or raised, in stacks smaller than STACK when that keeps every thread busy;
+    every model is trained before the first is yielded. A divergence raises
+    nn.DivergenceError, after every earlier model was yielded, naming the
+    point: by names[i] if given, else as "point i". points, configs and names
+    must have the same length; seeds are the caller's choice.
     """
+    from concurrent.futures import ThreadPoolExecutor
+    from queue import Empty, SimpleQueue
+
     if names is None:
         names = [f"point {i}" for i in range(len(configs))]
     if not len(points) == len(configs) == len(names):
@@ -294,12 +260,41 @@ def train_many(fixed: LabeledDataset, points, arch: nn.MlpArchitecture, configs,
     workers = default_workers()
     size = min(STACK, max(1, -(-len(configs) // workers)))
     stacks = _stacks(configs, size)
-    jobs = [([points[i] for i in s], [configs[i] for i in s]) for s in stacks]
-    if workers > 1 and len(stacks) > 1:
-        results = _train_in_threads(fixed, arch, size, jobs, workers)
-    else:
-        slot = _slot(fixed, arch, size)
-        results = (_train_stack(slot, arch, *job) for job in jobs)
+    todo = SimpleQueue()
+    for i, s in enumerate(stacks):
+        todo.put((i, [points[j] for j in s], [configs[j] for j in s]))
+    results = [None] * len(stacks)  # _train_stack's, or None for a stack never started
+    # set once a stack diverged or raised; any stack taken as it is set is later, never yielded
+    stop = False
+
+    def drain(slot):
+        nonlocal stop
+        while not stop:
+            try:
+                i, *job = todo.get_nowait()
+            except Empty:
+                return
+            try:
+                results[i] = _train_stack(slot, arch, *job)
+            except BaseException:
+                stop = True
+                raise
+            if results[i][1] is not None:
+                stop = True
+
+    slots, futures = [], []
+    # nn.train's own catch_warnings swaps the process-wide filter list, so
+    # threads entering and leaving it race: one may restore another's list,
+    # or read the caller's while numpy overflows. Under this guard every list
+    # they swap in ignores RuntimeWarning, and the caller's comes back last.
+    with warnings.catch_warnings(action="ignore", category=RuntimeWarning), \
+            ThreadPoolExecutor(max_workers=workers) as pool:
+        for _ in range(min(workers, len(stacks))):
+            slots.append(_slot(fixed, arch, size))
+            futures.append(pool.submit(drain, slots[-1]))
+    del slots  # freed here, not by each thread as it ends: that raised dp_sweep's peak RSS
+    for future in futures:
+        future.result()
     for s, (theta, error) in zip(stacks, results):
         for row in theta:
             yield nn.ModelParams(arch, row)
@@ -483,8 +478,8 @@ def dp_tradeoff(fixed: LabeledDataset, shadow_pool: LabeledDataset, targets: Lab
                         for i in range(len(targets))]
             models = train_many(fixed, points, arch, configs, names)
             # the shadows come first, and the reconstructor trains on them
-            # before the released models are drawn; serially, those wait but
-            # for the one stack that holds the last shadows and first targets
+            # before the released models are drawn, which keeps the peak
+            # memory lower than drawing all of them first
             phi = train_reconn(
                 build_shadow_set(list(itertools.islice(models, k)), shadow_pool, Featurizer()),
                 reconn_config)

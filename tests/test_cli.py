@@ -1,6 +1,7 @@
 import hashlib
 import os
 import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +111,20 @@ def test_bad_thread_count_exits_2_naming_the_variable(threads, cfg_path, tmp_pat
     assert rc == 2
     assert f"error: RECONLAB_THREADS must be a positive integer, got '{threads}'" in \
         capsys.readouterr().err
+
+
+@pytest.mark.parametrize("factor", ["0", "-2"])
+def test_bad_downsample_factor_exits_2_naming_it(factor, tmp_path, capsys):
+    # 40 blank 4x4 images: the desk_mnist14 profile pools them before the split
+    images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+    images.write_bytes(struct.pack(">IIII", 0x803, 40, 4, 4) + bytes(40 * 16))
+    labels.write_bytes(struct.pack(">II", 0x801, 40) + bytes([0, 1]) * 20)
+    p = tmp_path / "mnist.cfg"
+    p.write_text(f"[profile]\nname=desk_mnist14\n[data]\nimages={images}\n"
+                 f"labels={labels}\ndownsample_factor={factor}\n")
+    rc = main(["train-released", "--config", str(p), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"error: downsample factor must be >= 1, got {factor}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["train-released", "gen-shadows"])
@@ -494,6 +509,7 @@ def test_rero_bound_requires_mode():
      "reconn learning_rate must be finite"),
     (["dp-sweep", "--sigmas", "0", "[reconn]\nlearning_rate=-1"],
      "reconn learning_rate must be finite"),
+    (["gen-shadows", "--ood-pool", "OOD5_CSV"], "--ood-pool has 5 features, the fixed set 8"),
 ])
 def test_bad_input_exits_2_naming_it(argv, named, cfg_path, tmp_path, capsys, monkeypatch):
     from reconlab import data
@@ -503,10 +519,11 @@ def test_bad_input_exits_2_naming_it(argv, named, cfg_path, tmp_path, capsys, mo
 
     monkeypatch.setattr(nn, "train", untrainable)
     out = tmp_path / "out"
-    if "OOD_CSV" in argv:
-        ood_csv = str(tmp_path / "ood.csv")
-        data.save_csv(data.synth_classification(8, 2, 60, 0.2, seed=99), ood_csv)
-        argv = [ood_csv if a == "OOD_CSV" else a for a in argv]
+    for marker, d in (("OOD_CSV", 8), ("OOD5_CSV", 5)):  # pools of d features
+        if marker in argv:
+            ood_csv = str(tmp_path / "ood.csv")
+            data.save_csv(data.synth_classification(d, 2, 60, 0.2, seed=99), ood_csv)
+            argv = [ood_csv if a == marker else a for a in argv]
     sections = [a for a in argv if a.startswith("[")]
     if sections:
         cfg_path = tmp_path / "extra.cfg"

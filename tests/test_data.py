@@ -201,6 +201,13 @@ def test_downsample_checkerboard_means():
     assert np.allclose(out.X, 0.5)
 
 
+@pytest.mark.parametrize("factor", [0, -2])
+def test_downsample_refuses_a_factor_below_one(factor):
+    ds = data.synth_classification(16, 2, 5, 0.1, seed=0)
+    with pytest.raises(ValueError, match=f"downsample factor must be >= 1, got {factor}"):
+        data.downsample_images(ds, 4, 4, factor)
+
+
 def test_relabel_random_deterministic():
     ds = data.synth_classification(4, 2, 50, 0.1, seed=1)
     a = data.relabel_random(ds, 10, seed=5)

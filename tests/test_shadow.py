@@ -1,6 +1,7 @@
 import os
 import sys
 import threading
+import time
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -198,8 +199,7 @@ def test_train_many_stacks_in_a_pool_match_nn_train_bitwise(optimizer, monkeypat
     assert_models_match_nn_train(models, fixed, pool, arch, configs)
 
 
-@pytest.mark.parametrize("points,stacks", [(8, [4, 4]), (11, [6, 5]), (19, [8, 8, 3])])
-def test_train_many_gives_every_worker_a_stack(points, stacks, monkeypatch):
+def check_every_worker_gets_a_stack(workers, points, stacks, monkeypatch):
     sizes, threads = [], set()
     train_stack = shadow._train_stack
 
@@ -211,12 +211,102 @@ def test_train_many_gives_every_worker_a_stack(points, stacks, monkeypatch):
     fixed, pool, _, arch, cfg = tiny_setup(pool_n=points)
     configs = [shadow.shadow_config(cfg, i, random_init=True) for i in range(points)]
     monkeypatch.setattr(shadow, "_train_stack", recording)
-    monkeypatch.setenv("RECONLAB_THREADS", "2")
+    monkeypatch.setenv("RECONLAB_THREADS", str(workers))
     models = list(shadow.train_many(fixed, pool, arch, configs))
     # the threads finish their stacks in either order
     assert sorted(sizes, reverse=True) == stacks
-    assert threading.main_thread() not in threads and len(threads) <= 2
+    assert threading.main_thread() not in threads and len(threads) <= workers
     assert_models_match_nn_train(models, fixed, pool, arch, configs)
+
+
+@pytest.mark.parametrize("points,stacks", [(8, [4, 4]), (11, [6, 5]), (19, [8, 8, 3])])
+def test_train_many_gives_every_worker_a_stack(points, stacks, monkeypatch):
+    check_every_worker_gets_a_stack(2, points, stacks, monkeypatch)
+
+
+def test_train_many_gives_one_worker_full_stacks_off_the_main_thread(monkeypatch):
+    check_every_worker_gets_a_stack(1, 19, [8, 8, 3], monkeypatch)
+
+
+def test_train_many_trains_two_stacks_at_once(monkeypatch):
+    # each stack waits for the other at the barrier, so a pool that trained
+    # them one after the other would break it after 10 s
+    barrier = threading.Barrier(2, timeout=10)
+    train_stack = shadow._train_stack
+
+    def meeting(*args):
+        barrier.wait()
+        return train_stack(*args)
+
+    fixed, pool, _, arch, cfg = tiny_setup(pool_n=8)
+    configs = per_point_configs(cfg, len(pool))
+    monkeypatch.setattr(shadow, "_train_stack", meeting)
+    monkeypatch.setenv("RECONLAB_THREADS", "2")
+    models = list(shadow.train_many(fixed, pool, arch, configs))
+    assert_models_match_nn_train(models, fixed, pool, arch, configs)
+
+
+def test_train_many_trains_each_stack_once_on_more_threads_than_cores(monkeypatch):
+    # 24 stacks of one on 4 threads, switching often: a stack taken twice or
+    # never shows in the count or as a missing model
+    fixed, pool, _, arch, cfg = tiny_setup(pool_n=24)
+    configs = [replace(cfg, epochs=1 + i % 3) for i in range(len(pool))]
+    want = [nn.train(fixed.with_point(pool[i]), arch, c).flat for i, c in enumerate(configs)]
+    calls = []
+    train_stack = shadow._train_stack
+
+    def counting(*args):
+        calls.append(1)
+        return train_stack(*args)
+
+    monkeypatch.setattr(shadow, "_train_stack", counting)
+    monkeypatch.setenv("RECONLAB_THREADS", "4")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(5):
+            calls.clear()
+            models = list(shadow.train_many(fixed, pool, arch, configs))
+            assert len(calls) == len(configs)
+            assert [m.flat.tobytes() for m in models] == [w.tobytes() for w in want]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_train_many_passes_other_errors_through_and_starts_no_further_stack(workers,
+                                                                           monkeypatch):
+    # five stacks of one; with two threads, the first stack raises while the
+    # second is in flight, and the second ends well after the raise
+    error, raised, started = KeyError("lost"), threading.Event(), []
+    barrier = threading.Barrier(workers, timeout=10)
+    train_stack = shadow._train_stack
+
+    def failing(slot, arch, stack_points, configs):
+        started.append(configs[0].epochs)
+        barrier.wait()
+        if configs[0].epochs == 1:
+            raised.set()
+            raise error
+        assert raised.wait(10)
+        time.sleep(0.2)
+        return train_stack(slot, arch, stack_points, configs)
+
+    fixed, pool, _, arch, cfg = tiny_setup(pool_n=5)
+    configs = [replace(cfg, epochs=e) for e in range(1, 6)]
+    monkeypatch.setattr(shadow, "_train_stack", failing)
+    monkeypatch.setenv("RECONLAB_THREADS", str(workers))
+    with pytest.raises(KeyError) as e:
+        list(shadow.train_many(fixed, pool, arch, configs))
+    assert e.value is error
+    assert sorted(started) == list(range(1, workers + 1))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_train_many_over_no_points_yields_nothing(workers, monkeypatch):
+    fixed, _, _, arch, _ = tiny_setup()
+    monkeypatch.setenv("RECONLAB_THREADS", str(workers))
+    assert list(shadow.train_many(fixed, [], arch, [])) == []
 
 
 def check_divergence_inside_a_stack_names_the_first_point():
