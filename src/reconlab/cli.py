@@ -55,12 +55,25 @@ def parse_config(path: str) -> dict:
     return cfg
 
 
+def _cast(key, text, cast):
+    """cast(text), or a ConfigError naming key (a config key or a flag)."""
+    try:
+        return cast(text)
+    except ValueError as e:
+        raise ConfigError(f"{key}: {e}") from None
+
+
+def _ints(text):
+    """The ints of a comma-separated list, empty items skipped."""
+    return tuple(int(w) for w in text.split(",") if w)
+
+
 def _get(cfg, key, default=None, cast=str):
     if key not in cfg or cfg[key] == "":
         if default is None:
             raise ConfigError(f"missing config key {key}")
         return default
-    return cast(cfg[key])
+    return _cast(key, cfg[key], cast)
 
 
 def load_profile(cfg: dict):
@@ -91,9 +104,7 @@ def load_profile(cfg: dict):
     )
     fixed, shadow_pool, targets = data.split(dataset, spec)
 
-    hidden = tuple(
-        int(w) for w in _get(cfg, "released.hidden_widths", "10").split(",") if w
-    )
+    hidden = _get(cfg, "released.hidden_widths", (10,), _ints)
     arch = nn.MlpArchitecture(
         (dataset.dim, *hidden, dataset.num_classes),
         activation=_get(cfg, "released.activation", "elu"),
@@ -105,9 +116,10 @@ def load_profile(cfg: dict):
         learning_rate=_get(cfg, "released.learning_rate", 0.2, float),
         momentum=_get(cfg, "released.momentum", 0.9, float),
         epochs=_get(cfg, "released.epochs", 50, int),
-        batch_size="full" if batch == "full" else int(batch),
+        batch_size="full" if batch == "full" else _cast("released.batch_size", batch, int),
         clip_norm=_get(cfg, "released.clip_norm", 0.0, float) or None,
-        noise_multiplier=None if noise == "none" else float(noise),
+        noise_multiplier=None if noise == "none" else _cast("released.noise_multiplier",
+                                                            noise, float),
         init_seed=_get(cfg, "released.init_seed", 101, int),
         shuffle_seed=_get(cfg, "released.shuffle_seed", 102, int),
         noise_seed=_get(cfg, "released.noise_seed", 103, int),
@@ -118,7 +130,7 @@ def load_profile(cfg: dict):
 def reconn_config(cfg: dict) -> shadow.RecoNNConfig:
     widths = _get(cfg, "reconn.hidden_widths", "auto")
     return shadow.RecoNNConfig(
-        hidden_widths=None if widths == "auto" else tuple(int(w) for w in widths.split(",")),
+        hidden_widths=None if widths == "auto" else _cast("reconn.hidden_widths", widths, _ints),
         learning_rate=_get(cfg, "reconn.learning_rate", 1e-3, float),
         batch_size=_get(cfg, "reconn.batch_size", 128, int),
         epochs=_get(cfg, "reconn.epochs", 100, int),
@@ -137,7 +149,7 @@ def build_featurizer(cfg: dict, shadow_pool, arch: nn.MlpArchitecture, args):
     if mode == "layers":
         key = "featurizer.layers" if args.layers is None else "--layers"
         layers = _get(cfg, key, str(arch.num_layers - 1)) if args.layers is None else args.layers
-        idx = tuple(int(i) for i in str(layers).split(",") if i)
+        idx = _cast(key, layers, _ints)
         if not idx or not all(0 <= i < arch.num_layers for i in idx):
             raise ConfigError(f"{key} must list layer indices in 0..{arch.num_layers - 1}")
         return shadow.Featurizer("layers", layers=idx), shadow_pool
@@ -327,7 +339,7 @@ def cmd_mia(args) -> int:
 def cmd_dp_sweep(args) -> int:
     cfg = parse_config(args.config)
     fixed, shadow_pool, targets, arch, base_cfg = load_profile(cfg)
-    sigmas = [float(s) for s in args.sigmas.split(",")]
+    sigmas = _cast("--sigmas", args.sigmas, lambda text: [float(s) for s in text.split(",")])
     if not all(0 <= s < math.inf for s in sigmas):
         raise ConfigError(f"--sigmas must be finite and >= 0, got {args.sigmas}")
     delta = _get(cfg, "dp.delta", 1e-5, float)

@@ -238,15 +238,15 @@ def init_params(arch: MlpArchitecture, seed: int) -> ModelParams:
 
 
 class _Workspace:
-    """The buffers of one training step for an architecture, batches of up
-    to n rows and a leading shape lead: (K,) for a stack of K models, each
-    buffer then holding one (rows, width) block per model, or () for one.
-    Allocated once per training run; rows(m) cuts it to a shorter batch.
-    pre[i] holds layer i's pre-activations, post[i] a hidden layer's
-    outputs, delta[i] the loss gradient at pre[i] and dact[i] the activation
-    derivative there; row (n,) and cols (k, n) are scratch for the loss at
-    the k outputs, and so is head, three (n, k) arrays built only if asked
-    for (the classifier's loss works over the logits in place)."""
+    """The buffers of one training step for an architecture, batches of n
+    rows and a leading shape lead: (K,) for a stack of K models, each
+    buffer then holding one (n, width) block per model, or () for one.
+    Allocated once per training run and batch length. pre[i] holds layer
+    i's pre-activations, post[i] a hidden layer's outputs, delta[i] the loss
+    gradient at pre[i] and dact[i] the activation derivative there; row (n,)
+    and cols (k, n) are scratch for the loss at the k outputs, and so is
+    head, three (n, k) arrays built only if asked for (the classifier's loss
+    works over the logits in place)."""
 
     def __init__(self, arch: MlpArchitecture, n: int, lead: tuple = (), head: bool = False):
         widths = arch.layer_widths[1:]
@@ -260,36 +260,18 @@ class _Workspace:
         self.cols = np.empty(lead + (k, n))
         self.row_start = np.arange(0, self.row.size * k, k).reshape(self.row.shape)
         self._labels = self._label_at = None
-        self._cuts = {}  # never holding self: a cycle would outlive the run
-
-    def _cut(self, key, cols_key) -> "_Workspace":
-        cut = object.__new__(_Workspace)
-        for name in ("pre", "delta", "post", "dact", "head"):
-            setattr(cut, name, [a[key] for a in getattr(self, name)])
-        cut.row, cut.cols, cut.row_start = self.row[key], self.cols[cols_key], self.row_start[key]
-        cut._labels = cut._label_at = None
-        cut._cuts = {}
-        return cut
-
-    def rows(self, m: int) -> "_Workspace":
-        """The workspace for batches of m rows: the first m rows of every
-        buffer, cut once per m. A stacked workspace only serves batches of
-        the n rows it was made for, the one cut whose buffers are contiguous
-        as the flat label index needs."""
-        if m == self.row.shape[-1]:
-            return self
-        cut = self._cuts.get(m)
-        if cut is None:
-            if self.row.ndim > 1:
-                raise ValueError(f"a stacked workspace of {self.row.shape[-1]} rows "
-                                 f"cannot serve {m}")
-            cut = self._cuts[m] = self._cut(np.s_[:m], np.s_[:, :m])
-        return cut
 
     def models(self, K: int) -> "_Workspace":
         """A stacked workspace for the first K of its models: the first K
         blocks of every buffer, as contiguous as the whole."""
-        return self if K == len(self.row) else self._cut(np.s_[:K], np.s_[:K])
+        if K == len(self.row):
+            return self
+        cut = object.__new__(_Workspace)
+        for name in ("pre", "delta", "post", "dact", "head"):
+            setattr(cut, name, [a[:K] for a in getattr(self, name)])
+        cut.row, cut.cols, cut.row_start = self.row[:K], self.cols[:K], self.row_start[:K]
+        cut._labels = cut._label_at = None
+        return cut
 
     def label_index(self, y: np.ndarray) -> np.ndarray:
         """Flat index of each row's label logit in the C-ordered (..., n, k)
@@ -308,7 +290,7 @@ def _forward_cached(params: ModelParams, X: np.ndarray, work: _Workspace = None)
     work's buffers (fresh ones if work is None). X is (n, d) for one model,
     (K, n, d) for a stack of K whose params.flat is (K, P)."""
     n = X.shape[-2]
-    work = _Workspace(params.arch, n, X.shape[:-2]) if work is None else work.rows(n)
+    work = _Workspace(params.arch, n, X.shape[:-2]) if work is None else work
     act, _ = ACTIVATIONS[params.arch.activation]
     a = X
     activations = [a]  # post-activation inputs to each layer
@@ -368,7 +350,6 @@ def _deltas(params: ModelParams, pre, delta, work: _Workspace) -> list:
     """The loss gradient at each layer's pre-activations, given delta, the
     one at the output layer's; hidden deltas go into work's buffers."""
     _, dact = ACTIVATIONS[params.arch.activation]
-    work = work.rows(delta.shape[-2])
     deltas = [delta]
     for i in range(params.arch.num_layers - 1, 0, -1):
         delta = np.matmul(delta, params.weights[i].mT, out=work.delta[i - 1])
@@ -392,7 +373,6 @@ def _cross_entropy_delta(params: ModelParams, X, y, work: _Workspace):
     """Forward pass, log-softmax, and the gradient of the summed cross-entropy
     at the logits (softmax minus one-hot), all in work's buffers.
     Returns (activations, pre-activations, log-probabilities, label index, delta)."""
-    work = work.rows(X.shape[-2])
     activations, pre = _forward_cached(params, X, work)
     # the logits become the log-probabilities: backprop reads no output pre-activation
     logp = _log_softmax(activations[-1], activations[-1], work.delta[-1], work.row, work.cols)
@@ -429,7 +409,7 @@ def loss_and_grad(params: ModelParams, X: np.ndarray, y: np.ndarray,
         raise ValueError("empty batch")
     if grad is None:
         grad = ModelParams(params.arch, np.empty(params.flat.shape))
-    work = _Workspace(params.arch, n, X.shape[:-2]) if _work is None else _work.rows(n)
+    work = _Workspace(params.arch, n, X.shape[:-2]) if _work is None else _work
     activations, pre, logp, at, delta = _cross_entropy_delta(params, X, y, work)
     # the label indices are in range, so "clip" only skips take's buffered copy
     # x.mean(axis=-1) bit for bit, without its Python-level overhead
@@ -544,10 +524,13 @@ def train(dataset, arch: MlpArchitecture, config: TrainConfig, *configs,
 
     dp = config.optimizer == "dpgd"
     full_batch = config.optimizer != "sgd_momentum" or config.batch_size == "full"
-    bs = n if full_batch else int(config.batch_size)
-    works = {}  # one workspace per batch length: a full batch and a short last one
-    if _work is not None:
-        works[n] = _work.models(len(configs))
+    bs = n if full_batch else min(int(config.batch_size), n)
+    # one workspace per batch length, all made before the first step: batches
+    # of bs rows and, unless bs divides n, a short last one
+    works = {} if _work is None else {n: _work.models(len(configs))}
+    for m in (bs, n % bs) if config.epochs else ():
+        if m and m not in works:
+            works[m] = _Workspace(arch, m, lead)
     shuffle_rng = Rng(config.shuffle_seed)
     if dp:
         C, sigma = float(config.clip_norm), config.noise_multiplier
@@ -581,20 +564,19 @@ def train(dataset, arch: MlpArchitecture, config: TrainConfig, *configs,
                 batches = [perm[s : s + bs] for s in range(0, n, bs)]
             for b, idx in enumerate(batches):
                 Xb, yb = (X, y) if idx is None else (X[..., idx, :], y[..., idx])
-                m = yb.shape[-1]
-                work = works.get(m)
-                if work is None:
-                    work = works[m] = _Workspace(arch, m, yb.shape[:-1])
+                work = works[yb.shape[-1]]
                 if dp:
                     per_example_grads(params, Xb, yb, out=per_example, _work=work,
                                       _each=clipped_sum)
                     g /= n
                 else:
-                    # one model's non-finite loss raises in loss_and_grad
-                    loss, _ = loss_and_grad(params, Xb, yb, grad, _work=work)
+                    try:
+                        loss, _ = loss_and_grad(params, Xb, yb, grad, _work=work)
+                    except DivergenceError:  # one model's non-finite loss
+                        raise DivergenceError(f"non-finite loss at epoch {epoch}") from None
                     if lead and not np.isfinite(loss).all():
                         for k in np.flatnonzero(~np.isfinite(loss)):
-                            errors.setdefault(k, "non-finite loss")
+                            errors.setdefault(k, f"non-finite loss at epoch {epoch}")
                 velocity *= mu
                 velocity += g
                 theta -= lr * velocity

@@ -373,9 +373,9 @@ def _reconn_loss_grad(params: nn.ModelParams, F: np.ndarray, T: np.ndarray,
                       grad: nn.ModelParams, _work=None) -> float:
     """Mean (|o-t| + (o-t)^2) over batch and coords, sigmoid output, exact
     backprop; the gradient is written into grad. _work, if given, is an
-    nn._Workspace for the architecture and at least len(F) rows, with head."""
+    nn._Workspace for the architecture and len(F) rows, with head."""
     n = F.shape[0]
-    work = nn._Workspace(params.arch, n, head=True) if _work is None else _work.rows(n)
+    work = nn._Workspace(params.arch, n, head=True) if _work is None else _work
     acts, pre = nn._forward_cached(params, F, work)
     out, diff, tmp = work.head
     np.negative(acts[-1], out=out)
@@ -413,15 +413,17 @@ def train_reconn(shadow_set: ShadowSet, config: RecoNNConfig = RecoNNConfig()) -
     gv = grad.flat
     cache = np.zeros_like(theta)
     denom = np.empty_like(theta)
-    work = nn._Workspace(arch, config.batch_size, head=True)
+    bs = config.batch_size
+    # one workspace per batch length, made before the first step
+    works = {m: nn._Workspace(arch, m, head=True) for m in (bs, k % bs) if m}
     shuffle = Rng(_derive(config.seed, "reconn-shuffle"))
     lr, rho, eps = config.learning_rate, RMS_DECAY, RMS_EPS
 
     for epoch in range(config.epochs):
         perm = shuffle.child(("epoch", epoch)).once().permutation(k)
-        for start in range(0, k, config.batch_size):
-            idx = perm[start : start + config.batch_size]
-            loss = _reconn_loss_grad(params, F[idx], T[idx], grad, work)
+        for start in range(0, k, bs):
+            idx = perm[start : start + bs]
+            loss = _reconn_loss_grad(params, F[idx], T[idx], grad, works[len(idx)])
             if not np.isfinite(loss):
                 raise nn.DivergenceError(f"reconstructor diverged at epoch {epoch}")
             # RMSProp in place, in the operation order of

@@ -510,6 +510,17 @@ def test_rero_bound_requires_mode():
     (["dp-sweep", "--sigmas", "0", "[reconn]\nlearning_rate=-1"],
      "reconn learning_rate must be finite"),
     (["gen-shadows", "--ood-pool", "OOD5_CSV"], "--ood-pool has 5 features, the fixed set 8"),
+    # a value that does not parse printed only Python's message
+    (["train-released", "[data]\nn=abc"], "data.n: "),
+    (["train-released", "[released]\nhidden_widths=10,x"], "released.hidden_widths: "),
+    (["train-released", "[released]\nlearning_rate=fast"], "released.learning_rate: "),
+    (["train-released", "[released]\noptimizer=sgd_momentum\nbatch_size=ten"],
+     "released.batch_size: "),
+    (["train-released", "[released]\nnoise_multiplier=loud"], "released.noise_multiplier: "),
+    (["dp-sweep", "--sigmas", "0", "[reconn]\nhidden_widths=8,y"], "reconn.hidden_widths: "),
+    (["gen-shadows", "--featurizer", "layers", "--layers", "x"], "--layers: "),
+    (["gen-shadows", "--featurizer", "layers", "[featurizer]\nlayers=0,a"], "featurizer.layers: "),
+    (["dp-sweep", "--sigmas", ""], "--sigmas: "),
 ])
 def test_bad_input_exits_2_naming_it(argv, named, cfg_path, tmp_path, capsys, monkeypatch):
     from reconlab import data

@@ -247,17 +247,17 @@ def test_log_softmax_row_max_over_columns():
 
 
 def test_workspace_short_batch_matches_fresh_call():
-    # one workspace, sized for the full batch, reused on shorter batches
+    # one exactly sized workspace per batch length, each reused
     arch = nn.MlpArchitecture((6, 5, 4, 3))
     p = nn.init_params(arch, 2)
     X, y = small_batch(d=6, k=3, n=9, seed=4)
-    work = nn._Workspace(arch, 9)
+    works = {n: nn._Workspace(arch, n) for n in (9, 4, 1)}
     grad = nn.ModelParams(arch, np.empty(arch.parameter_count))
     for n in (9, 4, 9, 1):
         want_loss, want = nn.loss_and_grad(p, X[:n], y[:n])
-        loss, got = nn.loss_and_grad(p, X[:n], y[:n], grad, _work=work)
+        loss, got = nn.loss_and_grad(p, X[:n], y[:n], grad, _work=works[n])
         assert loss == want_loss and got.flat.tobytes() == want.flat.tobytes()
-        per = nn.per_example_grads(p, X[:n], y[:n], _work=work)
+        per = nn.per_example_grads(p, X[:n], y[:n], _work=works[n])
         assert per.tobytes() == nn.per_example_grads(p, X[:n], y[:n]).tobytes()
 
 
@@ -341,6 +341,30 @@ def test_train_refuses_an_empty_dataset():
         nn.init_params(arch, 0).flat.tobytes()
 
 
+@pytest.mark.parametrize("batch_size,lengths", [(16, [16, 12]), (15, [15]), (100, [60])])
+def test_sgd_train_makes_one_workspace_per_batch_length_before_its_first_step(
+        batch_size, lengths, monkeypatch):
+    made, at_first_step = [], []
+
+    class Counted(nn._Workspace):
+        def __init__(self, arch, n, *args, **kwargs):
+            made.append(n)
+            super().__init__(arch, n, *args, **kwargs)
+
+    loss_and_grad = nn.loss_and_grad
+
+    def step(*args, **kwargs):
+        if not at_first_step:
+            at_first_step.append(list(made))
+        return loss_and_grad(*args, **kwargs)
+
+    monkeypatch.setattr(nn, "_Workspace", Counted)
+    monkeypatch.setattr(nn, "loss_and_grad", step)
+    cfg = nn.TrainConfig(optimizer="sgd_momentum", batch_size=batch_size, epochs=3)
+    nn.train(make_dataset(n=60), nn.MlpArchitecture((8, 6, 3)), cfg)
+    assert made == lengths and at_first_step == [lengths]
+
+
 def stack_of_datasets(K=3, n=12, d=8, k=3):
     """K datasets of n rows sharing n - 1 and differing in the last, as one
     (K, n, d) stack and as K datasets."""
@@ -401,7 +425,7 @@ def test_a_stack_hands_back_the_models_before_the_first_divergence():
     cfg = nn.TrainConfig(epochs=4)
     with pytest.raises(nn.DivergenceError) as alone_error:
         nn.train(LabeledDataset(stack.X[1], stack.y[1], 3), arch, cfg)
-    assert str(alone_error.value) == "non-finite loss"
+    assert str(alone_error.value) == "non-finite loss at epoch 1"
     with pytest.raises(nn.DivergenceError) as e:
         nn.train(stack, arch, *[cfg] * 4)
     assert str(e.value) == str(alone_error.value)

@@ -371,7 +371,7 @@ def test_threaded_divergence_keeps_the_warning_filters(monkeypatch):
             for w in want:
                 assert next(models).flat.tobytes() == w.flat.tobytes()
             with pytest.raises(nn.DivergenceError,
-                               match="^point 7 diverged: non-finite loss$"):
+                               match="^point 7 diverged: non-finite loss at epoch 1$"):
                 next(models)
             assert warnings.filters == filters
     finally:
@@ -457,6 +457,31 @@ def test_reconn_deterministic():
     a = shadow.train_reconn(s, rc)
     b = shadow.train_reconn(s, rc)
     assert np.array_equal(a.params.flatten(), b.params.flatten())
+
+
+@pytest.mark.parametrize("batch_size,lengths", [(20, [20]), (16, [16, 8])])
+def test_train_reconn_makes_one_workspace_per_batch_length_before_its_first_step(
+        batch_size, lengths, monkeypatch):
+    fixed, pool, _, arch, cfg = tiny_setup(pool_n=40)
+    s = shadow.gen_shadows(fixed, pool, arch, cfg, shadow.Featurizer("whitebox"))
+    made, at_first_step = [], []
+
+    class Counted(nn._Workspace):
+        def __init__(self, arch, n, *args, **kwargs):
+            made.append(n)
+            super().__init__(arch, n, *args, **kwargs)
+
+    reconn_loss_grad = shadow._reconn_loss_grad
+
+    def step(*args):
+        if not at_first_step:
+            at_first_step.append(list(made))
+        return reconn_loss_grad(*args)
+
+    monkeypatch.setattr(nn, "_Workspace", Counted)
+    monkeypatch.setattr(shadow, "_reconn_loss_grad", step)
+    shadow.train_reconn(s, shadow.RecoNNConfig(epochs=2, batch_size=batch_size, seed=3))
+    assert made == lengths and at_first_step == [lengths]
 
 
 def test_reconn_loss_grad_matches_finite_differences():
