@@ -105,10 +105,10 @@ def load_profile(cfg: dict):
     fixed, shadow_pool, targets = data.split(dataset, spec)
 
     hidden = _get(cfg, "released.hidden_widths", (10,), _ints)
-    arch = nn.MlpArchitecture(
-        (dataset.dim, *hidden, dataset.num_classes),
-        activation=_get(cfg, "released.activation", "elu"),
-    )
+    arch = _cast("released.hidden_widths", hidden,
+                 lambda h: nn.MlpArchitecture((dataset.dim, *h, dataset.num_classes)))
+    arch = _cast("released.activation", _get(cfg, "released.activation", "elu"),
+                 lambda a: replace(arch, activation=a))
     batch = _get(cfg, "released.batch_size", "full")
     noise = _get(cfg, "released.noise_multiplier", "none")
     train_cfg = nn.TrainConfig(
@@ -129,13 +129,16 @@ def load_profile(cfg: dict):
 
 def reconn_config(cfg: dict) -> shadow.RecoNNConfig:
     widths = _get(cfg, "reconn.hidden_widths", "auto")
-    return shadow.RecoNNConfig(
-        hidden_widths=None if widths == "auto" else _cast("reconn.hidden_widths", widths, _ints),
+    config = shadow.RecoNNConfig(
         learning_rate=_get(cfg, "reconn.learning_rate", 1e-3, float),
         batch_size=_get(cfg, "reconn.batch_size", 128, int),
         epochs=_get(cfg, "reconn.epochs", 100, int),
         seed=_get(cfg, "reconn.seed", 7, int),
     )
+    if widths == "auto":
+        return config
+    return _cast("reconn.hidden_widths", widths,
+                 lambda text: replace(config, hidden_widths=_ints(text)))
 
 
 def build_featurizer(cfg: dict, shadow_pool, arch: nn.MlpArchitecture, args):

@@ -31,8 +31,10 @@ __all__ = [
 
 
 class DivergenceError(RuntimeError):
-    """Raised when training produces non-finite parameters or loss. From a
-    stack of models, trained holds the models before the one that diverged."""
+    """Raised when training produces non-finite parameters or loss. From
+    train, whose one model is a stack of one, it names the first model of
+    the stack that diverged, and trained holds the models before it, trained
+    to the end: a ModelParams with flat (j, P), empty for one model."""
 
     trained = None
 
@@ -491,35 +493,38 @@ def train(dataset, arch: MlpArchitecture, config: TrainConfig, *configs,
     Given K configs in all, train trains a stack of K models in the same
     loop: dataset.X is then (K, n, d) and dataset.y (K, n), the k-th model
     trains on row k of both under the k-th config, the configs may differ
-    only in init_seed and noise_seed, and the result's flat is (K, P). Each
-    model gets the bits it gets alone: a stacked matmul calls the same gemm
-    on each model's slice, every reduction runs along the same axis, and
-    DP-GD clips, sums and noises each model's gradients in turn. A stack's
-    divergence raises the error of its first diverging model, with the
-    message that model raises alone, once the models before it have
-    finished; they are the error's trained, a ModelParams with flat (j, P).
-    A model that diverges leaves the stack at once, and every model after
-    it with it.
+    only in init_seed and noise_seed, and the result's flat is (K, P). One
+    model, with X (n, d) and y (n,), is a stack of one: it trains as row 0
+    of a stack, and the result's flat is that row, (P,). Each model gets
+    the bits it gets alone: a stacked matmul calls the same gemm on each
+    model's slice, every reduction runs along the same axis, and DP-GD
+    clips, sums and noises each model's gradients in turn.
+
+    A model that diverges stays in its stack; the loop stops early only at
+    the end of an epoch in which model 0 has diverged. train then raises the DivergenceError of the first
+    model that diverged, with the message that model raises alone, and the
+    models before it, trained to the end, are the error's trained: a
+    ModelParams with flat (j, P), empty for one model.
 
     _work, if given, is a stacked _Workspace of n rows for at least the
     stack's K models; the full batches run in its first K blocks, so a
     caller that trains stack after stack allocates them once.
     """
     configs = (config,) + configs
-    X, y = dataset.X, dataset.y
-    lead = y.shape[:-1]
-    if len(configs) != (lead[0] if lead else 1):
-        raise ValueError(f"{len(configs)} configs for labels of shape {y.shape}")
+    one = dataset.y.ndim == 1
+    X, y = (dataset.X[None], dataset.y[None]) if one else (dataset.X, dataset.y)
+    K = len(configs)
+    if K != len(y):
+        raise ValueError(f"{K} configs for labels of shape {dataset.y.shape}")
     if any(_seedless(c) != _seedless(config) for c in configs[1:]):
         raise ValueError("a stack's configs may differ only in init_seed and noise_seed")
     n = y.shape[-1]
     if n == 0 and config.epochs > 0:
         raise ValueError("empty batch")
-    stack = np.stack([_init_flat(arch, c.init_seed) for c in configs]).reshape(lead + (-1,))
-    theta, velocity, g = stack, np.zeros_like(stack), np.empty_like(stack)
+    theta = np.stack([_init_flat(arch, c.init_seed) for c in configs])
+    velocity, g = np.zeros_like(theta), np.empty_like(theta)
     params, grad = ModelParams(arch, theta), ModelParams(arch, g)
     lr, mu = config.learning_rate, config.momentum
-    live = len(configs)  # models still training: the first live of the stack
     errors = {}  # model index -> the divergence it raises alone
 
     dp = config.optimizer == "dpgd"
@@ -527,10 +532,10 @@ def train(dataset, arch: MlpArchitecture, config: TrainConfig, *configs,
     bs = n if full_batch else min(int(config.batch_size), n)
     # one workspace per batch length, all made before the first step: batches
     # of bs rows and, unless bs divides n, a short last one
-    works = {} if _work is None else {n: _work.models(len(configs))}
+    works = {} if _work is None else {n: _work.models(K)}
     for m in (bs, n % bs) if config.epochs else ():
         if m and m not in works:
-            works[m] = _Workspace(arch, m, lead)
+            works[m] = _Workspace(arch, m, (K,))
     shuffle_rng = Rng(config.shuffle_seed)
     if dp:
         C, sigma = float(config.clip_norm), config.noise_multiplier
@@ -539,18 +544,17 @@ def train(dataset, arch: MlpArchitecture, config: TrainConfig, *configs,
         noise_rngs = [Rng(c.noise_seed) for c in configs]
 
         def clipped_sum(k, rows):
-            """Model k's rows clipped to C, summed and noised, into g."""
-            gk = g[k] if lead else g
+            """Model k's rows clipped to C, summed and noised, into g[k]."""
             # np.sum(clip_rows(rows, C), axis=0) without the in-place scaling:
             # the same products, added over the rows in the same order from
             # +0.0. Were a zero in g, and so in velocity, of the other sign,
             # theta could not see it: theta holds no -0.0 (biases start at
             # +0.0, and x - y is -0.0 only for x = -0.0), and +0.0 or a
             # nonzero value minus lr * (+-0.0) is the same.
-            np.einsum("n,np->p", _clip_scale(rows, C, squares), rows, out=gk)
+            np.einsum("n,np->p", _clip_scale(rows, C, squares), rows, out=g[k])
             if sigma > 0:
                 noise = noise_rngs[k].child(("noise", epoch)).once()
-                gk += noise.normal(0.0, sigma * C, size=gk.shape)
+                g[k] += noise.normal(0.0, sigma * C, size=arch.parameter_count)
 
     # a diverging model's inf and NaN are reported as a DivergenceError, not
     # as numpy's warnings, which -W error would raise before the models
@@ -562,43 +566,29 @@ def train(dataset, arch: MlpArchitecture, config: TrainConfig, *configs,
             else:
                 perm = shuffle_rng.child(("epoch", epoch)).once().permutation(n)
                 batches = [perm[s : s + bs] for s in range(0, n, bs)]
-            for b, idx in enumerate(batches):
-                Xb, yb = (X, y) if idx is None else (X[..., idx, :], y[..., idx])
+            for idx in batches:
+                Xb, yb = (X, y) if idx is None else (X[:, idx], y[:, idx])
                 work = works[yb.shape[-1]]
                 if dp:
                     per_example_grads(params, Xb, yb, out=per_example, _work=work,
                                       _each=clipped_sum)
                     g /= n
                 else:
-                    try:
-                        loss, _ = loss_and_grad(params, Xb, yb, grad, _work=work)
-                    except DivergenceError:  # one model's non-finite loss
-                        raise DivergenceError(f"non-finite loss at epoch {epoch}") from None
-                    if lead and not np.isfinite(loss).all():
-                        for k in np.flatnonzero(~np.isfinite(loss)):
-                            errors.setdefault(k, f"non-finite loss at epoch {epoch}")
+                    loss, _ = loss_and_grad(params, Xb, yb, grad, _work=work)
+                    for k in np.flatnonzero(~np.isfinite(loss)):
+                        errors.setdefault(k, f"non-finite loss at epoch {epoch}")
                 velocity *= mu
                 velocity += g
                 theta -= lr * velocity
-                if b == len(batches) - 1 and not np.isfinite(theta).all():
-                    for k in np.flatnonzero(~np.isfinite(theta).all(axis=-1)):
-                        errors.setdefault(k, f"non-finite parameters at epoch {epoch}")
-                if errors and min(errors) < live:
-                    live = min(errors)
-                    if live == 0:
-                        break
-                    # the models before the first diverged one train on alone
-                    theta, velocity, g, X, y = (a[:live] for a in (theta, velocity, g, X, y))
-                    params, grad = ModelParams(arch, theta), ModelParams(arch, g)
-                    works = {m: w.models(live) for m, w in works.items()}
-            if live == 0:
+            for k in np.flatnonzero(~np.isfinite(theta).all(axis=-1)):
+                errors.setdefault(k, f"non-finite parameters at epoch {epoch}")
+            if 0 in errors:
                 break
     if errors:
-        error = DivergenceError(errors[live])
-        if lead:
-            error.trained = ModelParams(arch, stack[:live])
+        error = DivergenceError(errors[min(errors)])
+        error.trained = ModelParams(arch, theta[:min(errors)])
         raise error
-    return params
+    return ModelParams(arch, theta[0] if one else theta)
 
 
 def accuracy(params: ModelParams, dataset) -> float:

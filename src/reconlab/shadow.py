@@ -344,6 +344,8 @@ class RecoNNConfig:
             raise ValueError(f"reconn epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"reconn batch_size must be >= 1, got {self.batch_size}")
+        if self.hidden_widths is not None and any(w < 1 for w in self.hidden_widths):
+            raise ValueError(f"reconn hidden_widths must be >= 1, got {self.hidden_widths}")
 
     def resolve_widths(self, feature_len: int) -> tuple:
         if self.hidden_widths is not None:

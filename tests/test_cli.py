@@ -521,6 +521,14 @@ def test_rero_bound_requires_mode():
     (["gen-shadows", "--featurizer", "layers", "--layers", "x"], "--layers: "),
     (["gen-shadows", "--featurizer", "layers", "[featurizer]\nlayers=0,a"], "featurizer.layers: "),
     (["dp-sweep", "--sigmas", ""], "--sigmas: "),
+    # a reconstructor width below 1 was refused only after every shadow had
+    # trained, and neither width error named its key
+    (["dp-sweep", "--sigmas", "0", "--repeats", "1", "[reconn]\nhidden_widths=0"],
+     "reconn.hidden_widths: reconn hidden_widths must be >= 1"),
+    (["dp-sweep", "--sigmas", "0", "[reconn]\nhidden_widths=8,-2"], "reconn.hidden_widths: "),
+    (["train-released", "[released]\nhidden_widths=0"],
+     "released.hidden_widths: all layer widths must be >= 1"),
+    (["train-released", "[released]\nactivation=swish"], "released.activation: "),
 ])
 def test_bad_input_exits_2_naming_it(argv, named, cfg_path, tmp_path, capsys, monkeypatch):
     from reconlab import data

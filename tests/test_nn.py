@@ -417,8 +417,7 @@ def test_stacked_step_gives_each_model_its_bits_alone():
 @pytest.mark.filterwarnings("error")
 def test_a_stack_hands_back_the_models_before_the_first_divergence():
     # model 1's last point is far out and of a class the model does not
-    # predict for it: its loss overflows, and models 2 and 3 leave the stack
-    # with it
+    # predict for it: its loss overflows, and models 2 and 3 train on beside it
     stack, alone = stack_of_datasets(K=4)
     stack.X[1, -1], stack.y[1, -1] = 1e150, 1
     arch = nn.MlpArchitecture((8, 6, 3))
@@ -431,6 +430,61 @@ def test_a_stack_hands_back_the_models_before_the_first_divergence():
     assert str(e.value) == str(alone_error.value)
     assert e.value.trained.flat.shape == (1, arch.parameter_count)
     assert e.value.trained.flat[0].tobytes() == nn.train(alone[0], arch, cfg).flat.tobytes()
+
+
+
+def diverging_stack(arch):
+    """A stack of 4 (GD, 4 epochs, one config) whose model 2 diverges at
+    epoch 0 and model 1 at epoch 3, and the error each raises alone."""
+    stack, _ = stack_of_datasets(K=4)
+    # model 2's last point is at the largest scale, signed as model 0's first
+    # hidden unit's weights: that unit overflows in the first forward pass
+    stack.X[1, -1], stack.y[1, -1] = -1e154, 0
+    stack.X[2, -1], stack.y[2, -1] = 1e308 * np.sign(nn.init_params(arch, 0).weights[0][:, 0]), 0
+    cfg = nn.TrainConfig(epochs=4)
+    alone = {}
+    for k in (1, 2):
+        with pytest.raises(nn.DivergenceError) as e:
+            nn.train(LabeledDataset(stack.X[k], stack.y[k], 3), arch, cfg)
+        alone[k] = str(e.value)
+    assert alone == {1: "non-finite loss at epoch 3", 2: "non-finite loss at epoch 0"}
+    return stack, cfg, alone
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_diverged_model_stays_in_its_stack():
+    arch = nn.MlpArchitecture((8, 6, 3))
+    stack, cfg, alone = diverging_stack(arch)
+    first = LabeledDataset(stack.X[0].copy(), stack.y[0].copy(), 3)
+    with pytest.raises(nn.DivergenceError) as e:
+        nn.train(stack, arch, *[cfg] * 4)
+    # model 2 diverged first, but model 1 is first in the stack
+    assert str(e.value) == alone[1]
+    assert e.value.trained.flat.shape == (1, arch.parameter_count)
+    assert e.value.trained.flat[0].tobytes() == nn.train(first, arch, cfg).flat.tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("K", [1, 4])
+def test_training_stops_once_model_0_diverges(K, monkeypatch):
+    arch = nn.MlpArchitecture((8, 6, 3))
+    stack, cfg, alone = diverging_stack(arch)
+    # model 2's diverging point moves to model 0
+    stack.X[0], stack.y[0] = stack.X[2], stack.y[2]
+    steps = []
+    loss_and_grad = nn.loss_and_grad
+
+    def step(*args, **kwargs):
+        steps.append(1)
+        return loss_and_grad(*args, **kwargs)
+
+    monkeypatch.setattr(nn, "loss_and_grad", step)
+    data = LabeledDataset(stack.X[0], stack.y[0], 3) if K == 1 else stack
+    with pytest.raises(nn.DivergenceError) as e:
+        nn.train(data, arch, *[cfg] * K)
+    assert str(e.value) == alone[2]
+    assert e.value.trained.flat.shape == (0, arch.parameter_count)
+    assert len(steps) == 1  # of 4 epochs
 
 
 # ---------------------------------------------------------------- dp-gd
