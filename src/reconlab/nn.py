@@ -501,10 +501,11 @@ def train(dataset, arch: MlpArchitecture, config: TrainConfig, *configs,
     clips, sums and noises each model's gradients in turn.
 
     A model that diverges stays in its stack; the loop stops early only at
-    the end of an epoch in which model 0 has diverged. train then raises the DivergenceError of the first
-    model that diverged, with the message that model raises alone, and the
-    models before it, trained to the end, are the error's trained: a
-    ModelParams with flat (j, P), empty for one model.
+    the end of an epoch in which model 0 has diverged. train then raises
+    the DivergenceError of the first model that diverged, with the message
+    that model raises alone, and the models before it, trained to the end,
+    are the error's trained: a ModelParams with flat (j, P), empty for one
+    model.
 
     _work, if given, is a stacked _Workspace of n rows for at least the
     stack's K models; the full batches run in its first K blocks, so a
@@ -551,10 +552,11 @@ def train(dataset, arch: MlpArchitecture, config: TrainConfig, *configs,
             # theta could not see it: theta holds no -0.0 (biases start at
             # +0.0, and x - y is -0.0 only for x = -0.0), and +0.0 or a
             # nonzero value minus lr * (+-0.0) is the same.
-            np.einsum("n,np->p", _clip_scale(rows, C, squares), rows, out=g[k])
+            gk = g[k]
+            np.einsum("n,np->p", _clip_scale(rows, C, squares), rows, out=gk)
             if sigma > 0:
                 noise = noise_rngs[k].child(("noise", epoch)).once()
-                g[k] += noise.normal(0.0, sigma * C, size=arch.parameter_count)
+                gk += noise.normal(0.0, sigma * C, size=gk.shape)
 
     # a diverging model's inf and NaN are reported as a DivergenceError, not
     # as numpy's warnings, which -W error would raise before the models
@@ -575,13 +577,15 @@ def train(dataset, arch: MlpArchitecture, config: TrainConfig, *configs,
                     g /= n
                 else:
                     loss, _ = loss_and_grad(params, Xb, yb, grad, _work=work)
-                    for k in np.flatnonzero(~np.isfinite(loss)):
-                        errors.setdefault(k, f"non-finite loss at epoch {epoch}")
+                    if not np.isfinite(loss).all():
+                        for k in np.flatnonzero(~np.isfinite(loss)):
+                            errors.setdefault(k, f"non-finite loss at epoch {epoch}")
                 velocity *= mu
                 velocity += g
                 theta -= lr * velocity
-            for k in np.flatnonzero(~np.isfinite(theta).all(axis=-1)):
-                errors.setdefault(k, f"non-finite parameters at epoch {epoch}")
+            if not np.isfinite(theta).all():
+                for k in np.flatnonzero(~np.isfinite(theta).all(axis=-1)):
+                    errors.setdefault(k, f"non-finite parameters at epoch {epoch}")
             if 0 in errors:
                 break
     if errors:
