@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import accounting, data, glm, metrics, mia, nn, rero, shadow
-from .persist import config_hash, header_field, load_model, save_model, write_csv
+from .persist import config_hash, header_field, int_tuple, load_model, save_model, write_csv
 from .rng import _derive
 
 EXIT_OK = 0
@@ -63,11 +63,6 @@ def _cast(key, text, cast):
         raise ConfigError(f"{key}: {e}") from None
 
 
-def _ints(text):
-    """The ints of a comma-separated list, empty items skipped."""
-    return tuple(int(w) for w in text.split(",") if w)
-
-
 def _get(cfg, key, default=None, cast=str):
     if key not in cfg or cfg[key] == "":
         if default is None:
@@ -104,7 +99,7 @@ def load_profile(cfg: dict):
     )
     fixed, shadow_pool, targets = data.split(dataset, spec)
 
-    hidden = _get(cfg, "released.hidden_widths", (10,), _ints)
+    hidden = _get(cfg, "released.hidden_widths", (10,), int_tuple)
     arch = _cast("released.hidden_widths", hidden,
                  lambda h: nn.MlpArchitecture((dataset.dim, *h, dataset.num_classes)))
     arch = _cast("released.activation", _get(cfg, "released.activation", "elu"),
@@ -138,7 +133,7 @@ def reconn_config(cfg: dict) -> shadow.RecoNNConfig:
     if widths == "auto":
         return config
     return _cast("reconn.hidden_widths", widths,
-                 lambda text: replace(config, hidden_widths=_ints(text)))
+                 lambda text: replace(config, hidden_widths=int_tuple(text)))
 
 
 def build_featurizer(cfg: dict, shadow_pool, arch: nn.MlpArchitecture, args):
@@ -152,7 +147,7 @@ def build_featurizer(cfg: dict, shadow_pool, arch: nn.MlpArchitecture, args):
     if mode == "layers":
         key = "featurizer.layers" if args.layers is None else "--layers"
         layers = _get(cfg, key, str(arch.num_layers - 1)) if args.layers is None else args.layers
-        idx = _cast(key, layers, _ints)
+        idx = _cast(key, layers, int_tuple)
         if not idx or not all(0 <= i < arch.num_layers for i in idx):
             raise ConfigError(f"{key} must list layer indices in 0..{arch.num_layers - 1}")
         return shadow.Featurizer("layers", layers=idx), shadow_pool
@@ -277,19 +272,11 @@ def cmd_attack(args) -> int:
 
 
 def cmd_glm_attack(args) -> int:
-    # read numerically (regression responses need not be integer class labels)
-    with open(args.fixed) as f:
-        header = f.readline().strip().split(",")
-    if args.label_column not in header:
-        raise ConfigError(f"label column {args.label_column!r} not in header")
-    table = np.loadtxt(args.fixed, delimiter=",", skiprows=1, ndmin=2)
-    li = header.index(args.label_column)
-    Y = table[:, li]
-    X = np.delete(table, li, axis=1)
+    # regression responses need not be integer class labels, so no load_csv
+    X, Y = data.read_table(args.fixed, args.label_column)
     theta = np.loadtxt(args.theta, delimiter=",", ndmin=1)
-    for path, values in ((args.fixed, table), (args.theta, theta)):
-        if not np.isfinite(values).all():
-            raise ConfigError(f"{path}: every value must be finite")
+    if not np.isfinite(theta).all():
+        raise ConfigError(f"{args.theta}: every value must be finite")
     if args.no_intercept:
         if args.target_label is None or not np.isfinite(args.target_label):
             raise ConfigError("--no-intercept requires a finite --target-label")

@@ -7,6 +7,7 @@ knows, the shadow pool supplying shadow targets, and held-out test targets.
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from dataclasses import dataclass
 
@@ -20,6 +21,7 @@ __all__ = [
     "SplitSpec",
     "FormatError",
     "load_idx",
+    "read_table",
     "load_csv",
     "save_csv",
     "split",
@@ -99,69 +101,71 @@ class SplitSpec:
             raise ValueError("split sizes must be nonnegative")
 
 
-_IDX_IMAGE_MAGIC = 0x00000803
-_IDX_LABEL_MAGIC = 0x00000801
+def _read_idx(path: str, ndim: int, kind: str) -> np.ndarray:
+    """The uint8 payload of an IDX file of ndim dimensions: magic 0x800 + ndim,
+    then ndim big-endian sizes, then the bytes, shaped by those sizes."""
+    with open(path, "rb") as f:
+        header = f.read(4 * (1 + ndim))
+        if len(header) < 4 * (1 + ndim):
+            raise FormatError(f"{path}: truncated IDX {kind} header")
+        magic, *shape = struct.unpack(f">{1 + ndim}I", header)
+        if magic != 0x800 + ndim:
+            raise FormatError(f"{path}: bad IDX {kind} magic 0x{magic:08x}")
+        size = math.prod(shape)
+        raw = f.read(size)
+        if len(raw) != size:
+            raise FormatError(f"{path}: truncated IDX {kind} data")
+    return np.frombuffer(raw, dtype=np.uint8).reshape(shape)
 
 
 def load_idx(images_path: str, labels_path: str) -> LabeledDataset:
     """Read an IDX image/label file pair (big-endian); pixels scaled to [0, 1]."""
-    with open(images_path, "rb") as f:
-        header = f.read(16)
-        if len(header) < 16:
-            raise FormatError("truncated IDX image header")
-        magic, n, h, w = struct.unpack(">IIII", header)
-        if magic != _IDX_IMAGE_MAGIC:
-            raise FormatError(f"bad IDX image magic 0x{magic:08x}")
-        raw = f.read(n * h * w)
-        if len(raw) != n * h * w:
-            raise FormatError("truncated IDX image data")
-    X = np.frombuffer(raw, dtype=np.uint8).reshape(n, h * w).astype(np.float64) / 255.0
+    images = _read_idx(images_path, 3, "image")
+    labels = _read_idx(labels_path, 1, "label")
+    n, h, w = images.shape
+    if len(labels) != n:
+        raise FormatError(f"{images_path} holds {n} images, {labels_path} {len(labels)} labels")
+    X = images.reshape(n, h * w).astype(np.float64) / 255.0
+    return LabeledDataset(X, labels.astype(np.int64))
 
-    with open(labels_path, "rb") as f:
-        header = f.read(8)
-        if len(header) < 8:
-            raise FormatError("truncated IDX label header")
-        magic, nl = struct.unpack(">II", header)
-        if magic != _IDX_LABEL_MAGIC:
-            raise FormatError(f"bad IDX label magic 0x{magic:08x}")
-        raw = f.read(nl)
-        if len(raw) != nl:
-            raise FormatError("truncated IDX label data")
-    if nl != n:
-        raise FormatError("image/label count mismatch")
-    y = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
-    return LabeledDataset(X, y)
+
+def read_table(path: str, label_column: str):
+    """The (X, y) float64 arrays of a numeric CSV file: one header row naming
+    the columns, then one row per point; empty lines are skipped. y is the
+    label column, X the other columns in file order. A malformed file raises
+    a FormatError naming it."""
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        header = next(reader, None)
+        if header is None:
+            raise FormatError(f"{path}: empty file")
+        if label_column not in header:
+            raise FormatError(f"{path}: label column {label_column!r} not in header")
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise FormatError(f"{path}: ragged row on line {reader.line_num}")
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError:
+                raise FormatError(f"{path}: non-numeric row on line {reader.line_num}") from None
+    if not rows:
+        raise FormatError(f"{path}: no data rows")
+    table = np.array(rows)
+    if not np.isfinite(table).all():
+        raise FormatError(f"{path}: every value must be finite")
+    li = header.index(label_column)
+    return np.delete(table, li, axis=1), table[:, li]
 
 
 def load_csv(path: str, label_column: str) -> LabeledDataset:
-    """Read a rectangular numeric CSV with one header row."""
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError("empty file") from None
-        if label_column not in header:
-            raise FormatError(f"label column {label_column!r} not in header")
-        label_idx = header.index(label_column)
-        rows = list(reader)
-    if not rows:
-        raise FormatError("no data rows")
-    width = len(header)
-    X_rows, labels = [], []
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise FormatError(f"ragged row {i + 1}")
-        try:
-            vals = [float(v) for v in row]
-        except ValueError:
-            raise FormatError(f"non-numeric cell in row {i + 1}") from None
-        labels.append(vals[label_idx])
-        X_rows.append([v for j, v in enumerate(vals) if j != label_idx])
-    y = np.asarray(labels)
-    if not np.allclose(y, np.round(y)):
-        raise FormatError("label column must hold integer classes")
-    return LabeledDataset(np.asarray(X_rows), y.astype(np.int64))
+    """Read a CSV file as read_table does; its labels must be integer classes."""
+    X, y = read_table(path, label_column)
+    if not np.array_equal(y, np.round(y)):
+        raise FormatError(f"{path}: label column {label_column!r} must hold integer classes")
+    return LabeledDataset(X, y.astype(np.int64))
 
 
 def save_csv(dataset: LabeledDataset, path: str, label_column: str = "label") -> None:

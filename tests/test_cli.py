@@ -387,6 +387,40 @@ def test_glm_attack_no_intercept_prints_roots(tmp_path, capsys):
     assert min(np.max(np.abs(c - x_true)) for c in cands) <= 1e-6
 
 
+@pytest.mark.parametrize("no_intercept", [False, True])
+def test_glm_attack_prints_what_a_loadtxt_read_of_fixed_gives(no_intercept, tmp_path, capsys):
+    # --fixed was read by np.loadtxt before data.read_table; both must parse
+    # every float format to the same bits, and both skip an empty line
+    g = np.random.default_rng(8)
+    X, Y = g.normal(size=(30, 3)), g.normal(size=30)
+    x_true, y_true = g.normal(size=3), 0.7
+    spec = glm.GlmSpec("linear", 0.0 if no_intercept else 0.1, intercept=not no_intercept)
+    Xf = np.vstack([X, x_true])
+    theta = glm.fit_glm(Xf if no_intercept else glm.add_intercept(Xf), np.append(Y, y_true), spec)
+    theta_csv = str(tmp_path / "theta.csv")
+    np.savetxt(theta_csv, theta, delimiter=",")
+    formats = [repr, "{:.17g}".format, "{:.6e}".format, str, "{:.3f}".format, "{:G}".format]
+    lines = ["x0,label,x1,x2"] + [
+        ",".join(formats[(i + j) % len(formats)](float(v)) for j, v in enumerate(row))
+        for i, row in enumerate(np.column_stack([X[:, 0], Y, X[:, 1:]]))]
+    lines.insert(9, "")
+    fixed_csv = tmp_path / "fixed.csv"
+    fixed_csv.write_text("\n".join(lines) + "\n")
+    flags = ["--no-intercept", "--target-label", "0.7"] if no_intercept else ["--lam", "0.1"]
+    assert main(["glm-attack", "--fixed", str(fixed_csv), "--theta", theta_csv, *flags]) == 0
+
+    table = np.loadtxt(fixed_csv, delimiter=",", skiprows=1, ndmin=2)
+    X_read, Y_read = np.delete(table, 1, axis=1), table[:, 1]
+    if no_intercept:
+        points = glm.reconstruct_linreg_no_intercept(theta, X_read, Y_read, y_true)
+        want = "".join(f"candidate_{i}=" + ",".join(repr(float(v)) for v in c) + "\n"
+                       for i, c in enumerate(points, 1))
+    else:
+        x, y = glm.reconstruct_glm(theta, glm.add_intercept(X_read), Y_read, spec)
+        want = "x=" + ",".join(repr(float(v)) for v in x) + f"\ny={float(y)!r}\n"
+    assert capsys.readouterr().out == want
+
+
 # ------------------------------------------------------------------- mia
 
 def test_mia_cli_trivial_accuracy_one(cfg_path, tmp_path, capsys):
@@ -529,6 +563,9 @@ def test_rero_bound_requires_mode():
     (["train-released", "[released]\nhidden_widths=0"],
      "released.hidden_widths: all layer widths must be >= 1"),
     (["train-released", "[released]\nactivation=swish"], "released.activation: "),
+    # a header-only --fixed file ended in an IndexError traceback
+    (["glm-attack", "--fixed", "header_only.csv", "--theta", "theta.csv"],
+     "header_only.csv: no data rows"),
 ])
 def test_bad_input_exits_2_naming_it(argv, named, cfg_path, tmp_path, capsys, monkeypatch):
     from reconlab import data
@@ -553,6 +590,7 @@ def test_bad_input_exits_2_naming_it(argv, named, cfg_path, tmp_path, capsys, mo
         (tmp_path / "nan_fixed.csv").write_text("x1,label\n-2,0\nnan,0\n1,1\n2,1\n")
         (tmp_path / "theta.csv").write_text("0.0\n1.0\n")
         (tmp_path / "nan_theta.csv").write_text("1.0\nnan\n")
+        (tmp_path / "header_only.csv").write_text("x1,label\n")
         argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
     elif argv[0] != "rero-bound":
         argv = argv + ["--config", str(cfg_path), "--out", str(out)]

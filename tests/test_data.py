@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 import struct
 from pathlib import Path
 from types import SimpleNamespace
@@ -58,7 +59,47 @@ def test_load_idx_truncated(tmp_path):
         data.load_idx(str(short), lp)
 
 
+@pytest.mark.parametrize("blob,error", [
+    (b"", "truncated IDX label header"),
+    (struct.pack(">II", 0x803, 3) + bytes(3), "bad IDX label magic 0x00000803"),
+    (struct.pack(">II", 0x801, 3) + bytes(2), "truncated IDX label data"),
+    (struct.pack(">II", 0x801, 2) + bytes(2), "holds 3 images, "),
+])
+def test_load_idx_checks_the_label_file_as_the_image_file(tmp_path, blob, error):
+    ip, lp = write_idx_pair(tmp_path, np.zeros((3, 2, 2)), np.zeros(3))
+    Path(lp).write_bytes(blob)
+    with pytest.raises(data.FormatError, match=re.escape(error)) as e:
+        data.load_idx(ip, lp)
+    assert lp in str(e.value)
+
+
 # ------------------------------------------------------------------- csv
+
+def test_read_table_splits_off_the_label_column_and_skips_empty_lines(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("a,y,b\n\n0.5,-1.25,2\n\n3,4.5,1e-3\n")
+    X, y = data.read_table(str(p), "y")
+    assert X.dtype == y.dtype == np.float64
+    assert np.array_equal(X, [[0.5, 2.0], [3.0, 1e-3]])
+    assert np.array_equal(y, [-1.25, 4.5])
+
+
+@pytest.mark.parametrize("text,error", [
+    ("", "empty file"),
+    ("a,label\n", "no data rows"),
+    ("a,label\n\n", "no data rows"),
+    ("a,b\n1,2\n", "label column 'label' not in header"),
+    ("a,b,label\n1,2,0\n\n1,0\n", "ragged row on line 4"),
+    ("a,label\n1,0\nfoo,0\n", "non-numeric row on line 3"),
+    ("a,label\n1,nan\n", "every value must be finite"),
+    ("a,label\n-inf,0\n", "every value must be finite"),
+])
+def test_read_table_errors_name_the_file(tmp_path, text, error):
+    p = tmp_path / "bad.csv"
+    p.write_text(text)
+    with pytest.raises(data.FormatError, match=re.escape(f"{p}: {error}")):
+        data.read_table(str(p), "label")
+
 
 def test_load_csv_basic(tmp_path):
     p = tmp_path / "d.csv"
