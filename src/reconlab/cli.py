@@ -9,6 +9,7 @@ numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -31,8 +32,24 @@ class ConfigError(ValueError):
 
 # ------------------------------------------------------------- config file
 
+# every key a config file may set, by section; parse_config refuses any other
+# and _get reads no other
+CONFIG_KEYS = {
+    "profile": {"name", "seed"},
+    "data": {"d", "num_classes", "n", "cluster_std", "images", "labels", "downsample_factor"},
+    "split": {"fixed_size", "shadow_size", "test_target_size", "split_seed"},
+    "released": {"hidden_widths", "activation", "optimizer", "learning_rate", "momentum",
+                 "epochs", "batch_size", "clip_norm", "noise_multiplier", "init_seed",
+                 "shuffle_seed", "noise_seed"},
+    "reconn": {"hidden_widths", "learning_rate", "batch_size", "epochs", "seed"},
+    "featurizer": {"mode", "layers", "probe_size"},
+    "dp": {"delta", "clip_norm"},
+}
+
+
 def parse_config(path: str) -> dict:
-    """Flat key=value file with [section] headers -> {"section.key": value}."""
+    """Flat key=value file with [section] headers -> {"section.key": value}.
+    A key not in CONFIG_KEYS raises a ConfigError naming it."""
     cfg = {}
     section = ""
     try:
@@ -50,20 +67,36 @@ def parse_config(path: str) -> dict:
         key, sep, val = line.partition("=")
         if not sep:
             raise ConfigError(f"malformed config line: {raw!r}")
-        cfg[f"{section}.{key.strip()}"] = val.strip()
+        key = key.strip()
+        if key not in CONFIG_KEYS.get(section, ()):
+            raise ConfigError(f"{path}: unknown config key {section}.{key}")
+        cfg[f"{section}.{key}"] = val.strip()
     cfg["__hash__"] = config_hash(text)
     return cfg
 
 
-def _cast(key, text, cast):
-    """cast(text), or a ConfigError naming key (a config key or a flag)."""
+@contextlib.contextmanager
+def _named(key):
+    """Turn a ValueError raised in the block into a ConfigError naming key (a
+    config key or section, or a flag); a ConfigError passes unchanged."""
     try:
-        return cast(text)
+        yield
+    except ConfigError:
+        raise
     except ValueError as e:
         raise ConfigError(f"{key}: {e}") from None
 
 
+def _cast(key, text, cast):
+    """cast(text), or a ConfigError naming key."""
+    with _named(key):
+        return cast(text)
+
+
 def _get(cfg, key, default=None, cast=str):
+    section, _, name = key.partition(".")
+    if name not in CONFIG_KEYS.get(section, ()):
+        raise KeyError(f"{key} is not in CONFIG_KEYS")
     if key not in cfg or cfg[key] == "":
         if default is None:
             raise ConfigError(f"missing config key {key}")
@@ -75,13 +108,14 @@ def load_profile(cfg: dict):
     """Build (fixed, shadow_pool, targets, arch, train_config) from a config."""
     profile = _get(cfg, "profile.name", "desk_synthetic")
     if profile == "desk_synthetic":
-        dataset = data.synth_classification(
-            d=_get(cfg, "data.d", 64, int),
-            num_classes=_get(cfg, "data.num_classes", 10, int),
-            n=_get(cfg, "data.n", 5000, int),
-            cluster_std=_get(cfg, "data.cluster_std", 0.15, float),
-            seed=_get(cfg, "profile.seed", 11, int),
-        )
+        with _named("data"):
+            dataset = data.synth_classification(
+                d=_get(cfg, "data.d", 64, int),
+                num_classes=_get(cfg, "data.num_classes", 10, int),
+                n=_get(cfg, "data.n", 5000, int),
+                cluster_std=_get(cfg, "data.cluster_std", 0.15, float),
+                seed=_get(cfg, "profile.seed", 11, int),
+            )
     elif profile in ("desk_mnist14", "full_mnist"):
         dataset = data.load_idx(_get(cfg, "data.images"), _get(cfg, "data.labels"))
         if profile == "desk_mnist14":
@@ -91,13 +125,14 @@ def load_profile(cfg: dict):
     else:
         raise ConfigError(f"unknown profile {profile!r}")
 
-    spec = data.SplitSpec(
-        fixed_size=_get(cfg, "split.fixed_size", 500, int),
-        shadow_size=_get(cfg, "split.shadow_size", 2000, int),
-        test_target_size=_get(cfg, "split.test_target_size", 100, int),
-        split_seed=_get(cfg, "split.split_seed", 5, int),
-    )
-    fixed, shadow_pool, targets = data.split(dataset, spec)
+    with _named("split"):
+        spec = data.SplitSpec(
+            fixed_size=_get(cfg, "split.fixed_size", 500, int),
+            shadow_size=_get(cfg, "split.shadow_size", 2000, int),
+            test_target_size=_get(cfg, "split.test_target_size", 100, int),
+            split_seed=_get(cfg, "split.split_seed", 5, int),
+        )
+        fixed, shadow_pool, targets = data.split(dataset, spec)
 
     hidden = _get(cfg, "released.hidden_widths", (10,), int_tuple)
     arch = _cast("released.hidden_widths", hidden,
@@ -106,19 +141,20 @@ def load_profile(cfg: dict):
                  lambda a: replace(arch, activation=a))
     batch = _get(cfg, "released.batch_size", "full")
     noise = _get(cfg, "released.noise_multiplier", "none")
-    train_cfg = nn.TrainConfig(
-        optimizer=_get(cfg, "released.optimizer", "gd_momentum"),
-        learning_rate=_get(cfg, "released.learning_rate", 0.2, float),
-        momentum=_get(cfg, "released.momentum", 0.9, float),
-        epochs=_get(cfg, "released.epochs", 50, int),
-        batch_size="full" if batch == "full" else _cast("released.batch_size", batch, int),
-        clip_norm=_get(cfg, "released.clip_norm", 0.0, float) or None,
-        noise_multiplier=None if noise == "none" else _cast("released.noise_multiplier",
-                                                            noise, float),
-        init_seed=_get(cfg, "released.init_seed", 101, int),
-        shuffle_seed=_get(cfg, "released.shuffle_seed", 102, int),
-        noise_seed=_get(cfg, "released.noise_seed", 103, int),
-    )
+    with _named("released"):
+        train_cfg = nn.TrainConfig(
+            optimizer=_get(cfg, "released.optimizer", "gd_momentum"),
+            learning_rate=_get(cfg, "released.learning_rate", 0.2, float),
+            momentum=_get(cfg, "released.momentum", 0.9, float),
+            epochs=_get(cfg, "released.epochs", 50, int),
+            batch_size="full" if batch == "full" else _cast("released.batch_size", batch, int),
+            clip_norm=_get(cfg, "released.clip_norm", 0.0, float) or None,
+            noise_multiplier=None if noise == "none" else _cast("released.noise_multiplier",
+                                                                noise, float),
+            init_seed=_get(cfg, "released.init_seed", 101, int),
+            shuffle_seed=_get(cfg, "released.shuffle_seed", 102, int),
+            noise_seed=_get(cfg, "released.noise_seed", 103, int),
+        )
     return fixed, shadow_pool, targets, arch, train_cfg
 
 
@@ -381,9 +417,13 @@ def cmd_rero_bound(args) -> int:
         "prop2": (("d", privacy, "sigma"), lambda: rero.prop_gamma(
             args.d, args.eta, {privacy: getattr(args, privacy)}, "gaussian", sigma=args.sigma)),
     }
-    flag = next((f for f in formulas if getattr(args, f)), None)
-    if flag is None:
-        raise ConfigError("choose one of --thm2/--cor1/--cor2/--thm3/--prop1/--prop2")
+    chosen = [f for f in formulas if getattr(args, f)]
+    if len(chosen) != 1:
+        given = f", not --{' and --'.join(chosen)}" if chosen else ""
+        raise ConfigError(f"choose one of --thm2/--cor1/--cor2/--thm3/--prop1/--prop2{given}")
+    flag, = chosen
+    if args.eps is not None and args.rho is not None:
+        raise ConfigError("give --eps or --rho, not both")
     required, bound = formulas[flag]
     missing = ["--" + name for name in required if getattr(args, name) is None]
     if missing:

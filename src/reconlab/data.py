@@ -101,27 +101,27 @@ class SplitSpec:
             raise ValueError("split sizes must be nonnegative")
 
 
-def _read_idx(path: str, ndim: int, kind: str) -> np.ndarray:
+def _read_idx(path: str, ndim: int) -> np.ndarray:
     """The uint8 payload of an IDX file of ndim dimensions: magic 0x800 + ndim,
     then ndim big-endian sizes, then the bytes, shaped by those sizes."""
     with open(path, "rb") as f:
         header = f.read(4 * (1 + ndim))
         if len(header) < 4 * (1 + ndim):
-            raise FormatError(f"{path}: truncated IDX {kind} header")
+            raise FormatError(f"{path}: truncated IDX header")
         magic, *shape = struct.unpack(f">{1 + ndim}I", header)
         if magic != 0x800 + ndim:
-            raise FormatError(f"{path}: bad IDX {kind} magic 0x{magic:08x}")
+            raise FormatError(f"{path}: bad IDX magic 0x{magic:08x}, not 0x{0x800 + ndim:08x}")
         size = math.prod(shape)
         raw = f.read(size)
         if len(raw) != size:
-            raise FormatError(f"{path}: truncated IDX {kind} data")
+            raise FormatError(f"{path}: truncated IDX data")
     return np.frombuffer(raw, dtype=np.uint8).reshape(shape)
 
 
 def load_idx(images_path: str, labels_path: str) -> LabeledDataset:
     """Read an IDX image/label file pair (big-endian); pixels scaled to [0, 1]."""
-    images = _read_idx(images_path, 3, "image")
-    labels = _read_idx(labels_path, 1, "label")
+    images = _read_idx(images_path, 3)
+    labels = _read_idx(labels_path, 1)
     n, h, w = images.shape
     if len(labels) != n:
         raise FormatError(f"{images_path} holds {n} images, {labels_path} {len(labels)} labels")

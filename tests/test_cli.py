@@ -50,9 +50,16 @@ def file_hash(path):
 
 def test_parse_config_sections(tmp_path):
     p = tmp_path / "c.cfg"
-    p.write_text("# comment\n[a]\nx = 1\n[b]\ny=2\n")
+    p.write_text("# comment\n[data]\nd = 1\n[dp]\ndelta=2\n")
     cfg = cli.parse_config(str(p))
-    assert cfg["a.x"] == "1" and cfg["b.y"] == "2"
+    assert cfg["data.d"] == "1" and cfg["dp.delta"] == "2"
+
+
+def test_get_refuses_a_key_not_in_config_keys():
+    # a key read but missing from CONFIG_KEYS is a program error, not bad input
+    with pytest.raises(KeyError, match="released.epoch"):
+        cli._get({}, "released.epoch", 50, int)
+    assert cli._get({"released.epochs": "2"}, "released.epochs", 50, int) == 2
 
 
 def test_parse_config_malformed(tmp_path):
@@ -566,6 +573,28 @@ def test_rero_bound_requires_mode():
     # a header-only --fixed file ended in an IndexError traceback
     (["glm-attack", "--fixed", "header_only.csv", "--theta", "theta.csv"],
      "header_only.csv: no data rows"),
+    # a misspelt key was ignored, and its default used
+    (["train-released", "[profile]\nseeds=3"], "unknown config key profile.seeds"),
+    (["train-released", "[data]\nnum_class=3"], "unknown config key data.num_class"),
+    (["train-released", "[split]\nfixed=40"], "unknown config key split.fixed"),
+    (["train-released", "[released]\nepoch=2"], "unknown config key released.epoch"),
+    (["train-released", "[reconn]\nbatch=8"], "unknown config key reconn.batch"),
+    (["train-released", "[featurizer]\nlayer=1"], "unknown config key featurizer.layer"),
+    (["train-released", "[dp]\nclip=1"], "unknown config key dp.clip"),
+    (["train-released", "[reconstructor]\nepochs=1"], "unknown config key reconstructor.epochs"),
+    # the config objects' own checks did not name the section
+    (["train-released", "[released]\nmomentum=1"], "released: momentum must be in [0, 1)"),
+    (["train-released", "[split]\nfixed_size=-1"], "split: split sizes must be nonnegative"),
+    (["train-released", "[data]\nd=0"], "data: d and num_classes must be positive"),
+    (["train-released", "[released]\noptimizer=dpgd"],
+     "released: dpgd requires a finite clip_norm > 0"),
+    # rero-bound used one of two formulas, or --rho over --eps, silently
+    (["rero-bound", "--cor1", "--thm3", "--eps", "1", "--kappa", "0.1", "--gamma", "0.5"],
+     "not --thm3 and --cor1"),
+    (["rero-bound", "--prop1", "--d", "3", "--eps", "1", "--rho", "0.1"],
+     "give --eps or --rho, not both"),
+    # a label a hair below a class was truncated to the class below
+    (["gen-shadows", "--ood-pool", "OOD_FRACTIONAL_CSV"], "must hold integer classes"),
 ])
 def test_bad_input_exits_2_naming_it(argv, named, cfg_path, tmp_path, capsys, monkeypatch):
     from reconlab import data
@@ -575,10 +604,13 @@ def test_bad_input_exits_2_naming_it(argv, named, cfg_path, tmp_path, capsys, mo
 
     monkeypatch.setattr(nn, "train", untrainable)
     out = tmp_path / "out"
-    for marker, d in (("OOD_CSV", 8), ("OOD5_CSV", 5)):  # pools of d features
-        if marker in argv:
+    for marker, d in (("OOD_CSV", 8), ("OOD5_CSV", 5), ("OOD_FRACTIONAL_CSV", 8)):
+        if marker in argv:  # a pool of d features
             ood_csv = str(tmp_path / "ood.csv")
             data.save_csv(data.synth_classification(d, 2, 60, 0.2, seed=99), ood_csv)
+            if marker == "OOD_FRACTIONAL_CSV":
+                with open(ood_csv, "a") as f:
+                    f.write("0.5," * d + "2.99999\r\n")
             argv = [ood_csv if a == marker else a for a in argv]
     sections = [a for a in argv if a.startswith("[")]
     if sections:

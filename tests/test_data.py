@@ -60,9 +60,9 @@ def test_load_idx_truncated(tmp_path):
 
 
 @pytest.mark.parametrize("blob,error", [
-    (b"", "truncated IDX label header"),
-    (struct.pack(">II", 0x803, 3) + bytes(3), "bad IDX label magic 0x00000803"),
-    (struct.pack(">II", 0x801, 3) + bytes(2), "truncated IDX label data"),
+    (b"", "truncated IDX header"),
+    (struct.pack(">II", 0x803, 3) + bytes(3), "bad IDX magic 0x00000803, not 0x00000801"),
+    (struct.pack(">II", 0x801, 3) + bytes(2), "truncated IDX data"),
     (struct.pack(">II", 0x801, 2) + bytes(2), "holds 3 images, "),
 ])
 def test_load_idx_checks_the_label_file_as_the_image_file(tmp_path, blob, error):
@@ -134,6 +134,16 @@ def test_load_csv_errors(tmp_path):
     missing.write_text("a,b\n1,2\n")
     with pytest.raises(data.FormatError):
         data.load_csv(str(missing), "label")
+
+
+def test_load_csv_refuses_a_label_off_its_class(tmp_path):
+    # 2.99999 passed np.allclose and was truncated to class 2
+    p = tmp_path / "l.csv"
+    p.write_text("a,label\n0.5,0\n0.5,2.99999\n")
+    with pytest.raises(data.FormatError, match="must hold integer classes"):
+        data.load_csv(str(p), "label")
+    p.write_text("a,label\n0.5,0\n0.5,3.0\n0.5,-0.0\n")
+    assert data.load_csv(str(p), "label").y.tolist() == [0, 3, 0]
 
 
 def test_csv_roundtrip(tmp_path):
