@@ -9,16 +9,17 @@ numerical failure.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import math
 import os
 import sys
-from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
 from . import accounting, data, glm, metrics, mia, nn, rero, shadow
-from .persist import config_hash, header_field, int_tuple, load_model, save_model, write_csv
+from .persist import header_field, load_model, save_model, write_csv
+from .profile import (ConfigError, build_featurizer, load_profile, named, parse_config,
+                      reconn_config, run_config)
 from .rng import _derive
 
 EXIT_OK = 0
@@ -26,187 +27,12 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
 
-class ConfigError(ValueError):
-    pass
-
-
-# ------------------------------------------------------------- config file
-
-# every key a config file may set, by section; parse_config refuses any other
-# and _get reads no other
-CONFIG_KEYS = {
-    "profile": {"name", "seed"},
-    "data": {"d", "num_classes", "n", "cluster_std", "images", "labels", "downsample_factor"},
-    "split": {"fixed_size", "shadow_size", "test_target_size", "split_seed"},
-    "released": {"hidden_widths", "activation", "optimizer", "learning_rate", "momentum",
-                 "epochs", "batch_size", "clip_norm", "noise_multiplier", "init_seed",
-                 "shuffle_seed", "noise_seed"},
-    "reconn": {"hidden_widths", "learning_rate", "batch_size", "epochs", "seed"},
-    "featurizer": {"mode", "layers", "probe_size"},
-    "dp": {"delta", "clip_norm"},
-}
-
-
-def parse_config(path: str) -> dict:
-    """Flat key=value file with [section] headers -> {"section.key": value}.
-    A key not in CONFIG_KEYS raises a ConfigError naming it."""
-    cfg = {}
-    section = ""
-    try:
-        with open(path) as f:
-            text = f.read()
-    except OSError as e:
-        raise ConfigError(str(e)) from None
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip()
-            continue
-        key, sep, val = line.partition("=")
-        if not sep:
-            raise ConfigError(f"malformed config line: {raw!r}")
-        key = key.strip()
-        if key not in CONFIG_KEYS.get(section, ()):
-            raise ConfigError(f"{path}: unknown config key {section}.{key}")
-        cfg[f"{section}.{key}"] = val.strip()
-    cfg["__hash__"] = config_hash(text)
-    return cfg
-
-
-@contextlib.contextmanager
-def _named(key):
-    """Turn a ValueError raised in the block into a ConfigError naming key (a
-    config key or section, or a flag); a ConfigError passes unchanged."""
-    try:
-        yield
-    except ConfigError:
-        raise
-    except ValueError as e:
-        raise ConfigError(f"{key}: {e}") from None
-
-
-def _cast(key, text, cast):
-    """cast(text), or a ConfigError naming key."""
-    with _named(key):
-        return cast(text)
-
-
-def _get(cfg, key, default=None, cast=str):
-    section, _, name = key.partition(".")
-    if name not in CONFIG_KEYS.get(section, ()):
-        raise KeyError(f"{key} is not in CONFIG_KEYS")
-    if key not in cfg or cfg[key] == "":
-        if default is None:
-            raise ConfigError(f"missing config key {key}")
-        return default
-    return _cast(key, cfg[key], cast)
-
-
-def load_profile(cfg: dict):
-    """Build (fixed, shadow_pool, targets, arch, train_config) from a config."""
-    profile = _get(cfg, "profile.name", "desk_synthetic")
-    if profile == "desk_synthetic":
-        with _named("data"):
-            dataset = data.synth_classification(
-                d=_get(cfg, "data.d", 64, int),
-                num_classes=_get(cfg, "data.num_classes", 10, int),
-                n=_get(cfg, "data.n", 5000, int),
-                cluster_std=_get(cfg, "data.cluster_std", 0.15, float),
-                seed=_get(cfg, "profile.seed", 11, int),
-            )
-    elif profile in ("desk_mnist14", "full_mnist"):
-        dataset = data.load_idx(_get(cfg, "data.images"), _get(cfg, "data.labels"))
-        if profile == "desk_mnist14":
-            side = int(math.isqrt(dataset.dim))
-            factor = _get(cfg, "data.downsample_factor", 2, int)
-            dataset = data.downsample_images(dataset, side, side, factor)
-    else:
-        raise ConfigError(f"unknown profile {profile!r}")
-
-    with _named("split"):
-        spec = data.SplitSpec(
-            fixed_size=_get(cfg, "split.fixed_size", 500, int),
-            shadow_size=_get(cfg, "split.shadow_size", 2000, int),
-            test_target_size=_get(cfg, "split.test_target_size", 100, int),
-            split_seed=_get(cfg, "split.split_seed", 5, int),
-        )
-        fixed, shadow_pool, targets = data.split(dataset, spec)
-
-    hidden = _get(cfg, "released.hidden_widths", (10,), int_tuple)
-    arch = _cast("released.hidden_widths", hidden,
-                 lambda h: nn.MlpArchitecture((dataset.dim, *h, dataset.num_classes)))
-    arch = _cast("released.activation", _get(cfg, "released.activation", "elu"),
-                 lambda a: replace(arch, activation=a))
-    batch = _get(cfg, "released.batch_size", "full")
-    noise = _get(cfg, "released.noise_multiplier", "none")
-    with _named("released"):
-        train_cfg = nn.TrainConfig(
-            optimizer=_get(cfg, "released.optimizer", "gd_momentum"),
-            learning_rate=_get(cfg, "released.learning_rate", 0.2, float),
-            momentum=_get(cfg, "released.momentum", 0.9, float),
-            epochs=_get(cfg, "released.epochs", 50, int),
-            batch_size="full" if batch == "full" else _cast("released.batch_size", batch, int),
-            clip_norm=_get(cfg, "released.clip_norm", 0.0, float) or None,
-            noise_multiplier=None if noise == "none" else _cast("released.noise_multiplier",
-                                                                noise, float),
-            init_seed=_get(cfg, "released.init_seed", 101, int),
-            shuffle_seed=_get(cfg, "released.shuffle_seed", 102, int),
-            noise_seed=_get(cfg, "released.noise_seed", 103, int),
-        )
-    return fixed, shadow_pool, targets, arch, train_cfg
-
-
-def reconn_config(cfg: dict) -> shadow.RecoNNConfig:
-    widths = _get(cfg, "reconn.hidden_widths", "auto")
-    config = shadow.RecoNNConfig(
-        learning_rate=_get(cfg, "reconn.learning_rate", 1e-3, float),
-        batch_size=_get(cfg, "reconn.batch_size", 128, int),
-        epochs=_get(cfg, "reconn.epochs", 100, int),
-        seed=_get(cfg, "reconn.seed", 7, int),
-    )
-    if widths == "auto":
-        return config
-    return _cast("reconn.hidden_widths", widths,
-                 lambda text: replace(config, hidden_widths=int_tuple(text)))
-
-
-def build_featurizer(cfg: dict, shadow_pool, arch: nn.MlpArchitecture, args):
-    """Featurizer from config and the --featurizer/--layers/--probe-size flags.
-    Layers mode defaults to the last layer. Blackbox probes are the first P
-    shadow-pool points, which are then excluded from shadow targets; returns
-    (featurizer, remaining shadow pool)."""
-    mode = args.featurizer or _get(cfg, "featurizer.mode", "whitebox")
-    if mode == "whitebox":
-        return shadow.Featurizer("whitebox"), shadow_pool
-    if mode == "layers":
-        key = "featurizer.layers" if args.layers is None else "--layers"
-        layers = _get(cfg, key, str(arch.num_layers - 1)) if args.layers is None else args.layers
-        idx = _cast(key, layers, int_tuple)
-        if not idx or not all(0 <= i < arch.num_layers for i in idx):
-            raise ConfigError(f"{key} must list layer indices in 0..{arch.num_layers - 1}")
-        return shadow.Featurizer("layers", layers=idx), shadow_pool
-    if mode == "blackbox":
-        key, p = "--probe-size", args.probe_size
-        if p is None:
-            key, p = "featurizer.probe_size", _get(cfg, "featurizer.probe_size", 200, int)
-        if p < 1:
-            raise ConfigError(f"{key} must be >= 1")
-        if p >= len(shadow_pool):
-            raise ConfigError(f"{key} must be smaller than the shadow pool")
-        probe = shadow_pool.subset(range(p))
-        rest = shadow_pool.subset(range(p, len(shadow_pool)))
-        return shadow.Featurizer("blackbox", probe=probe.X), rest
-    raise ConfigError(f"unknown featurizer mode {mode!r}")
-
-
 def _check_config_hash(fields: dict, path: str, cfg: dict) -> None:
     """Refuse an artifact whose header does not carry the hash of --config."""
     got = header_field(fields, "config_hash", path)
-    if got != cfg["__hash__"]:
+    if got != cfg.hash:
         raise ConfigError(f"{path}: config_hash {got} differs from "
-                          f"{cfg['__hash__']}, the hash of --config")
+                          f"{cfg.hash}, the hash of --config")
 
 
 # ------------------------------------------------------------- subcommands
@@ -217,17 +43,9 @@ def cmd_train_released(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     released = shadow.train_many(fixed, targets, arch, [train_cfg] * len(targets))
     for i, theta in enumerate(released):
-        save_model(
-            os.path.join(args.out, f"target_{i:04d}.model"),
-            theta,
-            {
-                "target_index": i,
-                "config_hash": cfg["__hash__"],
-                "init_seed": train_cfg.init_seed,
-                "shuffle_seed": train_cfg.shuffle_seed,
-                "noise_seed": train_cfg.noise_seed,
-            },
-        )
+        save_model(os.path.join(args.out, f"target_{i:04d}.model"), theta, {
+            "target_index": i, "config_hash": cfg.hash, "init_seed": train_cfg.init_seed,
+            "shuffle_seed": train_cfg.shuffle_seed, "noise_seed": train_cfg.noise_seed})
     targets_path = os.path.join(args.out, "targets.csv")
     data.save_csv(targets, targets_path)
     print(f"wrote {len(targets)} released models to {args.out}")
@@ -243,9 +61,7 @@ def cmd_gen_shadows(args) -> int:
         ood = data.load_csv(args.ood_pool, args.ood_label_column)
         if ood.dim != fixed.dim:
             raise ConfigError(f"--ood-pool has {ood.dim} features, the fixed set {fixed.dim}")
-        shadow_pool = data.relabel_random(
-            ood, fixed.num_classes, seed=_get(cfg, "profile.seed", 11, int)
-        )
+        shadow_pool = data.relabel_random(ood, fixed.num_classes, seed=cfg["profile.seed"])
     featurizer, shadow_pool = build_featurizer(cfg, shadow_pool, arch, args)
     if args.k is not None:
         # checked against the final pool: after --ood-pool and the black-box probe
@@ -257,7 +73,7 @@ def cmd_gen_shadows(args) -> int:
     )
     os.makedirs(args.out, exist_ok=True)
     prefix = os.path.join(args.out, "shadows")
-    shadow_set.save(prefix, {"config_hash": cfg["__hash__"]})  # provenance, which attack checks
+    shadow_set.save(prefix, {"config_hash": cfg.hash})  # provenance, which attack checks
     data.save_csv(shadow_pool, os.path.join(args.out, "shadow_targets.csv"))
     print(
         f"wrote shadow set: k={len(shadow_set)} feature_len={shadow_set.features.shape[1]}"
@@ -289,15 +105,11 @@ def cmd_attack(args) -> int:
             for i, err in enumerate(errors.tolist())]
 
     os.makedirs(args.out, exist_ok=True)
-    write_csv(
-        os.path.join(args.out, "attack_results.csv"),
-        ["target", "mse", "nn_oracle_distance", "success"],
-        rows,
-        cfg["__hash__"],
-    )
+    write_csv(os.path.join(args.out, "attack_results.csv"),
+              ["target", "mse", "nn_oracle_distance", "success"], rows, cfg.hash)
     mean_mse = float(np.mean(errors))
     with open(os.path.join(args.out, "summary.txt"), "w") as f:
-        f.write(f"# config_hash={cfg['__hash__']}\n")
+        f.write(f"# config_hash={cfg.hash}\n")
         f.write(f"mean_attack_mse={mean_mse}\n")
         f.write(f"oracle_threshold={threshold}\n")
         f.write(f"success={metrics.judge_success(mean_mse, threshold)}\n")
@@ -310,18 +122,24 @@ def cmd_attack(args) -> int:
 def cmd_glm_attack(args) -> int:
     # regression responses need not be integer class labels, so no load_csv
     X, Y = data.read_table(args.fixed, args.label_column)
+    if not args.no_intercept:
+        X = glm.add_intercept(X)
     theta = np.loadtxt(args.theta, delimiter=",", ndmin=1)
     if not np.isfinite(theta).all():
         raise ConfigError(f"{args.theta}: every value must be finite")
+    if args.no_intercept and (args.target_label is None or not np.isfinite(args.target_label)):
+        raise ConfigError("--no-intercept requires a finite --target-label")
+    if theta.shape != X.shape[1:]:
+        with_intercept = "" if args.no_intercept else ", the intercept included"
+        raise ConfigError(f"--theta holds {theta.size} values, but the model of --fixed has "
+                          f"{X.shape[1]}{with_intercept}")
     if args.no_intercept:
-        if args.target_label is None or not np.isfinite(args.target_label):
-            raise ConfigError("--no-intercept requires a finite --target-label")
         c1, c2 = glm.reconstruct_linreg_no_intercept(theta, X, Y, args.target_label)
         print("candidate_1=" + ",".join(repr(float(v)) for v in c1))
         print("candidate_2=" + ",".join(repr(float(v)) for v in c2))
         return EXIT_OK
     spec = glm.GlmSpec(args.family, args.lam)
-    x, y = glm.reconstruct_glm(theta, glm.add_intercept(X), Y, spec)
+    x, y = glm.reconstruct_glm(theta, X, Y, spec)
     print("x=" + ",".join(repr(float(v)) for v in x))
     print(f"y={float(y)!r}")
     return EXIT_OK
@@ -351,12 +169,8 @@ def cmd_mia(args) -> int:
             return EXIT_NUMERICAL
         rows.append((t, trial.b, trial.b_hat, int(trial.correct)))
     os.makedirs(args.out, exist_ok=True)
-    write_csv(
-        os.path.join(args.out, "mia_trials.csv"),
-        ["trial", "b", "b_hat", "correct"],
-        rows,
-        cfg["__hash__"],
-    )
+    write_csv(os.path.join(args.out, "mia_trials.csv"), ["trial", "b", "b_hat", "correct"],
+              rows, cfg.hash)
     acc = sum(r[3] for r in rows) / len(rows)
     print(f"accuracy={acc}")
     return EXIT_OK
@@ -365,11 +179,11 @@ def cmd_mia(args) -> int:
 def cmd_dp_sweep(args) -> int:
     cfg = parse_config(args.config)
     fixed, shadow_pool, targets, arch, base_cfg = load_profile(cfg)
-    sigmas = _cast("--sigmas", args.sigmas, lambda text: [float(s) for s in text.split(",")])
+    with named("--sigmas"):
+        sigmas = [float(s) for s in args.sigmas.split(",")]
     if not all(0 <= s < math.inf for s in sigmas):
         raise ConfigError(f"--sigmas must be finite and >= 0, got {args.sigmas}")
-    delta = _get(cfg, "dp.delta", 1e-5, float)
-    clip = _get(cfg, "dp.clip_norm", 1.0, float)
+    delta, clip = cfg["dp.delta"], cfg["dp.clip_norm"]
     if not 0 < clip < math.inf:
         raise ConfigError(f"dp.clip_norm must be finite and > 0, got {clip}")
     epsilons = [math.inf if sigma == 0.0 else accounting.zcdp_to_approx_dp(
@@ -377,27 +191,16 @@ def cmd_dp_sweep(args) -> int:
     pool_X = np.vstack([fixed.X, shadow_pool.X])
     threshold = metrics.oracle_report(targets.X, pool_X).mean_nn_distance
 
-    def run_config(sigma, rep):
-        init_seed = _derive(base_cfg.init_seed, ("rep", rep))
-        if sigma == 0.0:
-            return replace(base_cfg, init_seed=init_seed)
-        return replace(base_cfg, optimizer="dpgd", clip_norm=clip, noise_multiplier=sigma,
-                       init_seed=init_seed,
-                       noise_seed=_derive(base_cfg.noise_seed, ("adv", sigma, rep)))
-
     table = shadow.dp_tradeoff(
-        fixed, shadow_pool, targets, arch, sigmas, args.repeats, run_config,
+        fixed, shadow_pool, targets, arch, sigmas, args.repeats,
+        partial(run_config, base_cfg, clip),
         lambda sigma, rep, i: _derive(base_cfg.noise_seed, ("released", sigma, rep, i)),
         reconn_config(cfg),
     )
     rows = [(sigma, eps, *row) for sigma, eps, row in zip(sigmas, epsilons, table)]
     os.makedirs(args.out, exist_ok=True)
-    write_csv(
-        os.path.join(args.out, "dp_sweep.csv"),
-        ["sigma", "epsilon", "mean_attack_mse", "stderr", "test_accuracy"],
-        rows,
-        cfg["__hash__"],
-    )
+    write_csv(os.path.join(args.out, "dp_sweep.csv"),
+              ["sigma", "epsilon", "mean_attack_mse", "stderr", "test_accuracy"], rows, cfg.hash)
     print(f"oracle_threshold={threshold}")
     for row in rows:
         print("sigma=%g eps=%g mse=%g stderr=%g acc=%g" % row)
@@ -466,14 +269,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="reconlab")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train-released", help="train one released model per test target")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_train_released)
+    def command(fn, help, config=True):
+        """The subparser running fn, named after it; a pipeline command reads
+        --config and writes into --out."""
+        p = sub.add_parser(fn.__name__.removeprefix("cmd_").replace("_", "-"), help=help)
+        p.set_defaults(fn=fn)
+        if config:
+            p.add_argument("--config", required=True)
+            p.add_argument("--out", required=True)
+        return p
 
-    p = sub.add_parser("gen-shadows", help="materialize a shadow set")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
+    command(cmd_train_released, "train one released model per test target")
+
+    p = command(cmd_gen_shadows, "materialize a shadow set")
     p.add_argument("--k", type=int)
     p.add_argument("--ood-pool")
     p.add_argument("--ood-label-column", default="label")
@@ -481,16 +289,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--featurizer", choices=["whitebox", "layers", "blackbox"])
     p.add_argument("--layers")
     p.add_argument("--probe-size", type=int)
-    p.set_defaults(fn=cmd_gen_shadows)
 
-    p = sub.add_parser("attack", help="train the reconstructor and attack released models")
-    p.add_argument("--config", required=True)
+    p = command(cmd_attack, "train the reconstructor and attack released models")
     p.add_argument("--shadows", required=True)
     p.add_argument("--released", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_attack)
 
-    p = sub.add_parser("glm-attack", help="closed-form GLM reconstruction from CSV data")
+    p = command(cmd_glm_attack, "closed-form GLM reconstruction from CSV data", config=False)
     p.add_argument("--fixed", required=True)
     p.add_argument("--label-column", default="label")
     p.add_argument("--theta", required=True)
@@ -498,44 +302,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam", type=float, default=0.0)
     p.add_argument("--no-intercept", action="store_true")
     p.add_argument("--target-label", type=float)
-    p.set_defaults(fn=cmd_glm_attack)
 
-    p = sub.add_parser("mia", help="run the informed membership-inference game")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
+    p = command(cmd_mia, "run the informed membership-inference game")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--attack", choices=["trivial", "constant"], default="trivial")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_mia)
 
-    p = sub.add_parser("dp-sweep", help="sweep DP noise levels and report the trade-off")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
+    p = command(cmd_dp_sweep, "sweep DP noise levels and report the trade-off")
     p.add_argument("--sigmas", default="0,0.5,2,8")
     p.add_argument("--repeats", type=int, default=3)
-    p.set_defaults(fn=cmd_dp_sweep)
 
-    p = sub.add_parser("rero-bound", help="evaluate a reconstruction-robustness formula")
-    p.add_argument("--thm2", action="store_true")
-    p.add_argument("--cor1", action="store_true")
-    p.add_argument("--cor2", action="store_true")
-    p.add_argument("--thm3", action="store_true")
-    p.add_argument("--prop1", action="store_true")
-    p.add_argument("--prop2", action="store_true")
-    p.add_argument("--kappa", type=float)
+    p = command(cmd_rero_bound, "evaluate a reconstruction-robustness formula", config=False)
+    for flag in ("thm2", "cor1", "cor2", "thm3", "prop1", "prop2"):
+        p.add_argument("--" + flag, action="store_true")
+    for name in ("kappa", "eps", "rho", "alpha", "gamma", "sigma"):
+        p.add_argument("--" + name, type=float)
     p.add_argument("--eta", type=float, default=0.5)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--rho", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--gamma", type=float)
     p.add_argument("--d", type=int)
-    p.add_argument("--sigma", type=float)
-    p.set_defaults(fn=cmd_rero_bound)
 
-    p = sub.add_parser("rero-check", help="empirical soundness suite for the ReRo bounds")
+    p = command(cmd_rero_check, "empirical soundness suite for the ReRo bounds", config=False)
     p.add_argument("--trials", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_rero_check)
 
     return parser
 

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 import shutil
 import struct
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reconlab import cli, glm, nn
+from reconlab import cli, glm, nn, profile
 from reconlab.cli import main
 
 TINY_CONFIG = """\
@@ -52,14 +53,48 @@ def test_parse_config_sections(tmp_path):
     p = tmp_path / "c.cfg"
     p.write_text("# comment\n[data]\nd = 1\n[dp]\ndelta=2\n")
     cfg = cli.parse_config(str(p))
-    assert cfg["data.d"] == "1" and cfg["dp.delta"] == "2"
+    assert cfg["data.d"] == 1 and cfg["dp.delta"] == 2.0
 
 
-def test_get_refuses_a_key_not_in_config_keys():
-    # a key read but missing from CONFIG_KEYS is a program error, not bad input
+def test_reading_a_key_not_in_the_schema_is_a_program_error():
+    # a key the code reads but SCHEMA lacks is a program error, not bad input;
+    # an unset key with no default is bad input
+    cfg = profile.resolve({"released.epochs": "2"})
     with pytest.raises(KeyError, match="released.epoch"):
-        cli._get({}, "released.epoch", 50, int)
-    assert cli._get({"released.epochs": "2"}, "released.epochs", 50, int) == 2
+        cfg["released.epoch"]
+    assert cfg["released.epochs"] == 2 and cfg["reconn.epochs"] == 100
+    with pytest.raises(profile.ConfigError, match="missing config key data.images"):
+        cfg["data.images"]
+
+
+def test_readme_lists_each_schema_key_with_its_default():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.partition("### Config format")[2].partition("\n## ")[0]
+    rows = re.findall(r"^\| `(\w+\.\w+)` \| ([^|]*?) \|", section, re.M)
+    assert len(rows) == len(profile.SCHEMA) == 35
+    assert dict(rows) == {key: "no default" if default is None else f"`{default}`"
+                          for key, (_, default) in profile.SCHEMA.items()}
+
+
+def _hash_of(tmp_path, text):
+    p = tmp_path / "h.cfg"
+    p.write_text(text)
+    return cli.parse_config(str(p)).hash
+
+
+def test_config_hash_is_over_resolved_values(tmp_path, monkeypatch):
+    plain = _hash_of(tmp_path, "[profile]\nseed=11\n")
+    assert _hash_of(tmp_path, "# c\n[profile]\nseed=11\n") == plain
+    assert _hash_of(tmp_path, "[profile]\n") == plain
+    assert _hash_of(tmp_path, "") == plain
+    assert _hash_of(tmp_path, " [ profile ] \n\n  seed =  11 \n") == plain
+    assert _hash_of(tmp_path, "[reconn]\nlearning_rate=1e-3\n") == plain
+    for changed in ("[profile]\nseed=12\n", "[released]\nnoise_multiplier=0\n",
+                    "[reconn]\nlearning_rate=0.002\n", "[featurizer]\nlayers=1\n"):
+        assert _hash_of(tmp_path, changed) != plain, changed
+    # a default changed in code changes the hash of a file that omits the key
+    monkeypatch.setitem(profile.SCHEMA, "reconn.epochs", (int, "101"))
+    assert _hash_of(tmp_path, "") != plain
 
 
 def test_parse_config_malformed(tmp_path):
@@ -286,7 +321,7 @@ def test_attack_shadows_of_other_config_exit_2_naming_the_header(cfg_path, artif
     # the shadow set carries the hash of the config it was made under, like
     # the released models; here only the shadows come from another config
     header = os.path.join(artifacts[1], "shadows.header")
-    made_under = cli.parse_config(cfg_path)["__hash__"]
+    made_under = cli.parse_config(cfg_path).hash
     assert f"config_hash={made_under}\n" in Path(header).read_text()
     other = tmp_path / "other.cfg"
     other.write_text(Path(cfg_path).read_text().replace("epochs=10", "epochs=11"))
@@ -297,8 +332,21 @@ def test_attack_shadows_of_other_config_exit_2_naming_the_header(cfg_path, artif
                "--released", released, "--out", str(tmp_path / "results")])
     err = capsys.readouterr().err
     assert rc == 2 and header in err
-    assert made_under in err and cli.parse_config(str(other))["__hash__"] in err
+    assert made_under in err and cli.parse_config(str(other)).hash in err
     assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda text: "# a comment\n" + text,
+    lambda text: text.replace("=", " = ").replace("[split]", "\n  [split]  "),
+    lambda text: text + "learning_rate=0.001\n",  # [reconn]'s default, spelt out
+])
+def test_attack_takes_artifacts_of_an_equivalent_config(edit, cfg_path, artifacts, tmp_path):
+    # the hash covers the resolved values, not the file's text
+    same = tmp_path / "same.cfg"
+    same.write_text(edit(Path(cfg_path).read_text()))
+    assert main(["attack", "--config", str(same), "--shadows", artifacts[1],
+                 "--released", artifacts[0], "--out", str(tmp_path / "results")]) == 0
 
 
 def test_attack_shadow_header_without_hash_exits_2(cfg_path, artifacts, tmp_path, capsys):
@@ -595,6 +643,11 @@ def test_rero_bound_requires_mode():
      "give --eps or --rho, not both"),
     # a label a hair below a class was truncated to the class below
     (["gen-shadows", "--ood-pool", "OOD_FRACTIONAL_CSV"], "must hold integer classes"),
+    # a --theta of the wrong length ended in numpy's matmul message
+    (["glm-attack", "--fixed", "fixed3.csv", "--theta", "theta3.csv"],
+     "--theta holds 3 values, but the model of --fixed has 4, the intercept included"),
+    (["glm-attack", "--fixed", "fixed.csv", "--theta", "theta.csv", "--no-intercept",
+      "--target-label", "1"], "--theta holds 2 values, but the model of --fixed has 1"),
 ])
 def test_bad_input_exits_2_naming_it(argv, named, cfg_path, tmp_path, capsys, monkeypatch):
     from reconlab import data
@@ -623,6 +676,8 @@ def test_bad_input_exits_2_naming_it(argv, named, cfg_path, tmp_path, capsys, mo
         (tmp_path / "theta.csv").write_text("0.0\n1.0\n")
         (tmp_path / "nan_theta.csv").write_text("1.0\nnan\n")
         (tmp_path / "header_only.csv").write_text("x1,label\n")
+        (tmp_path / "fixed3.csv").write_text("x1,x2,x3,label\n1,2,3,0\n4,5,6,1\n")
+        (tmp_path / "theta3.csv").write_text("0.5\n0.5\n0.5\n")
         argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
     elif argv[0] != "rero-bound":
         argv = argv + ["--config", str(cfg_path), "--out", str(out)]
