@@ -12,6 +12,7 @@ import argparse
 import math
 import os
 import sys
+import warnings
 from functools import partial
 
 import numpy as np
@@ -124,9 +125,13 @@ def cmd_glm_attack(args) -> int:
     X, Y = data.read_table(args.fixed, args.label_column)
     if not args.no_intercept:
         X = glm.add_intercept(X)
-    theta = np.loadtxt(args.theta, delimiter=",", ndmin=1)
+    with named(f"--theta {args.theta}"), warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        theta = np.loadtxt(args.theta, delimiter=",", ndmin=1)
+    if not theta.size:
+        raise ConfigError(f"--theta {args.theta}: no values")
     if not np.isfinite(theta).all():
-        raise ConfigError(f"{args.theta}: every value must be finite")
+        raise ConfigError(f"--theta {args.theta}: every value must be finite")
     if args.no_intercept and (args.target_label is None or not np.isfinite(args.target_label)):
         raise ConfigError("--no-intercept requires a finite --target-label")
     if theta.shape != X.shape[1:]:
@@ -146,12 +151,12 @@ def cmd_glm_attack(args) -> int:
 
 
 def cmd_mia(args) -> int:
+    if args.trials < 1:
+        raise ConfigError("--trials must be positive")
     cfg = parse_config(args.config)
     fixed, _, targets, arch, train_cfg = load_profile(cfg)
     if len(targets) < 2:
         raise ConfigError("need at least two test targets")
-    if args.trials < 1:
-        raise ConfigError("--trials must be positive")
     z0, z1 = targets[0], targets[1]
     if args.attack == "trivial":
         attack_fn = mia.trivial_deterministic_mia
@@ -177,6 +182,8 @@ def cmd_mia(args) -> int:
 
 
 def cmd_dp_sweep(args) -> int:
+    if args.repeats < 1:
+        raise ConfigError("--repeats must be >= 1")
     cfg = parse_config(args.config)
     fixed, shadow_pool, targets, arch, base_cfg = load_profile(cfg)
     with named("--sigmas"):
@@ -246,6 +253,8 @@ def cmd_rero_bound(args) -> int:
 
 
 def cmd_rero_check(args) -> int:
+    if args.trials < 100:
+        raise ConfigError("--trials must be >= 100")
     violations = 0
     for cell in rero.rero_soundness_grid(n_trials=args.trials, seed=args.seed):
         status = "ok" if cell["sound"] else "VIOLATION"

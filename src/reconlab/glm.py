@@ -18,7 +18,6 @@ __all__ = [
     "add_intercept",
     "glm_gradient",
     "fit_glm",
-    "fit_glm_gd",
     "reconstruct_glm",
     "reconstruct_linreg_no_intercept",
 ]
@@ -113,29 +112,6 @@ def fit_glm(X: np.ndarray, Y: np.ndarray, spec: GlmSpec, tol: float = DEFAULT_TO
             f"did not reach fit tolerance: |grad| = {np.linalg.norm(g):.3e} > {tol:.1e}"
         )
     return theta
-
-
-def fit_glm_gd(X: np.ndarray, Y: np.ndarray, spec: GlmSpec, tol: float = DEFAULT_TOL,
-               learning_rate: float = None, max_iter: int = 2_000_000) -> np.ndarray:
-    """Plain gradient descent to the same tolerance. It serves the test that the
-    GLM attack does not depend on the training algorithm, only on optimality."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    Y = np.asarray(Y, dtype=np.float64)
-    if spec.intercept:
-        X = add_intercept(X)
-    d = X.shape[1]
-    if learning_rate is None:
-        # 1/L for the quadratic upper bound of the objective curvature.
-        smax = np.linalg.norm(X, 2) ** 2
-        curv = smax if spec.family == "linear" else 0.25 * smax
-        learning_rate = 1.0 / (curv + spec.lam)
-    theta = np.zeros(d)
-    for _ in range(max_iter):
-        g = glm_gradient(theta, X, Y, spec)
-        if np.linalg.norm(g) <= tol:
-            return theta
-        theta = theta - learning_rate * g
-    raise GlmError("gradient descent did not converge")
 
 
 def reconstruct_glm(theta: np.ndarray, X_fixed: np.ndarray, Y_fixed: np.ndarray,

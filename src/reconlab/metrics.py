@@ -11,14 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import nn
-
 __all__ = [
     "mse",
-    "nn_oracle",
     "OracleReport",
     "oracle_report",
-    "kl_probe",
     "judge_success",
 ]
 
@@ -36,14 +32,6 @@ def _pool_matrix(pool) -> np.ndarray:
     if pool.ndim != 2 or pool.shape[0] == 0:
         raise ValueError("pool must be a nonempty (m, d) array")
     return pool
-
-
-def nn_oracle(target: np.ndarray, pool) -> tuple:
-    """(index, distance) of the pool point with smallest MSE; ties to lowest index."""
-    pool = _pool_matrix(pool)
-    d = np.mean((pool - np.asarray(target, dtype=np.float64)[None, :]) ** 2, axis=1)
-    idx = int(np.argmin(d))
-    return idx, float(d[idx])
 
 
 @dataclass
@@ -70,14 +58,6 @@ def oracle_report(targets, pool) -> OracleReport:
         mean_nn_distance=float(nn_d.mean()),
         percentiles=percentiles,
     )
-
-
-def kl_probe(probe_classifier: nn.ModelParams, z: np.ndarray, z_hat: np.ndarray) -> float:
-    """KL(softmax(f(z)) || softmax(f(z_hat))) in nats under a trained probe classifier:
-    a reconstruction metric that scores semantic closeness alongside mse."""
-    lp = nn._log_softmax(np.atleast_2d(nn.forward(probe_classifier, z)))[0]
-    lq = nn._log_softmax(np.atleast_2d(nn.forward(probe_classifier, z_hat)))[0]
-    return float(np.sum(np.exp(lp) * (lp - lq)))
 
 
 def judge_success(attack_mse: float, oracle_threshold: float) -> bool:

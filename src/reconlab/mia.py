@@ -14,7 +14,6 @@ import numpy as np
 
 from . import nn
 from .data import DataPoint, LabeledDataset
-from .metrics import mse
 from .rng import Rng, _derive
 
 __all__ = [
@@ -22,7 +21,6 @@ __all__ = [
     "UndecidedError",
     "informed_mia_protocol",
     "trivial_deterministic_mia",
-    "mia_from_reconstruction",
     "loss_histogram",
     "overlap_coefficient",
     "single_example_loss",
@@ -61,13 +59,6 @@ def trivial_deterministic_mia(theta: nn.ModelParams, fixed: LabeledDataset,
     if abs(d0 - d1) < TIE_EPS:
         raise UndecidedError("candidate models are equidistant from the release")
     return 0 if d0 < d1 else 1
-
-
-def mia_from_reconstruction(z_hat: np.ndarray, z0: DataPoint, z1: DataPoint,
-                            error_fn=mse) -> int:
-    """Nearest-candidate rule; ties go to z1 (the 'otherwise' branch). It shows
-    that a reconstruction attack implies an informed membership attack."""
-    return 0 if error_fn(z_hat, z0.x) < error_fn(z_hat, z1.x) else 1
 
 
 def single_example_loss(theta: nn.ModelParams, z: DataPoint) -> float:

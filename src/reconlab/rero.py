@@ -21,16 +21,12 @@ from .rng import Rng, _derive
 
 __all__ = [
     "UniformBallPrior",
-    "GaussianPrior",
     "FiniteDiscretePrior",
-    "two_point_prior",
     "l2_error",
-    "zero_one_error",
     "ReRoBound",
     "wilson_interval",
     "kappa_uniform_ball",
     "kappa_gaussian_bound",
-    "kappa_gaussian_exact",
     "kappa_two_point",
     "kappa_monte_carlo",
     "rdp_to_rero",
@@ -76,36 +72,6 @@ class UniformBallPrior:
         """Normal rows x (n, d) and uniforms u (n, 1) as points of the ball."""
         x /= np.linalg.norm(x, axis=1, keepdims=True)
         return x * u ** (1.0 / self.d)
-
-
-@dataclass(frozen=True, eq=False)
-class GaussianPrior:
-    """Isotropic Gaussian N(center, sigma^2 I_d). Compares by identity."""
-
-    center: np.ndarray
-    sigma: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=np.float64))
-        if not 0 < self.sigma < math.inf:
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
-        if not np.all(np.isfinite(self.center)):
-            raise ValueError("center must be finite")
-
-    @property
-    def d(self) -> int:
-        return self.center.shape[0]
-
-    def sample(self, rng: Rng, n: int) -> np.ndarray:
-        """n points from the stream rng, which the draws spend."""
-        return self.center + rng.once().normal(0.0, self.sigma, size=(n, self.d))
-
-    def sample_each(self, rngs) -> np.ndarray:
-        """(len(rngs), d): row t is the point ``sample(rngs[t], 1)`` draws."""
-        x = np.empty((len(rngs), self.d))
-        for t, rng in enumerate(rngs):
-            x[t] = rng.once().normal(0.0, self.sigma, size=self.d)
-        return np.add(self.center, x, out=x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,18 +132,6 @@ class FiniteDiscretePrior:
         return masks
 
 
-def two_point_prior(p: float, z0, z1) -> FiniteDiscretePrior:
-    """Prior assigning probability p to z0 and 1-p to z1: the two-candidate
-    prior of the informed MIA game, as used by the MAP attack's tests."""
-    z0 = np.atleast_1d(np.asarray(z0, dtype=np.float64))
-    z1 = np.atleast_1d(np.asarray(z1, dtype=np.float64))
-    if not 0 < p < 1:
-        raise ValueError("p must be in (0, 1)")
-    if np.array_equal(z0, z1):
-        raise ValueError("two-point prior requires distinct points")
-    return FiniteDiscretePrior(np.stack([z0, z1]), np.array([p, 1.0 - p]))
-
-
 # ------------------------------------------------------------- error fns
 
 def l2_error(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -185,12 +139,6 @@ def l2_error(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     matching row of b if b is (n, d)."""
     diff = np.atleast_2d(a) - np.asarray(b)
     return np.linalg.norm(diff, axis=1)
-
-
-def zero_one_error(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """0 where a row of a equals b (or b's matching row), else 1."""
-    diff = np.atleast_2d(a) - np.asarray(b)
-    return (np.any(diff != 0.0, axis=1)).astype(np.float64)
 
 
 # ----------------------------------------------------------------- bound
@@ -252,15 +200,6 @@ def kappa_gaussian_bound(eta: float, sigma: float, d: int) -> float:
     if q >= 1:
         return 1.0
     return math.exp(0.5 * d * (1.0 - q + math.log(q)))
-
-
-def kappa_gaussian_exact(eta: float, sigma: float, d: int) -> float:
-    """Exact kappa of the isotropic Gaussian prior: Pr[chi2_d <= (eta/sigma)^2]."""
-    from scipy.special import chdtr  # the kernel of chi2.cdf; kept off the import path
-
-    if not d > 0:
-        raise ValueError("d must be positive")  # chi2 is undefined; chdtr(0, x) gives 1
-    return float(chdtr(d, (eta / sigma) ** 2))
 
 
 def kappa_two_point(p: float) -> float:

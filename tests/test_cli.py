@@ -648,6 +648,18 @@ def test_rero_bound_requires_mode():
      "--theta holds 3 values, but the model of --fixed has 4, the intercept included"),
     (["glm-attack", "--fixed", "fixed.csv", "--theta", "theta.csv", "--no-intercept",
       "--target-label", "1"], "--theta holds 2 values, but the model of --fixed has 1"),
+    # a --theta that does not parse, or holds nothing, named neither the flag
+    # nor the file; an empty one also warned, and ended in a traceback when
+    # warnings are errors
+    (["glm-attack", "--fixed", "fixed.csv", "--theta", "text_theta.csv"],
+     "--theta TMP/text_theta.csv: could not convert string 'a'"),
+    (["glm-attack", "--fixed", "fixed.csv", "--theta", "empty_theta.csv"],
+     "--theta TMP/empty_theta.csv: no values"),
+    pytest.param(["glm-attack", "--fixed", "fixed.csv", "--theta", "empty_theta.csv"],
+                 "--theta TMP/empty_theta.csv: no values",
+                 marks=pytest.mark.filterwarnings("error")),
+    # refused only inside the soundness grid, naming n_trials
+    (["rero-check", "--trials", "50"], "--trials must be >= 100"),
 ])
 def test_bad_input_exits_2_naming_it(argv, named, cfg_path, tmp_path, capsys, monkeypatch):
     from reconlab import data
@@ -678,8 +690,11 @@ def test_bad_input_exits_2_naming_it(argv, named, cfg_path, tmp_path, capsys, mo
         (tmp_path / "header_only.csv").write_text("x1,label\n")
         (tmp_path / "fixed3.csv").write_text("x1,x2,x3,label\n1,2,3,0\n4,5,6,1\n")
         (tmp_path / "theta3.csv").write_text("0.5\n0.5\n0.5\n")
+        (tmp_path / "text_theta.csv").write_text("a,1.0\n")
+        (tmp_path / "empty_theta.csv").write_text("")
         argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
-    elif argv[0] != "rero-bound":
+        named = named.replace("TMP", str(tmp_path))
+    elif argv[0] not in ("rero-bound", "rero-check"):
         argv = argv + ["--config", str(cfg_path), "--out", str(out)]
     assert main(argv) == 2
     err = capsys.readouterr().err

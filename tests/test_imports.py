@@ -2,15 +2,19 @@
 
 Each CLI command is its own process, so whatever the package imports is paid
 on every step of ``train-released → gen-shadows → attack``. scipy.stats alone
-takes over a second. Only ``rero.kappa_gaussian_exact`` and
-``rero.wilson_interval`` at an unusual confidence import ``scipy.special``; the
-ReRo soundness grid (confidence 0.99) runs without it.
+takes over a second. Only ``rero.wilson_interval`` at an unusual confidence
+imports ``scipy.special``; the ReRo soundness grid (confidence 0.99) runs
+without it.
 """
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import reconlab
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -37,3 +41,12 @@ def test_import_loads_no_scipy_and_no_process_pool():
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "ok"
+
+
+def test_every_all_entry_is_an_attribute_of_its_module():
+    # a stale __all__ entry breaks ``from reconlab.<module> import *``
+    names = ["reconlab"] + [f"reconlab.{m.name}" for m in pkgutil.iter_modules(reconlab.__path__)]
+    for name in names:
+        module = importlib.import_module(name)
+        missing = [a for a in getattr(module, "__all__", ()) if not hasattr(module, a)]
+        assert not missing, (name, missing)

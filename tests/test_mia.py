@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from reconlab import mia, nn
-from reconlab.data import DataPoint, SplitSpec, synth_classification, split
+from reconlab.data import SplitSpec, synth_classification, split
 from reconlab.rng import _derive
 
 
@@ -51,30 +51,6 @@ def test_protocol_constant_guesser_near_half():
         correct += trial.correct
     # 99% binomial CI around 0.5 at n=200 is roughly +-0.09
     assert abs(correct / n - 0.5) < 0.1
-
-
-def test_mia_from_reconstruction():
-    z0 = DataPoint(np.zeros(4), 0)
-    z1 = DataPoint(np.ones(4), 1)
-    assert mia.mia_from_reconstruction(np.full(4, 0.1), z0, z1) == 0
-    assert mia.mia_from_reconstruction(np.full(4, 0.9), z0, z1) == 1
-    # exact tie goes to z1
-    assert mia.mia_from_reconstruction(np.full(4, 0.5), z0, z1) == 1
-
-
-def test_mia_from_reconstruction_half_distance_property():
-    # whenever the reconstruction is closer than half the candidate gap to
-    # the true point, the guess is correct
-    g = np.random.default_rng(0)
-    for _ in range(100):
-        a, b = g.uniform(size=3), g.uniform(size=3)
-        if np.array_equal(a, b):
-            continue
-        z0, z1 = DataPoint(a, 0), DataPoint(b, 1)
-        gap = float(np.mean((a - b) ** 2))
-        z_hat = a + (b - a) * 0.05  # well within the half-gap around z0
-        if float(np.mean((z_hat - a) ** 2)) < gap / 4:
-            assert mia.mia_from_reconstruction(z_hat, z0, z1) == 0
 
 
 def test_loss_histogram_separable_without_init_variation():
