@@ -702,6 +702,13 @@ def test_bad_input_exits_2_naming_it(argv, named, cfg_path, tmp_path, capsys, mo
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [["dp-sweep", "--repeats", "0"], ["mia", "--trials", "0"]])
+def test_bad_count_is_refused_before_the_config_is_read(argv, tmp_path, capsys):
+    # the config file does not exist, so reading it first would name the file
+    assert main(argv + ["--config", str(tmp_path / "missing.cfg"), "--out", str(tmp_path)]) == 2
+    assert f"error: {argv[1]} must be" in capsys.readouterr().err
+
+
 def test_rero_check_small_grid_sound(capsys):
     assert main(["rero-check", "--trials", "120", "--seed", "0"]) == 0
     assert "all cells sound" in capsys.readouterr().out
