@@ -16,6 +16,8 @@ __all__ = [
     "gaussian_mechanism_zcdp",
 ]
 
+CALIBRATE_REL_TOL = 1e-9  # calibrate_noise bisects until (hi - lo) / hi is at most this
+
 
 def gaussian_mechanism_zcdp(sensitivity: float, noise_std: float) -> float:
     """rho of a Gaussian mechanism with the given l2 sensitivity and noise std."""
@@ -27,23 +29,19 @@ def gaussian_mechanism_zcdp(sensitivity: float, noise_std: float) -> float:
     return sensitivity ** 2 / (2.0 * variance)
 
 
-def account_dpgd(steps: int, clip_norm: float, noise_multiplier: float,
-                 adjacency: str = "replace") -> float:
+def account_dpgd(steps: int, clip_norm: float, noise_multiplier: float) -> float:
     """Total rho-zCDP of T steps of clipped-sum + Gaussian noise N(0, (sigma*C)^2 I).
 
-    Replace adjacency (datasets of equal size differing in one record) gives
-    per-step sensitivity 2C; add/remove gives C.
+    Under replace adjacency (datasets of equal size differing in one record)
+    the per-step sensitivity is 2C.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if not clip_norm > 0:
         raise ValueError("clip_norm must be positive")
-    if adjacency not in ("replace", "addremove"):
-        raise ValueError(f"unknown adjacency {adjacency!r}")
     if not noise_multiplier > 0:
         raise ValueError("noise_multiplier must be positive (rho would be infinite)")
-    delta_sens = 2.0 * clip_norm if adjacency == "replace" else clip_norm
-    return steps * gaussian_mechanism_zcdp(delta_sens, noise_multiplier * clip_norm)
+    return steps * gaussian_mechanism_zcdp(2.0 * clip_norm, noise_multiplier * clip_norm)
 
 
 def zcdp_to_approx_dp(rho: float, delta: float) -> float:
@@ -55,14 +53,13 @@ def zcdp_to_approx_dp(rho: float, delta: float) -> float:
     return rho + 2.0 * math.sqrt(rho * math.log(1.0 / delta))
 
 
-def calibrate_noise(target_epsilon: float, delta: float, steps: int, clip_norm: float,
-                    adjacency: str = "replace", rel_tol: float = 1e-9) -> float:
+def calibrate_noise(target_epsilon: float, delta: float, steps: int, clip_norm: float) -> float:
     """Smallest noise multiplier whose accounted epsilon is <= the target (bisection)."""
     if not target_epsilon > 0:
         raise ValueError("target epsilon must be positive")
 
     def eps_of(sigma: float) -> float:
-        return zcdp_to_approx_dp(account_dpgd(steps, clip_norm, sigma, adjacency), delta)
+        return zcdp_to_approx_dp(account_dpgd(steps, clip_norm, sigma), delta)
 
     lo, hi = 1e-6, 1.0
     while eps_of(hi) > target_epsilon:
@@ -71,7 +68,7 @@ def calibrate_noise(target_epsilon: float, delta: float, steps: int, clip_norm: 
             raise ValueError("target epsilon unreachable")
     if eps_of(lo) <= target_epsilon:
         return lo
-    while (hi - lo) / hi > rel_tol:
+    while (hi - lo) / hi > CALIBRATE_REL_TOL:
         mid = 0.5 * (lo + hi)
         if eps_of(mid) <= target_epsilon:
             hi = mid

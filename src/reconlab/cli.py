@@ -54,10 +54,12 @@ def cmd_train_released(args) -> int:
 
 
 def cmd_gen_shadows(args) -> int:
-    cfg = parse_config(args.config)
-    fixed, shadow_pool, _, arch, train_cfg = load_profile(cfg)
     if args.k is not None and args.k <= 0:
         raise ConfigError("--k must be positive")
+    if args.probe_size is not None and args.probe_size < 1:
+        raise ConfigError("--probe-size must be >= 1")
+    cfg = parse_config(args.config)
+    fixed, shadow_pool, _, arch, train_cfg = load_profile(cfg)
     if args.ood_pool:
         ood = data.load_csv(args.ood_pool, args.ood_label_column)
         if ood.dim != fixed.dim:
@@ -127,7 +129,18 @@ def cmd_glm_attack(args) -> int:
         X = glm.add_intercept(X)
     with named(f"--theta {args.theta}"), warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        theta = np.loadtxt(args.theta, delimiter=",", ndmin=1)
+        try:
+            theta = np.loadtxt(args.theta, delimiter=",", ndmin=1)
+        except ValueError:
+            # numpy counts data rows from 0, past blank and comment lines; a
+            # line parsed alone is row 0, so the error can name the file's line
+            with open(args.theta) as f:
+                for number, line in enumerate(f, 1):
+                    try:
+                        np.loadtxt([line], delimiter=",", ndmin=1)
+                    except ValueError as e:
+                        raise ValueError(str(e).replace("row 0,", f"line {number},")) from None
+            raise
     if not theta.size:
         raise ConfigError(f"--theta {args.theta}: no values")
     if not np.isfinite(theta).all():

@@ -168,10 +168,10 @@ def load_csv(path: str, label_column: str) -> LabeledDataset:
     return LabeledDataset(X, y.astype(np.int64))
 
 
-def save_csv(dataset: LabeledDataset, path: str, label_column: str = "label") -> None:
+def save_csv(dataset: LabeledDataset, path: str) -> None:
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow([f"x{i}" for i in range(dataset.dim)] + [label_column])
+        writer.writerow([f"x{i}" for i in range(dataset.dim)] + ["label"])
         # the bytes csv.writer gives: no float repr needs quoting
         f.writelines(",".join(map(repr, row)) + f",{label}\r\n"
                      for row, label in zip(dataset.X.tolist(), dataset.y.tolist()))

@@ -27,6 +27,7 @@ __all__ = [
 ]
 
 TIE_EPS = 1e-12
+OVERLAP_BINS = 20  # shared histogram bins of overlap_coefficient
 
 
 class UndecidedError(RuntimeError):
@@ -83,12 +84,12 @@ def loss_histogram(z: DataPoint, fixed: LabeledDataset, arch: nn.MlpArchitecture
     return np.repeat(in_losses, repeats), np.repeat(out_losses, repeats)
 
 
-def overlap_coefficient(a: np.ndarray, b: np.ndarray, bins: int = 20) -> float:
-    """Histogram intersection over shared bins, in [0, 1]."""
+def overlap_coefficient(a: np.ndarray, b: np.ndarray) -> float:
+    """Histogram intersection over OVERLAP_BINS shared bins, in [0, 1]."""
     lo = min(a.min(), b.min())
     hi = max(a.max(), b.max())
     if hi <= lo:
         return 1.0
-    ha, _ = np.histogram(a, bins=bins, range=(lo, hi))
-    hb, _ = np.histogram(b, bins=bins, range=(lo, hi))
+    ha, _ = np.histogram(a, bins=OVERLAP_BINS, range=(lo, hi))
+    hb, _ = np.histogram(b, bins=OVERLAP_BINS, range=(lo, hi))
     return float(np.minimum(ha / len(a), hb / len(b)).sum())

@@ -153,21 +153,15 @@ class ReRoBound:
     degenerate: bool = False
 
 
-# ndtri(0.5 + c/2) for the usual confidences c, so that they need no scipy
-_WILSON_Z = {0.9: 1.6448536269514722, 0.95: 1.959963984540054,
-             0.99: 2.5758293035489004, 0.999: 3.2905267314919255}
+WILSON_Z = np.float64(2.5758293035489004)  # norm.ppf(0.995) bit for bit: 99% confidence
+KAPPA_SAMPLES = 100_000  # prior draws behind a sampled kappa_monte_carlo estimate
 
 
-def wilson_interval(successes: int, trials: int, confidence: float = 0.99):
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int):
+    """99% Wilson score interval for a binomial proportion."""
     if trials <= 0:
         raise ValueError("trials must be positive")
-    z = _WILSON_Z.get(confidence)
-    if z is None:
-        from scipy.special import ndtri  # the kernel of norm.ppf; kept off the import path
-
-        z = ndtri(0.5 + confidence / 2.0)
-    z = np.float64(z)
+    z = WILSON_Z
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
@@ -209,8 +203,7 @@ def kappa_two_point(p: float) -> float:
     return max(p, 1.0 - p)
 
 
-def kappa_monte_carlo(prior, error_fn, eta: float, candidates, n_samples: int = 100_000,
-                      seed: int = 0, confidence: float = 0.99):
+def kappa_monte_carlo(prior, error_fn, eta: float, candidates, seed: int = 0):
     """Estimate kappa as the max over candidate guesses of Pr[l(Z, z0) <= eta].
 
     FiniteDiscrete priors are handled exactly by enumeration; otherwise the
@@ -225,13 +218,9 @@ def kappa_monte_carlo(prior, error_fn, eta: float, candidates, n_samples: int = 
             p = float(prior.masses[error_fn(prior.points, c) <= eta].sum())
             best = max(best, p)
         return best, (best, best)
-    samples = prior.sample(Rng(seed).child("kappa"), n_samples)
-    best, best_succ = -1.0, 0
-    for c in candidates:
-        succ = int((error_fn(samples, c) <= eta).sum())
-        if succ / n_samples > best:
-            best, best_succ = succ / n_samples, succ
-    return best, wilson_interval(best_succ, n_samples, confidence)
+    samples = prior.sample(Rng(seed).child("kappa"), KAPPA_SAMPLES)
+    best = max(int((error_fn(samples, c) <= eta).sum()) for c in candidates)
+    return best / KAPPA_SAMPLES, wilson_interval(best, KAPPA_SAMPLES)
 
 
 # --------------------------------------------------------- bound calculus
@@ -351,8 +340,7 @@ def map_attack_finite(prior: FiniteDiscretePrior, likelihood_fn, theta,
 
 
 def empirical_rero(mechanism, prior, attack_fn, fixed: np.ndarray, error_fn,
-                   eta: float, n_trials: int = 2000, seed: int = 0,
-                   confidence: float = 0.99):
+                   eta: float, n_trials: int = 2000, seed: int = 0):
     """Monte-Carlo estimate of Pr[l(Z, R(theta)) <= eta] with per-trial seeds.
 
     Trial i draws its target z_i from the stream ``Rng(seed).child(("trial",
@@ -375,7 +363,7 @@ def empirical_rero(mechanism, prior, attack_fn, fixed: np.ndarray, error_fn,
     rngs = [trial.child("mech") for trial in trials]
     guesses = attack_fn(mechanism(fixed, zs, rngs))
     successes = int(np.count_nonzero(error_fn(zs, guesses) <= eta))
-    return successes / n_trials, wilson_interval(successes, n_trials, confidence)
+    return successes / n_trials, wilson_interval(successes, n_trials)
 
 
 def rero_soundness_grid(n_trials: int = 500, seed: int = 0):

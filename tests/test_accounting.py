@@ -22,12 +22,6 @@ def test_account_quadratic_in_inverse_sigma():
     assert abs(a / b - 4.0) < 1e-12
 
 
-def test_adjacency_ratio_is_four():
-    rep = accounting.account_dpgd(7, 0.5, 3.0, adjacency="replace")
-    add = accounting.account_dpgd(7, 0.5, 3.0, adjacency="addremove")
-    assert abs(rep / add - 4.0) < 1e-12
-
-
 def test_account_validation():
     with pytest.raises(ValueError):
         accounting.account_dpgd(0, 1.0, 1.0)
@@ -35,8 +29,6 @@ def test_account_validation():
         accounting.account_dpgd(1, -1.0, 1.0)
     with pytest.raises(ValueError):
         accounting.account_dpgd(1, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        accounting.account_dpgd(1, 1.0, 1.0, adjacency="swap")
 
 
 @pytest.mark.parametrize("call", [

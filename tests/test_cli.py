@@ -660,6 +660,16 @@ def test_rero_bound_requires_mode():
                  marks=pytest.mark.filterwarnings("error")),
     # refused only inside the soundness grid, naming n_trials
     (["rero-check", "--trials", "50"], "--trials must be >= 100"),
+    # numpy named the value's data row counted from 0: "at row 0, column 1"
+    (["glm-attack", "--fixed", "fixed.csv", "--theta", "a1_theta.csv"],
+     "--theta TMP/a1_theta.csv: could not convert string 'a' to float64 at line 1, column 1"),
+    (["glm-attack", "--fixed", "fixed.csv", "--theta", "1a_theta.csv"],
+     "--theta TMP/1a_theta.csv: could not convert string 'a' to float64 at line 1, column 2"),
+    (["glm-attack", "--fixed", "fixed.csv", "--theta", "1na_theta.csv"],
+     "--theta TMP/1na_theta.csv: could not convert string 'a' to float64 at line 2, column 1"),
+    # a comment and a blank line are lines of the file, not data rows
+    (["glm-attack", "--fixed", "fixed.csv", "--theta", "comment_theta.csv"],
+     "--theta TMP/comment_theta.csv: could not convert string 'a' to float64 at line 4, column 1"),
 ])
 def test_bad_input_exits_2_naming_it(argv, named, cfg_path, tmp_path, capsys, monkeypatch):
     from reconlab import data
@@ -692,6 +702,10 @@ def test_bad_input_exits_2_naming_it(argv, named, cfg_path, tmp_path, capsys, mo
         (tmp_path / "theta3.csv").write_text("0.5\n0.5\n0.5\n")
         (tmp_path / "text_theta.csv").write_text("a,1.0\n")
         (tmp_path / "empty_theta.csv").write_text("")
+        (tmp_path / "a1_theta.csv").write_text("a,1\n")
+        (tmp_path / "1a_theta.csv").write_text("1,a\n")
+        (tmp_path / "1na_theta.csv").write_text("1\na\n")
+        (tmp_path / "comment_theta.csv").write_text("# theta\n\n1\na\n")
         argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
         named = named.replace("TMP", str(tmp_path))
     elif argv[0] not in ("rero-bound", "rero-check"):
@@ -702,7 +716,9 @@ def test_bad_input_exits_2_naming_it(argv, named, cfg_path, tmp_path, capsys, mo
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [["dp-sweep", "--repeats", "0"], ["mia", "--trials", "0"]])
+@pytest.mark.parametrize("argv", [["dp-sweep", "--repeats", "0"], ["mia", "--trials", "0"],
+                                  ["gen-shadows", "--k", "0"],
+                                  ["gen-shadows", "--probe-size", "0", "--featurizer", "blackbox"]])
 def test_bad_count_is_refused_before_the_config_is_read(argv, tmp_path, capsys):
     # the config file does not exist, so reading it first would name the file
     assert main(argv + ["--config", str(tmp_path / "missing.cfg"), "--out", str(tmp_path)]) == 2

@@ -164,11 +164,11 @@ def test_save_csv_bytes_match_csv_writer(tmp_path):
     ds = SimpleNamespace(X=X, y=y, dim=8)
     want = io.StringIO(newline="")
     writer = csv.writer(want)
-    writer.writerow([f"x{i}" for i in range(8)] + ["cls"])
+    writer.writerow([f"x{i}" for i in range(8)] + ["label"])
     for row, label in zip(X, y):
         writer.writerow([repr(float(v)) for v in row] + [int(label)])
     p = tmp_path / "rows.csv"
-    data.save_csv(ds, str(p), "cls")
+    data.save_csv(ds, str(p))
     assert p.read_bytes() == want.getvalue().encode()
 
 

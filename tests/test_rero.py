@@ -86,7 +86,7 @@ def test_kappa_uniform_ball_matches_monte_carlo():
     for d in range(1, 6):
         prior = rero.UniformBallPrior(d)
         est, (lo, hi) = rero.kappa_monte_carlo(
-            prior, rero.l2_error, 0.5, [np.zeros(d)], n_samples=100_000, seed=d
+            prior, rero.l2_error, 0.5, [np.zeros(d)], seed=d
         )
         exact = 0.5 ** d
         half = hi - est
@@ -605,17 +605,15 @@ def _wilson_norm_ppf(successes, trials, confidence):
     return max(0.0, center - half), min(1.0, center + half)
 
 
-@pytest.mark.parametrize("confidence", [0.9, 0.95, 0.99, 0.999, 0.8])
+@pytest.mark.parametrize("confidence", [0.99])
 @pytest.mark.parametrize("trials", [100, 200, 1000, 10 ** 6])
 def test_wilson_interval_bitwise_equals_norm_ppf_formula(trials, confidence):
     for successes in sorted({0, 1, 7, trials // 3, trials // 2, trials - 1, trials}):
-        got = rero.wilson_interval(successes, trials, confidence)
+        got = rero.wilson_interval(successes, trials)
         want = _wilson_norm_ppf(successes, trials, confidence)
         assert np.array(got).tobytes() == np.array(want).tobytes(), successes
 
 
 def test_wilson_z_table_equals_ndtri_bitwise():
     from scipy.special import ndtri
-    assert sorted(rero._WILSON_Z) == [0.9, 0.95, 0.99, 0.999]
-    for confidence, z in rero._WILSON_Z.items():
-        assert np.float64(z).tobytes() == ndtri(0.5 + confidence / 2.0).tobytes(), confidence
+    assert rero.WILSON_Z.tobytes() == ndtri(0.5 + 0.99 / 2.0).tobytes()
