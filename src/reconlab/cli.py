@@ -59,6 +59,8 @@ def cmd_gen_shadows(args) -> int:
     if args.probe_size is not None and args.probe_size < 1:
         raise ConfigError("--probe-size must be >= 1")
     cfg = parse_config(args.config)
+    if args.probe_size is None and cfg["featurizer.probe_size"] < 1:
+        raise ConfigError("featurizer.probe_size must be >= 1")
     fixed, shadow_pool, _, arch, train_cfg = load_profile(cfg)
     if args.ood_pool:
         ood = data.load_csv(args.ood_pool, args.ood_label_column)
@@ -132,14 +134,21 @@ def cmd_glm_attack(args) -> int:
         try:
             theta = np.loadtxt(args.theta, delimiter=",", ndmin=1)
         except ValueError:
-            # numpy counts data rows from 0, past blank and comment lines; a
-            # line parsed alone is row 0, so the error can name the file's line
+            # numpy names a data row, counted past blank and comment lines,
+            # not the file's line; parsing each line alone finds that line
+            columns = None
             with open(args.theta) as f:
                 for number, line in enumerate(f, 1):
                     try:
-                        np.loadtxt([line], delimiter=",", ndmin=1)
+                        row = np.loadtxt([line], delimiter=",", ndmin=1)
                     except ValueError as e:
                         raise ValueError(str(e).replace("row 0,", f"line {number},")) from None
+                    if not row.size:
+                        continue
+                    if columns not in (None, row.size):
+                        raise ValueError(f"the number of columns changed from {columns} "
+                                         f"to {row.size} at line {number}") from None
+                    columns = row.size
             raise
     if not theta.size:
         raise ConfigError(f"--theta {args.theta}: no values")
@@ -172,9 +181,9 @@ def cmd_mia(args) -> int:
         raise ConfigError("need at least two test targets")
     z0, z1 = targets[0], targets[1]
     if args.attack == "trivial":
-        attack_fn = mia.trivial_deterministic_mia
+        attack_fn = mia.trivial_deterministic_mia(fixed, z0, z1, arch, train_cfg)
     else:  # constant guesser baseline
-        attack_fn = lambda *a: 0
+        attack_fn = lambda theta: 0
     rows = []
     for t in range(args.trials):
         try:

@@ -44,22 +44,28 @@ class MiaTrial:
 def informed_mia_protocol(fixed: LabeledDataset, z0: DataPoint, z1: DataPoint,
                           arch: nn.MlpArchitecture, config: nn.TrainConfig,
                           attack_fn, trial_seed: int) -> MiaTrial:
-    """One round of the informed MIA game: sample b, train on z_b, let M guess."""
+    """One round of the informed MIA game: sample b, train on z_b, let
+    attack_fn(released model) guess b."""
     b = int(Rng(trial_seed).child("bit").once().integers(0, 2))
     theta = nn.train(fixed.with_point(z0 if b == 0 else z1), arch, config)
-    b_hat = int(attack_fn(theta, fixed, config, z0, z1))
+    b_hat = int(attack_fn(theta))
     return MiaTrial(b, b_hat, b == b_hat)
 
 
-def trivial_deterministic_mia(theta: nn.ModelParams, fixed: LabeledDataset,
-                              config: nn.TrainConfig, z0: DataPoint, z1: DataPoint) -> int:
-    """Retrain both candidates; pick the one matching the released model."""
-    arch = theta.arch
-    d0 = nn.train(fixed.with_point(z0), arch, config).l2_distance(theta)
-    d1 = nn.train(fixed.with_point(z1), arch, config).l2_distance(theta)
-    if abs(d0 - d1) < TIE_EPS:
-        raise UndecidedError("candidate models are equidistant from the release")
-    return 0 if d0 < d1 else 1
+def trivial_deterministic_mia(fixed: LabeledDataset, z0: DataPoint, z1: DataPoint,
+                              arch: nn.MlpArchitecture, config: nn.TrainConfig):
+    """The adversary that retrains both candidates: a function from a released
+    model to the candidate, 0 or 1, whose retrained model is nearer to it.
+    It trains each candidate once, however many rounds it plays."""
+    candidates = [nn.train(fixed.with_point(z), arch, config) for z in (z0, z1)]
+
+    def guess(theta: nn.ModelParams) -> int:
+        d0, d1 = (c.l2_distance(theta) for c in candidates)
+        if abs(d0 - d1) < TIE_EPS:
+            raise UndecidedError("candidate models are equidistant from the release")
+        return 0 if d0 < d1 else 1
+
+    return guess
 
 
 def single_example_loss(theta: nn.ModelParams, z: DataPoint) -> float:

@@ -172,8 +172,9 @@ def reconn_config(cfg: Config) -> shadow.RecoNNConfig:
 def build_featurizer(cfg: Config, shadow_pool, arch: nn.MlpArchitecture, args):
     """Featurizer from config and the --featurizer/--layers/--probe-size flags.
     Layers mode defaults to the last layer. Blackbox probes are the first P
-    shadow-pool points, which are then excluded from shadow targets; returns
-    (featurizer, remaining shadow pool)."""
+    shadow-pool points, which are then excluded from shadow targets; P >= 1
+    is the caller's to check, before it reads any data. Returns (featurizer,
+    remaining shadow pool)."""
     mode = args.featurizer or cfg["featurizer.mode"]
     if mode == "whitebox":
         return shadow.Featurizer("whitebox"), shadow_pool
@@ -189,8 +190,6 @@ def build_featurizer(cfg: Config, shadow_pool, arch: nn.MlpArchitecture, args):
         key, p = "featurizer.probe_size", cfg["featurizer.probe_size"]
         if args.probe_size is not None:
             key, p = "--probe-size", args.probe_size
-        if p < 1:
-            raise ConfigError(f"{key} must be >= 1")
         if p >= len(shadow_pool):
             raise ConfigError(f"{key} must be smaller than the shadow pool")
         probe = shadow_pool.subset(range(p))

@@ -40,9 +40,11 @@ __all__ = [
 ]
 
 DEGENERATE_STD = 1e-12
-# models train_many trains together: enough to spread numpy's per-call cost,
-# few enough that a stack's working set stays in cache
-STACK = 8
+# activation values of one train_many stack over all its layers: those of
+# 8 desk models (501 rows, widths 10 and 10). Smaller models stack deeper,
+# to spread numpy's per-call cost over as many values; no stack holds more,
+# so its working set stays in cache
+STACK_VALUES = 8 * 501 * (10 + 10)
 RMS_DECAY = 0.9  # the reconstructor's RMSProp decay and epsilon
 RMS_EPS = 1e-8
 
@@ -198,7 +200,13 @@ def shadow_config(config: nn.TrainConfig, index: int, random_init: bool) -> nn.T
                    noise_seed=_derive(config.noise_seed, ("shadow-noise", index)))
 
 
-def _stacks(configs, size: int = STACK) -> list:
+def _depth(rows: int, arch: nn.MlpArchitecture) -> int:
+    """Models per stack for rows rows through arch: as many as STACK_VALUES
+    holds of their activations, and at least one."""
+    return max(1, STACK_VALUES // (rows * sum(arch.layer_widths[1:])))
+
+
+def _stacks(configs, size: int) -> list:
     """Consecutive indices into configs in runs of at most size whose
     configs differ only in init_seed and noise_seed."""
     stacks = []
@@ -240,14 +248,15 @@ def train_many(fixed: LabeledDataset, points, arch: nn.MlpArchitecture, configs,
     """Yield, in point order, the model trained on fixed + points[i] with configs[i].
 
     Consecutive points whose configs differ only in init_seed and noise_seed
-    train together, up to STACK at a time, as one stack of nn.train, each
-    model with the bits nn.train gives it alone. ``default_workers()``
-    threads take the stacks in order until none is left or one has diverged
-    or raised, in stacks smaller than STACK when that keeps every thread busy;
-    every model is trained before the first is yielded. A divergence raises
-    nn.DivergenceError, after every earlier model was yielded, naming the
-    point: by names[i] if given, else as "point i". points, configs and names
-    must have the same length; seeds are the caller's choice.
+    train together, as many at a time as ``_depth`` allows for their rows and
+    widths, as one stack of nn.train, each model with the bits nn.train gives
+    it alone. ``default_workers()`` threads take the stacks in order until
+    none is left or one has diverged or raised, in smaller stacks when that
+    keeps every thread busy; every model is trained before the first is
+    yielded. A divergence raises nn.DivergenceError, after every earlier
+    model was yielded, naming the point: by names[i] if given, else as
+    "point i". points, configs and names must have the same length; seeds
+    are the caller's choice.
     """
     from concurrent.futures import ThreadPoolExecutor
     from queue import Empty, SimpleQueue
@@ -258,7 +267,7 @@ def train_many(fixed: LabeledDataset, points, arch: nn.MlpArchitecture, configs,
         raise ValueError(f"train_many got {len(points)} points, {len(configs)} configs "
                          f"and {len(names)} names")
     workers = default_workers()
-    size = min(STACK, max(1, -(-len(configs) // workers)))
+    size = min(_depth(len(fixed) + 1, arch), max(1, -(-len(configs) // workers)))
     stacks = _stacks(configs, size)
     todo = SimpleQueue()
     for i, s in enumerate(stacks):

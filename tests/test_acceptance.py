@@ -249,10 +249,11 @@ def test_a7_informed_mia_and_loss_overlap():
     cfg = nn.TrainConfig(epochs=30, learning_rate=0.2, momentum=0.9)
 
     correct = 0
+    attack = mia.trivial_deterministic_mia(fixed, targets[0], targets[1], arch, cfg)
     for t in range(100):
         trial = mia.informed_mia_protocol(
-            fixed, targets[0], targets[1], arch, cfg,
-            mia.trivial_deterministic_mia, trial_seed=_derive(3, ("trial", t)))
+            fixed, targets[0], targets[1], arch, cfg, attack,
+            trial_seed=_derive(3, ("trial", t)))
         correct += trial.correct
     accuracy_one = correct == 100
 

@@ -487,6 +487,29 @@ def test_mia_cli_trivial_accuracy_one(cfg_path, tmp_path, capsys):
     assert len(rows) == 2 + 5
 
 
+MIA_TRIALS = {  # mia_trials.csv of ten trials on the tiny config, per attack
+    "trivial": "0,0,0,1\n1,0,0,1\n2,1,1,1\n3,1,1,1\n4,1,1,1\n"
+               "5,0,0,1\n6,0,0,1\n7,0,0,1\n8,1,1,1\n9,1,1,1\n",
+    "constant": "0,0,0,1\n1,0,0,1\n2,1,0,0\n3,1,0,0\n4,1,0,0\n"
+                "5,0,0,1\n6,0,0,1\n7,0,0,1\n8,1,0,0\n9,1,0,0\n",
+}
+
+
+@pytest.mark.parametrize("attack", sorted(MIA_TRIALS))
+def test_mia_cli_trials_keep_their_bytes_and_train_each_candidate_once(
+        attack, cfg_path, tmp_path, monkeypatch):
+    calls = []
+    train = nn.train
+    monkeypatch.setattr(nn, "train", lambda *a: calls.append(a) or train(*a))
+    out = tmp_path / "mia"
+    assert main(["mia", "--config", cfg_path, "--out", str(out), "--trials", "10",
+                 "--attack", attack]) == 0
+    assert (out / "mia_trials.csv").read_text() == (
+        "# config_hash=c64ae57ddb303b5e\ntrial,b,b_hat,correct\n" + MIA_TRIALS[attack])
+    # one release per trial, and the trivial attack's two candidates
+    assert len(calls) == 10 + 2 * (attack == "trivial")
+
+
 # -------------------------------------------------------------- dp-sweep
 
 def test_dp_sweep_outputs_table(cfg_path, tmp_path):
@@ -670,6 +693,9 @@ def test_rero_bound_requires_mode():
     # a comment and a blank line are lines of the file, not data rows
     (["glm-attack", "--fixed", "fixed.csv", "--theta", "comment_theta.csv"],
      "--theta TMP/comment_theta.csv: could not convert string 'a' to float64 at line 4, column 1"),
+    # numpy named the short row by its data row, past the comment: "at row 2"
+    (["glm-attack", "--fixed", "fixed.csv", "--theta", "ragged_theta.csv"],
+     "--theta TMP/ragged_theta.csv: the number of columns changed from 2 to 1 at line 3"),
 ])
 def test_bad_input_exits_2_naming_it(argv, named, cfg_path, tmp_path, capsys, monkeypatch):
     from reconlab import data
@@ -706,6 +732,7 @@ def test_bad_input_exits_2_naming_it(argv, named, cfg_path, tmp_path, capsys, mo
         (tmp_path / "1a_theta.csv").write_text("1,a\n")
         (tmp_path / "1na_theta.csv").write_text("1\na\n")
         (tmp_path / "comment_theta.csv").write_text("# theta\n\n1\na\n")
+        (tmp_path / "ragged_theta.csv").write_text("# c\n1,2\n3\n")
         argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
         named = named.replace("TMP", str(tmp_path))
     elif argv[0] not in ("rero-bound", "rero-check"):
@@ -723,6 +750,18 @@ def test_bad_count_is_refused_before_the_config_is_read(argv, tmp_path, capsys):
     # the config file does not exist, so reading it first would name the file
     assert main(argv + ["--config", str(tmp_path / "missing.cfg"), "--out", str(tmp_path)]) == 2
     assert f"error: {argv[1]} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("probe_size", ["0", "-3"])
+def test_config_probe_size_below_one_is_refused_before_the_data_are_read(
+        probe_size, tmp_path, capsys, monkeypatch):
+    cfg_path = tmp_path / "probe.cfg"
+    cfg_path.write_text(TINY_CONFIG + f"[featurizer]\nmode=blackbox\nprobe_size={probe_size}\n")
+    calls = []
+    monkeypatch.setattr(cli, "load_profile", lambda cfg: calls.append(cfg))
+    assert main(["gen-shadows", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: featurizer.probe_size must be >= 1\n"
+    assert calls == []
 
 
 def test_rero_check_small_grid_sound(capsys):

@@ -17,24 +17,24 @@ def setup_game(seed=1):
 def test_trivial_attack_identifies_training_candidate():
     fixed, z0, z1, arch, cfg = setup_game()
     theta0 = nn.train(fixed.with_point(z0), arch, cfg)
-    assert mia.trivial_deterministic_mia(theta0, fixed, cfg, z0, z1) == 0
+    assert mia.trivial_deterministic_mia(fixed, z0, z1, arch, cfg)(theta0) == 0
     # symmetric: swapping the candidates flips the guess
-    assert mia.trivial_deterministic_mia(theta0, fixed, cfg, z1, z0) == 1
+    assert mia.trivial_deterministic_mia(fixed, z1, z0, arch, cfg)(theta0) == 1
 
 
 def test_trivial_attack_undecided_on_identical_candidates():
     fixed, z0, _, arch, cfg = setup_game()
     theta = nn.train(fixed.with_point(z0), arch, cfg)
     with pytest.raises(mia.UndecidedError):
-        mia.trivial_deterministic_mia(theta, fixed, cfg, z0, z0)
+        mia.trivial_deterministic_mia(fixed, z0, z0, arch, cfg)(theta)
 
 
 def test_protocol_with_trivial_attack_always_correct():
     fixed, z0, z1, arch, cfg = setup_game()
+    attack = mia.trivial_deterministic_mia(fixed, z0, z1, arch, cfg)
     for t in range(20):
         trial = mia.informed_mia_protocol(
-            fixed, z0, z1, arch, cfg, mia.trivial_deterministic_mia,
-            trial_seed=_derive(0, ("trial", t)),
+            fixed, z0, z1, arch, cfg, attack, trial_seed=_derive(0, ("trial", t)),
         )
         assert trial.correct
 
@@ -46,7 +46,7 @@ def test_protocol_constant_guesser_near_half():
     for t in range(n):
         trial = mia.informed_mia_protocol(
             fixed, z0, z1, arch, nn.TrainConfig(epochs=0),
-            attack_fn=lambda *a: 0, trial_seed=_derive(1, ("trial", t)),
+            attack_fn=lambda theta: 0, trial_seed=_derive(1, ("trial", t)),
         )
         correct += trial.correct
     # 99% binomial CI around 0.5 at n=200 is roughly +-0.09

@@ -163,12 +163,20 @@ STACKED_OPTIMIZERS = {
 }
 
 
-def stacked_jobs(optimizer, activation):
-    """19 points, so stacks of 8, 3, 1 and 7 under STACK = 8: point 11's
+def pin_depth(monkeypatch, fixed, arch, depth=8):
+    """Set STACK_VALUES so that models on fixed plus one point stack depth deep."""
+    monkeypatch.setattr(shadow, "STACK_VALUES",
+                        depth * (len(fixed) + 1) * sum(arch.layer_widths[1:]))
+    assert shadow._depth(len(fixed) + 1, arch) == depth
+
+
+def stacked_jobs(optimizer, activation, monkeypatch):
+    """19 points, so stacks of 8, 3, 1 and 7 at a depth of 8: point 11's
     learning rate breaks the run, and the odd points draw a random init. The
     width-1 hidden layer sums its single bias column with np.sum."""
     fixed, pool, _, _, cfg = tiny_setup(pool_n=19)
     arch = nn.MlpArchitecture((8, 6, 1, 3), activation=activation)
+    pin_depth(monkeypatch, fixed, arch)
     cfg = replace(cfg, **STACKED_OPTIMIZERS[optimizer])
     configs = [shadow.shadow_config(cfg, i, random_init=i % 2 == 1) for i in range(len(pool))]
     configs[11] = replace(configs[11], learning_rate=0.1)
@@ -184,19 +192,72 @@ def assert_models_match_nn_train(models, fixed, pool, arch, configs):
 
 @pytest.mark.parametrize("optimizer", sorted(STACKED_OPTIMIZERS))
 @pytest.mark.parametrize("activation", sorted(nn.ACTIVATIONS))
-def test_train_many_stacks_match_nn_train_bitwise(activation, optimizer):
-    fixed, pool, arch, configs = stacked_jobs(optimizer, activation)
-    assert [len(s) for s in shadow._stacks(configs)] == [8, 3, 1, 7]
+def test_train_many_stacks_match_nn_train_bitwise(activation, optimizer, monkeypatch):
+    fixed, pool, arch, configs = stacked_jobs(optimizer, activation, monkeypatch)
+    assert [len(s) for s in shadow._stacks(configs, 8)] == [8, 3, 1, 7]
     models = list(shadow.train_many(fixed, pool, arch, configs))
     assert_models_match_nn_train(models, fixed, pool, arch, configs)
 
 
 @pytest.mark.parametrize("optimizer", ["sgd_minibatch", "dpgd_sigma_2"])
 def test_train_many_stacks_in_a_pool_match_nn_train_bitwise(optimizer, monkeypatch):
-    fixed, pool, arch, configs = stacked_jobs(optimizer, "tanh")
+    fixed, pool, arch, configs = stacked_jobs(optimizer, "tanh", monkeypatch)
     monkeypatch.setenv("RECONLAB_THREADS", "2")
     models = list(shadow.train_many(fixed, pool, arch, configs))
     assert_models_match_nn_train(models, fixed, pool, arch, configs)
+
+
+def test_stack_depth_fills_stack_values():
+    # desk models (501 rows, 64-10-10) stack 8 deep, the A4 shapes (201
+    # rows, 32-8-10) 22, and a model wider than STACK_VALUES trains alone
+    assert shadow._depth(501, nn.MlpArchitecture((64, 10, 10))) == 8
+    assert shadow._depth(201, nn.MlpArchitecture((32, 8, 10))) == 22
+    assert shadow._depth(1, nn.MlpArchitecture((2, shadow.STACK_VALUES + 1))) == 1
+
+
+@pytest.mark.parametrize("optimizer", ["gd", "dpgd_sigma_2"])
+def test_train_many_one_deep_stack_at_a4_shapes_matches_nn_train_bitwise(optimizer,
+                                                                         monkeypatch):
+    ds = synth_classification(32, 10, 230, 0.15, seed=3)
+    fixed, pool, _ = split(ds, SplitSpec(200, 22, 0, split_seed=4))
+    arch = nn.MlpArchitecture((32, 8, 10))
+    cfg = replace(nn.TrainConfig(epochs=3, init_seed=5, noise_seed=6),
+                  **STACKED_OPTIMIZERS[optimizer])
+    configs = [shadow.shadow_config(cfg, i, random_init=i % 2 == 1) for i in range(len(pool))]
+    sizes = []
+    train_stack = shadow._train_stack
+
+    def recording(slot, arch, stack_points, configs):
+        sizes.append(len(stack_points))
+        return train_stack(slot, arch, stack_points, configs)
+
+    monkeypatch.setattr(shadow, "_train_stack", recording)
+    monkeypatch.setenv("RECONLAB_THREADS", "1")
+    models = list(shadow.train_many(fixed, pool, arch, configs))
+    assert sizes == [22]
+    assert_models_match_nn_train(models, fixed, pool, arch, configs)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("points", [50, 300])
+def test_train_many_stacks_desk_models_eight_deep(points, workers, monkeypatch):
+    # the desk shapes of train-released and gen-shadows in the desk_gd_attack
+    # benchmark: 500 fixed rows, 64-10-10, 50 targets or 300 shadows
+    fixed = LabeledDataset(np.zeros((500, 64)), np.zeros(500, dtype=np.int64), 10)
+    pool = LabeledDataset(np.zeros((points, 64)), np.zeros(points, dtype=np.int64), 10)
+    arch = nn.MlpArchitecture((64, 10, 10))
+    depths, sizes = [], []
+
+    def untrained(slot, arch, stack_points, configs):
+        depths.append(len(slot[0]))
+        sizes.append(len(stack_points))
+        return np.zeros((len(stack_points), arch.parameter_count)), None
+
+    monkeypatch.setattr(shadow, "_train_stack", untrained)
+    monkeypatch.setenv("RECONLAB_THREADS", str(workers))
+    assert len(list(shadow.train_many(fixed, pool, arch, [nn.TrainConfig()] * points))) == points
+    assert set(depths) == {8}
+    assert sorted(sizes, reverse=True) == [8] * (points // 8) + [points % 8]
 
 
 def check_every_worker_gets_a_stack(workers, points, stacks, monkeypatch):
@@ -210,6 +271,7 @@ def check_every_worker_gets_a_stack(workers, points, stacks, monkeypatch):
 
     fixed, pool, _, arch, cfg = tiny_setup(pool_n=points)
     configs = [shadow.shadow_config(cfg, i, random_init=True) for i in range(points)]
+    pin_depth(monkeypatch, fixed, arch)
     monkeypatch.setattr(shadow, "_train_stack", recording)
     monkeypatch.setenv("RECONLAB_THREADS", str(workers))
     models = list(shadow.train_many(fixed, pool, arch, configs))
@@ -327,7 +389,7 @@ def check_divergence_inside_a_stack_names_the_first_point():
     assert serial == {2: "non-finite parameters at epoch 2",
                       4: "non-finite parameters at epoch 0"}
     configs = [cfg] * len(points)
-    assert len(shadow._stacks(configs)) == 1
+    assert len(shadow._stacks(configs, shadow._depth(len(fixed) + 1, arch))) == 1
     models = shadow.train_many(fixed, points, arch, configs)
     for i in (0, 1):
         want = nn.train(fixed.with_point(points[i]), arch, cfg)
