@@ -1,8 +1,13 @@
 """reconlab: training-data reconstruction attacks by informed adversaries,
 differentially private training as mitigation, and the reconstruction
-robustness bound calculus."""
+robustness bound calculus.
 
-from . import accounting, data, glm, metrics, mia, nn, rero, shadow
+Submodules load on first use (``reconlab.nn`` imports ``reconlab.nn``), so a
+process pays only for the modules it touches.
+"""
+
+import importlib
+
 from .rng import Rng
 
 __all__ = [
@@ -18,3 +23,15 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+_SUBMODULES = frozenset(__all__) - {"Rng"}
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(_SUBMODULES | globals().keys())

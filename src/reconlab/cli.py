@@ -4,6 +4,10 @@ Reproduces the attack protocols end-to-end from flat key=value config
 files, persists artifacts, and emits CSV report tables. Exit codes: 0 on
 success, 2 on validation errors and on missing or corrupt files, 3 on
 numerical failure.
+
+Each command imports the modules it runs when it starts, so ``rero-bound``
+and ``rero-check`` never load the training stack (``nn``, ``shadow``,
+``data``) and ``glm-attack`` loads only ``data`` and ``glm`` besides.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from functools import partial
 
 import numpy as np
 
-from . import accounting, data, glm, metrics, mia, nn, rero, shadow
+from . import accounting, rero
 from .persist import header_field, load_model, save_model, write_csv
 from .profile import (ConfigError, build_featurizer, load_profile, named, parse_config,
                       reconn_config, run_config)
@@ -39,6 +43,8 @@ def _check_config_hash(fields: dict, path: str, cfg: dict) -> None:
 # ------------------------------------------------------------- subcommands
 
 def cmd_train_released(args) -> int:
+    from . import data, shadow
+
     cfg = parse_config(args.config)
     fixed, _, targets, arch, train_cfg = load_profile(cfg)
     os.makedirs(args.out, exist_ok=True)
@@ -54,6 +60,8 @@ def cmd_train_released(args) -> int:
 
 
 def cmd_gen_shadows(args) -> int:
+    from . import data, shadow
+
     if args.k is not None and args.k <= 0:
         raise ConfigError("--k must be positive")
     if args.probe_size is not None and args.probe_size < 1:
@@ -87,6 +95,8 @@ def cmd_gen_shadows(args) -> int:
 
 
 def cmd_attack(args) -> int:
+    from . import data, metrics, shadow
+
     cfg = parse_config(args.config)
     fixed, shadow_pool, _, _, _ = load_profile(cfg)
     targets = data.load_csv(os.path.join(args.released, "targets.csv"), "label")
@@ -125,6 +135,12 @@ def cmd_attack(args) -> int:
 
 
 def cmd_glm_attack(args) -> int:
+    from . import data, glm
+
+    if args.no_intercept and (args.family == "logistic" or args.lam != 0):
+        # the no-intercept attack solves unregularised least squares only
+        raise ConfigError(f"--no-intercept attacks a linear model with --lam 0, not "
+                          f"--family {args.family} --lam {args.lam}")
     # regression responses need not be integer class labels, so no load_csv
     X, Y = data.read_table(args.fixed, args.label_column)
     if not args.no_intercept:
@@ -173,6 +189,8 @@ def cmd_glm_attack(args) -> int:
 
 
 def cmd_mia(args) -> int:
+    from . import mia, nn
+
     if args.trials < 1:
         raise ConfigError("--trials must be positive")
     cfg = parse_config(args.config)
@@ -204,6 +222,8 @@ def cmd_mia(args) -> int:
 
 
 def cmd_dp_sweep(args) -> int:
+    from . import metrics, shadow
+
     if args.repeats < 1:
         raise ConfigError("--repeats must be >= 1")
     cfg = parse_config(args.config)
@@ -263,6 +283,10 @@ def cmd_rero_bound(args) -> int:
     for name in ("eta", "sigma"):
         value = getattr(args, name)
         if value is not None and not math.isfinite(value):
+            raise ConfigError(f"--{name} must be finite, got {value}")
+    for name in ("alpha", "eps"):  # NaN is left to each formula's range check
+        value = getattr(args, name)
+        if value is not None and math.isinf(value):
             raise ConfigError(f"--{name} must be finite, got {value}")
     if flag == "thm3":
         print(f"delta={bound()!r}")
@@ -358,14 +382,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _numerical_errors() -> tuple:
+    """nn.DivergenceError and glm.GlmError. main looks them up only for an
+    exception its first clause does not catch, so a command that never loads
+    nn or glm does not load them to match it."""
+    from . import glm, nn
+
+    return nn.DivergenceError, glm.GlmError
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, data.FormatError, ValueError, OSError) as e:
+    except (ConfigError, ValueError, OSError) as e:  # data.FormatError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (nn.DivergenceError, glm.GlmError) as e:
+    except _numerical_errors() as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -9,10 +9,12 @@ little-endian 64-bit floats. Model and shadow-set headers are the same
 from __future__ import annotations
 
 import hashlib
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import nn
+if TYPE_CHECKING:
+    from . import nn
 
 __all__ = [
     "save_model",
@@ -41,6 +43,8 @@ def save_model(path: str, params: nn.ModelParams, metadata: dict = None) -> None
 
 def load_model(path: str):
     """Returns (params, metadata). A corrupt file raises ValueError naming it."""
+    from . import nn
+
     with open(path, "rb") as f:
         blob = f.read()
     head, _, body = blob.partition(b"\n\n")

@@ -7,10 +7,13 @@ import contextlib
 import functools
 import math
 from dataclasses import replace
+from typing import TYPE_CHECKING
 
-from . import data, nn, shadow
 from .persist import config_hash, int_tuple
 from .rng import _derive
+
+if TYPE_CHECKING:
+    from . import nn, shadow
 
 
 class ConfigError(ValueError):
@@ -131,6 +134,8 @@ def _fields(cfg: Config, section: str, names: str) -> dict:
 
 def load_profile(cfg: Config):
     """Build (fixed, shadow_pool, targets, arch, train_config) from a config."""
+    from . import data, nn
+
     profile = cfg["profile.name"]
     if profile == "desk_synthetic":
         with named("data"):
@@ -164,6 +169,8 @@ def load_profile(cfg: Config):
 
 
 def reconn_config(cfg: Config) -> shadow.RecoNNConfig:
+    from . import shadow
+
     config = shadow.RecoNNConfig(**_fields(cfg, "reconn", "learning_rate batch_size epochs seed"))
     with named("reconn.hidden_widths"):
         return replace(config, hidden_widths=cfg["reconn.hidden_widths"])
@@ -175,6 +182,8 @@ def build_featurizer(cfg: Config, shadow_pool, arch: nn.MlpArchitecture, args):
     shadow-pool points, which are then excluded from shadow targets; P >= 1
     is the caller's to check, before it reads any data. Returns (featurizer,
     remaining shadow pool)."""
+    from . import shadow
+
     mode = args.featurizer or cfg["featurizer.mode"]
     if mode == "whitebox":
         return shadow.Featurizer("whitebox"), shadow_pool

@@ -229,12 +229,21 @@ def _clamp(g: float) -> float:
     return min(1.0, max(0.0, g))
 
 
+def _check_finite(**values) -> None:
+    """Refuse an infinite parameter: inf - inf and 0 * inf give NaN, which
+    _clamp maps to a bound of 0, the claim that no attack succeeds."""
+    for name, value in values.items():
+        if math.isinf(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def rdp_to_rero(alpha: float, eps: float, kappa: float, eta: float) -> ReRoBound:
     """(alpha, eps)-RDP gives gamma = (kappa * e^eps)^((alpha-1)/alpha)."""
     if not alpha > 1:
         raise ValueError("alpha must be > 1")
     if not eps >= 0:
         raise ValueError("eps must be nonnegative")
+    _check_finite(alpha=alpha, eps=eps)
     if not 0 < kappa <= 1:
         raise ValueError("kappa must be in (0, 1]")
     gamma = _clamp(math.exp((alpha - 1.0) / alpha * (math.log(kappa) + eps)))
@@ -245,6 +254,7 @@ def puredp_to_rero(eps: float, kappa: float, eta: float) -> ReRoBound:
     """eps-DP gives gamma = kappa * e^eps."""
     if not eps >= 0:
         raise ValueError("eps must be nonnegative")
+    _check_finite(eps=eps)
     if not 0 <= kappa <= 1:
         raise ValueError("kappa must be in [0, 1]")
     gamma = _clamp(kappa * math.exp(eps))
@@ -270,6 +280,7 @@ def rero_to_dp(eps: float, gamma: float) -> float:
     (eps, delta)-DP with delta = max(0, (e^eps + 1) * gamma - e^eps)."""
     if not eps >= 0:
         raise ValueError("eps must be nonnegative")
+    _check_finite(eps=eps)
     if not 0 <= gamma <= 1:
         raise ValueError("gamma must be in [0, 1]")
     return max(0.0, (math.exp(eps) + 1.0) * gamma - math.exp(eps))

@@ -442,6 +442,22 @@ def test_glm_attack_no_intercept_prints_roots(tmp_path, capsys):
     assert min(np.max(np.abs(c - x_true)) for c in cands) <= 1e-6
 
 
+def test_glm_attack_no_intercept_takes_ridge_at_lam_0(tmp_path, capsys):
+    # ridge with no penalty is linear regression, so the same attack runs
+    fixed_csv = tmp_path / "fixed.csv"
+    fixed_csv.write_text("x0,x1,label\n1,0,1\n0,1,2\n1,1,0\n2,1,1\n")
+    theta_csv = tmp_path / "theta.csv"
+    theta_csv.write_text("0.5\n0.25\n")
+    argv = ["glm-attack", "--fixed", str(fixed_csv), "--theta", str(theta_csv),
+            "--no-intercept", "--target-label", "1.5"]
+    outputs = []
+    for flags in ([], ["--family", "ridge"], ["--family", "ridge", "--lam", "0"]):
+        assert main(argv + flags) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0].startswith("candidate_1=")
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
 @pytest.mark.parametrize("no_intercept", [False, True])
 def test_glm_attack_prints_what_a_loadtxt_read_of_fixed_gives(no_intercept, tmp_path, capsys):
     # --fixed was read by np.loadtxt before data.read_table; both must parse
@@ -696,6 +712,23 @@ def test_rero_bound_requires_mode():
     # numpy named the short row by its data row, past the comment: "at row 2"
     (["glm-attack", "--fixed", "fixed.csv", "--theta", "ragged_theta.csv"],
      "--theta TMP/ragged_theta.csv: the number of columns changed from 2 to 1 at line 3"),
+    # an infinite alpha or eps made NaN, which the clamp turned into gamma or delta 0
+    (["rero-bound", "--thm2", "--alpha", "inf", "--eps", "1", "--kappa", "0.1"],
+     "--alpha must be finite, got inf"),
+    (["rero-bound", "--thm2", "--alpha", "2", "--eps", "inf", "--kappa", "0.1"],
+     "--eps must be finite, got inf"),
+    (["rero-bound", "--thm3", "--eps", "inf", "--gamma", "1"], "--eps must be finite, got inf"),
+    (["rero-bound", "--cor1", "--eps", "inf", "--kappa", "0.1"], "--eps must be finite, got inf"),
+    (["rero-bound", "--prop1", "--d", "100000", "--eps", "inf"], "--eps must be finite, got inf"),
+    (["rero-bound", "--cor1", "--eps=-inf", "--kappa", "0.1"], "--eps must be finite, got -inf"),
+    # --no-intercept ran the unregularised linear attack whatever --family and --lam said
+    (["glm-attack", "--fixed", "fixed.csv", "--theta", "theta.csv", "--no-intercept",
+      "--target-label", "1", "--family", "logistic"], "--no-intercept attacks a linear model"),
+    (["glm-attack", "--fixed", "fixed.csv", "--theta", "theta.csv", "--no-intercept",
+      "--target-label", "1", "--lam", "3"], "--no-intercept attacks a linear model"),
+    (["glm-attack", "--fixed", "fixed.csv", "--theta", "theta.csv", "--no-intercept",
+      "--target-label", "1", "--family", "ridge", "--lam", "0.5"],
+     "--no-intercept attacks a linear model"),
 ])
 def test_bad_input_exits_2_naming_it(argv, named, cfg_path, tmp_path, capsys, monkeypatch):
     from reconlab import data

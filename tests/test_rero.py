@@ -263,6 +263,20 @@ def test_converters_reject_nan_privacy(convert):
         convert(math.nan)
 
 
+@pytest.mark.parametrize("convert, name", [
+    (lambda inf: rero.rdp_to_rero(inf, 1.0, 0.1, 0.5), "alpha"),
+    (lambda inf: rero.rdp_to_rero(2.0, inf, 0.1, 0.5), "eps"),
+    (lambda inf: rero.puredp_to_rero(inf, 0.0, 0.5), "eps"),
+    (lambda inf: rero.rero_to_dp(inf, 1.0), "eps"),
+    (lambda inf: rero.prop_gamma(100_000, 0.5, {"eps": inf}, "uniform_ball"), "eps"),
+])
+def test_converters_reject_infinite_privacy(convert, name):
+    # (alpha - 1) / alpha, 0 * e^eps and e^eps - e^eps are NaN at inf, and the
+    # clamp read NaN as gamma = 0 or delta = 0: no attack could succeed
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        convert(math.inf)
+
+
 def test_prop_gamma_uniform_ball():
     b = rero.prop_gamma(10, 0.5, {"eps": 1.0}, "uniform_ball")
     assert abs(b.gamma - 0.5 ** 10 * math.e) < 1e-12
