@@ -31,7 +31,3 @@ def __getattr__(name):
     if name in _SUBMODULES:
         return importlib.import_module(f"{__name__}.{name}")
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(_SUBMODULES | globals().keys())

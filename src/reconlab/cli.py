@@ -6,8 +6,8 @@ success, 2 on validation errors and on missing or corrupt files, 3 on
 numerical failure.
 
 Each command imports the modules it runs when it starts, so ``rero-bound``
-and ``rero-check`` never load the training stack (``nn``, ``shadow``,
-``data``) and ``glm-attack`` loads only ``data`` and ``glm`` besides.
+and ``rero-check`` load ``rero`` and never the training stack (``nn``,
+``shadow``, ``data``), and ``glm-attack`` loads only ``data`` and ``glm``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from functools import partial
 
 import numpy as np
 
-from . import accounting, rero
 from .persist import header_field, load_model, save_model, write_csv
 from .profile import (ConfigError, build_featurizer, load_profile, named, parse_config,
                       reconn_config, run_config)
@@ -222,7 +221,7 @@ def cmd_mia(args) -> int:
 
 
 def cmd_dp_sweep(args) -> int:
-    from . import metrics, shadow
+    from . import accounting, metrics, shadow
 
     if args.repeats < 1:
         raise ConfigError("--repeats must be >= 1")
@@ -257,6 +256,8 @@ def cmd_dp_sweep(args) -> int:
 
 
 def cmd_rero_bound(args) -> int:
+    from . import rero
+
     privacy = "rho" if args.rho is not None else "eps"
     formulas = {  # flag: (required inputs, bound)
         "thm3": (("eps", "gamma"), lambda: rero.rero_to_dp(args.eps, args.gamma)),
@@ -299,6 +300,8 @@ def cmd_rero_bound(args) -> int:
 
 
 def cmd_rero_check(args) -> int:
+    from . import rero
+
     if args.trials < 100:
         raise ConfigError("--trials must be >= 100")
     violations = 0
