@@ -2,8 +2,8 @@
 differentially private training as mitigation, and the reconstruction
 robustness bound calculus.
 
-Submodules load on first use (``reconlab.nn`` imports ``reconlab.nn``), so a
-process pays only for the modules it touches.
+Each submodule loads on its first access (``reconlab.nn`` or
+``from reconlab import nn``), so a process pays only for the modules it uses.
 """
 
 import importlib

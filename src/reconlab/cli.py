@@ -6,8 +6,8 @@ success, 2 on validation errors and on missing or corrupt files, 3 on
 numerical failure.
 
 Each command imports the modules it runs when it starts, so ``rero-bound``
-and ``rero-check`` load ``rero`` and never the training stack (``nn``,
-``shadow``, ``data``), and ``glm-attack`` loads only ``data`` and ``glm``.
+and ``rero-check`` never load the training stack (``nn``, ``shadow``,
+``data``) and ``glm-attack`` loads only ``data`` and ``glm`` besides.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from functools import partial
 
 import numpy as np
 
+from . import accounting, rero
 from .persist import header_field, load_model, save_model, write_csv
 from .profile import (ConfigError, build_featurizer, load_profile, named, parse_config,
                       reconn_config, run_config)
@@ -221,7 +222,7 @@ def cmd_mia(args) -> int:
 
 
 def cmd_dp_sweep(args) -> int:
-    from . import accounting, metrics, shadow
+    from . import metrics, shadow
 
     if args.repeats < 1:
         raise ConfigError("--repeats must be >= 1")
@@ -256,8 +257,6 @@ def cmd_dp_sweep(args) -> int:
 
 
 def cmd_rero_bound(args) -> int:
-    from . import rero
-
     privacy = "rho" if args.rho is not None else "eps"
     formulas = {  # flag: (required inputs, bound)
         "thm3": (("eps", "gamma"), lambda: rero.rero_to_dp(args.eps, args.gamma)),
@@ -300,8 +299,6 @@ def cmd_rero_bound(args) -> int:
 
 
 def cmd_rero_check(args) -> int:
-    from . import rero
-
     if args.trials < 100:
         raise ConfigError("--trials must be >= 100")
     violations = 0
