@@ -13,7 +13,6 @@ and ``rero-check`` never load the training stack (``nn``, ``shadow``,
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import warnings
@@ -22,9 +21,9 @@ from functools import partial
 import numpy as np
 
 from . import accounting, rero
-from .persist import header_field, load_model, save_model, write_csv
-from .profile import (ConfigError, build_featurizer, load_profile, named, parse_config,
-                      reconn_config, run_config)
+from .persist import header_field, int_tuple, load_model, save_model, write_csv
+from .profile import (ConfigError, at_least, build_featurizer, finite, load_profile, named,
+                      nonnegatives, parse_config, reconn_config, run_config)
 from .rng import _derive
 
 EXIT_OK = 0
@@ -62,13 +61,7 @@ def cmd_train_released(args) -> int:
 def cmd_gen_shadows(args) -> int:
     from . import data, shadow
 
-    if args.k is not None and args.k <= 0:
-        raise ConfigError("--k must be positive")
-    if args.probe_size is not None and args.probe_size < 1:
-        raise ConfigError("--probe-size must be >= 1")
     cfg = parse_config(args.config)
-    if args.probe_size is None and cfg["featurizer.probe_size"] < 1:
-        raise ConfigError("featurizer.probe_size must be >= 1")
     fixed, shadow_pool, _, arch, train_cfg = load_profile(cfg)
     if args.ood_pool:
         ood = data.load_csv(args.ood_pool, args.ood_label_column)
@@ -141,6 +134,8 @@ def cmd_glm_attack(args) -> int:
         # the no-intercept attack solves unregularised least squares only
         raise ConfigError(f"--no-intercept attacks a linear model with --lam 0, not "
                           f"--family {args.family} --lam {args.lam}")
+    if args.no_intercept and args.target_label is None:
+        raise ConfigError("--no-intercept requires --target-label")
     # regression responses need not be integer class labels, so no load_csv
     X, Y = data.read_table(args.fixed, args.label_column)
     if not args.no_intercept:
@@ -170,8 +165,6 @@ def cmd_glm_attack(args) -> int:
         raise ConfigError(f"--theta {args.theta}: no values")
     if not np.isfinite(theta).all():
         raise ConfigError(f"--theta {args.theta}: every value must be finite")
-    if args.no_intercept and (args.target_label is None or not np.isfinite(args.target_label)):
-        raise ConfigError("--no-intercept requires a finite --target-label")
     if theta.shape != X.shape[1:]:
         with_intercept = "" if args.no_intercept else ", the intercept included"
         raise ConfigError(f"--theta holds {theta.size} values, but the model of --fixed has "
@@ -191,8 +184,6 @@ def cmd_glm_attack(args) -> int:
 def cmd_mia(args) -> int:
     from . import mia, nn
 
-    if args.trials < 1:
-        raise ConfigError("--trials must be positive")
     cfg = parse_config(args.config)
     fixed, _, targets, arch, train_cfg = load_profile(cfg)
     if len(targets) < 2:
@@ -224,18 +215,10 @@ def cmd_mia(args) -> int:
 def cmd_dp_sweep(args) -> int:
     from . import metrics, shadow
 
-    if args.repeats < 1:
-        raise ConfigError("--repeats must be >= 1")
     cfg = parse_config(args.config)
     fixed, shadow_pool, targets, arch, base_cfg = load_profile(cfg)
-    with named("--sigmas"):
-        sigmas = [float(s) for s in args.sigmas.split(",")]
-    if not all(0 <= s < math.inf for s in sigmas):
-        raise ConfigError(f"--sigmas must be finite and >= 0, got {args.sigmas}")
-    delta, clip = cfg["dp.delta"], cfg["dp.clip_norm"]
-    if not 0 < clip < math.inf:
-        raise ConfigError(f"dp.clip_norm must be finite and > 0, got {clip}")
-    epsilons = [math.inf if sigma == 0.0 else accounting.zcdp_to_approx_dp(
+    sigmas, delta, clip = args.sigmas, cfg["dp.delta"], cfg["dp.clip_norm"]
+    epsilons = [np.inf if sigma == 0.0 else accounting.zcdp_to_approx_dp(
         accounting.account_dpgd(base_cfg.epochs, clip, sigma), delta) for sigma in sigmas]
     pool_X = np.vstack([fixed.X, shadow_pool.X])
     threshold = metrics.oracle_report(targets.X, pool_X).mean_nn_distance
@@ -269,26 +252,11 @@ def cmd_rero_bound(args) -> int:
         "prop2": (("d", privacy, "sigma"), lambda: rero.prop_gamma(
             args.d, args.eta, {privacy: getattr(args, privacy)}, "gaussian", sigma=args.sigma)),
     }
-    chosen = [f for f in formulas if getattr(args, f)]
-    if len(chosen) != 1:
-        given = f", not --{' and --'.join(chosen)}" if chosen else ""
-        raise ConfigError(f"choose one of --thm2/--cor1/--cor2/--thm3/--prop1/--prop2{given}")
-    flag, = chosen
-    if args.eps is not None and args.rho is not None:
-        raise ConfigError("give --eps or --rho, not both")
-    required, bound = formulas[flag]
+    required, bound = formulas[args.formula]
     missing = ["--" + name for name in required if getattr(args, name) is None]
     if missing:
-        raise ConfigError(f"--{flag} requires {', '.join(missing)}")
-    for name in ("eta", "sigma"):
-        value = getattr(args, name)
-        if value is not None and not math.isfinite(value):
-            raise ConfigError(f"--{name} must be finite, got {value}")
-    for name in ("alpha", "eps"):  # NaN is left to each formula's range check
-        value = getattr(args, name)
-        if value is not None and math.isinf(value):
-            raise ConfigError(f"--{name} must be finite, got {value}")
-    if flag == "thm3":
+        raise ConfigError(f"--{args.formula} requires {', '.join(missing)}")
+    if args.formula == "thm3":
         print(f"delta={bound()!r}")
         return EXIT_OK
     b = bound()
@@ -299,8 +267,6 @@ def cmd_rero_bound(args) -> int:
 
 
 def cmd_rero_check(args) -> int:
-    if args.trials < 100:
-        raise ConfigError("--trials must be >= 100")
     violations = 0
     for cell in rero.rero_soundness_grid(n_trials=args.trials, seed=args.seed):
         status = "ok" if cell["sound"] else "VIOLATION"
@@ -320,8 +286,13 @@ def cmd_rero_check(args) -> int:
 
 # ------------------------------------------------------------------ parser
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # main reports it with exit 2, not argparse's usage and exit
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="reconlab")
+    parser = _Parser(prog="reconlab")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(fn, help, config=True):
@@ -337,13 +308,13 @@ def build_parser() -> argparse.ArgumentParser:
     command(cmd_train_released, "train one released model per test target")
 
     p = command(cmd_gen_shadows, "materialize a shadow set")
-    p.add_argument("--k", type=int)
+    p.add_argument("--k", type=at_least(1))
     p.add_argument("--ood-pool")
     p.add_argument("--ood-label-column", default="label")
     p.add_argument("--random-init", action="store_true")
     p.add_argument("--featurizer", choices=["whitebox", "layers", "blackbox"])
-    p.add_argument("--layers")
-    p.add_argument("--probe-size", type=int)
+    p.add_argument("--layers", type=int_tuple)
+    p.add_argument("--probe-size", type=at_least(1))
 
     p = command(cmd_attack, "train the reconstructor and attack released models")
     p.add_argument("--shadows", required=True)
@@ -356,28 +327,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", default="linear", choices=["linear", "ridge", "logistic"])
     p.add_argument("--lam", type=float, default=0.0)
     p.add_argument("--no-intercept", action="store_true")
-    p.add_argument("--target-label", type=float)
+    p.add_argument("--target-label", type=finite)
 
     p = command(cmd_mia, "run the informed membership-inference game")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=at_least(1), default=100)
     p.add_argument("--attack", choices=["trivial", "constant"], default="trivial")
     p.add_argument("--seed", type=int, default=0)
 
     p = command(cmd_dp_sweep, "sweep DP noise levels and report the trade-off")
-    p.add_argument("--sigmas", default="0,0.5,2,8")
-    p.add_argument("--repeats", type=int, default=3)
+    p.add_argument("--sigmas", type=nonnegatives, default="0,0.5,2,8")
+    p.add_argument("--repeats", type=at_least(1), default=3)
 
     p = command(cmd_rero_bound, "evaluate a reconstruction-robustness formula", config=False)
+    formula = p.add_mutually_exclusive_group(required=True)
     for flag in ("thm2", "cor1", "cor2", "thm3", "prop1", "prop2"):
-        p.add_argument("--" + flag, action="store_true")
-    for name in ("kappa", "eps", "rho", "alpha", "gamma", "sigma"):
-        p.add_argument("--" + name, type=float)
-    p.add_argument("--eta", type=float, default=0.5)
+        formula.add_argument("--" + flag, dest="formula", action="store_const", const=flag)
+    privacy = p.add_mutually_exclusive_group()
+    privacy.add_argument("--eps", type=finite)
+    privacy.add_argument("--rho", type=float)
+    for name, cast in (("kappa", float), ("alpha", finite), ("gamma", float), ("sigma", finite)):
+        p.add_argument("--" + name, type=cast)
+    p.add_argument("--eta", type=finite, default=0.5)
     p.add_argument("--d", type=int)
 
     p = command(cmd_rero_check, "empirical soundness suite for the ReRo bounds", config=False)
-    p.add_argument("--trials", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=at_least(100), default=500)
+    p.add_argument("--seed", type=at_least(0), default=0)
 
     return parser
 
@@ -392,8 +367,8 @@ def _numerical_errors() -> tuple:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (ConfigError, ValueError, OSError) as e:  # data.FormatError is a ValueError
         print(f"error: {e}", file=sys.stderr)

@@ -79,15 +79,6 @@ class LabeledDataset:
         y = np.concatenate([self.y, [point.y]])
         return LabeledDataset(X, y, max(self.num_classes, point.y + 1))
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LabeledDataset)
-            and self.num_classes == other.num_classes
-            and self.X.shape == other.X.shape
-            and np.array_equal(self.X, other.X)
-            and np.array_equal(self.y, other.y)
-        )
-
 
 @dataclass(frozen=True)
 class SplitSpec:

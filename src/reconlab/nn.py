@@ -165,10 +165,6 @@ class ModelParams:
             self.biases.append(flat[..., off : off + ws[i + 1]])
             off += ws[i + 1]
 
-    def __reduce__(self):
-        # pickle the vector once; the views are rebuilt on load
-        return ModelParams, (self.arch, self.flat)
-
     def flatten(self) -> np.ndarray:
         return self.flat.copy()
 

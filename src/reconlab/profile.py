@@ -3,6 +3,7 @@ the data split, models and featurizer a config builds."""
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import functools
 import math
@@ -18,6 +19,38 @@ if TYPE_CHECKING:
 
 class ConfigError(ValueError):
     pass
+
+
+class RangeError(ValueError, argparse.ArgumentTypeError):
+    """A value outside its range. named() puts the config key before the
+    message, and argparse the flag."""
+
+
+def _ranged(cast, ok, rule: str):
+    """cast, refusing a value ok() rejects: the cast of a SCHEMA key or the
+    type= of a flag that has a range."""
+    def parse(text: str):
+        value = cast(text)
+        if not ok(value):
+            raise RangeError(f"must be {rule}, got {text}")
+        return value
+    parse.__name__ = cast.__name__  # argparse's "invalid int value: 'x'"
+    return parse
+
+
+def at_least(low: int):
+    """A cast to an int >= low."""
+    return _ranged(int, lambda value: value >= low, f">= {low}")
+
+
+finite = _ranged(float, math.isfinite, "finite")
+positive = _ranged(finite, lambda value: value > 0, "> 0")
+_nonnegative = _ranged(finite, lambda value: value >= 0, ">= 0")
+
+
+def nonnegatives(text: str) -> list:
+    """Comma-separated finite floats, each >= 0."""
+    return [_nonnegative(t) for t in text.split(",")]
 
 
 # "section.key": (cast, default), every key a config file may set. A default
@@ -56,9 +89,9 @@ SCHEMA = {
     "reconn.seed": (int, "7"),
     "featurizer.mode": (str, "whitebox"),
     "featurizer.layers": (int_tuple, None),  # unset: the last layer
-    "featurizer.probe_size": (int, "200"),
+    "featurizer.probe_size": (at_least(1), "200"),
     "dp.delta": (float, "1e-5"),
-    "dp.clip_norm": (float, "1.0"),
+    "dp.clip_norm": (positive, "1.0"),
 }
 
 
@@ -179,9 +212,8 @@ def reconn_config(cfg: Config) -> shadow.RecoNNConfig:
 def build_featurizer(cfg: Config, shadow_pool, arch: nn.MlpArchitecture, args):
     """Featurizer from config and the --featurizer/--layers/--probe-size flags.
     Layers mode defaults to the last layer. Blackbox probes are the first P
-    shadow-pool points, which are then excluded from shadow targets; P >= 1
-    is the caller's to check, before it reads any data. Returns (featurizer,
-    remaining shadow pool)."""
+    shadow-pool points, which are then excluded from shadow targets. Returns
+    (featurizer, remaining shadow pool)."""
     from . import shadow
 
     mode = args.featurizer or cfg["featurizer.mode"]
@@ -190,8 +222,7 @@ def build_featurizer(cfg: Config, shadow_pool, arch: nn.MlpArchitecture, args):
     if mode == "layers":
         key, idx = "featurizer.layers", cfg.get("featurizer.layers", (arch.num_layers - 1,))
         if args.layers is not None:
-            with named("--layers"):
-                key, idx = "--layers", int_tuple(args.layers)
+            key, idx = "--layers", args.layers
         if not idx or not all(0 <= i < arch.num_layers for i in idx):
             raise ConfigError(f"{key} must list layer indices in 0..{arch.num_layers - 1}")
         return shadow.Featurizer("layers", layers=idx), shadow_pool

@@ -366,7 +366,7 @@ class RecoNNConfig:
 @dataclass
 class RecoNN:
     """A trained reconstructor with its shadow set's featurizer and stats;
-    calling it on a released model returns the candidate reconstruction."""
+    attack(phi, released) returns the candidate reconstruction."""
 
     params: nn.ModelParams
     featurizer: Featurizer
@@ -375,9 +375,6 @@ class RecoNN:
     def predict(self, normalized_features: np.ndarray) -> np.ndarray:
         logits = nn.forward(self.params, normalized_features)
         return 1.0 / (1.0 + np.exp(-logits))
-
-    def __call__(self, released) -> np.ndarray:
-        return attack(self, released)
 
 
 def _reconn_loss_grad(params: nn.ModelParams, F: np.ndarray, T: np.ndarray,

@@ -595,14 +595,17 @@ def test_rero_bound_requires_mode():
     (["gen-shadows", "--featurizer", "layers", "--layers", "5"], "--layers"),
     (["gen-shadows", "--featurizer", "layers", "--layers", "-1"], "--layers"),
     (["gen-shadows", "--featurizer", "layers", "[featurizer]\nlayers=2"], "featurizer.layers"),
-    (["rero-bound", "--cor1", "--eps", "nan", "--kappa", "0.1"], "eps must be nonnegative"),
-    (["rero-bound", "--prop1", "--d", "10", "--eps", "nan"], "eps must be nonnegative"),
+    (["rero-bound", "--cor1", "--eps", "nan", "--kappa", "0.1"],
+     "argument --eps: must be finite, got nan"),
+    (["rero-bound", "--prop1", "--d", "10", "--eps", "nan"],
+     "argument --eps: must be finite, got nan"),
     (["rero-bound", "--thm2", "--alpha", "2", "--eps", "nan", "--kappa", "0.1"],
-     "eps must be nonnegative"),
+     "argument --eps: must be finite, got nan"),
     (["rero-bound", "--thm2", "--alpha", "nan", "--eps", "1", "--kappa", "0.1"],
-     "alpha must be > 1"),
+     "argument --alpha: must be finite, got nan"),
     (["rero-bound", "--cor2", "--rho", "nan", "--kappa", "0.1"], "rho must be nonnegative"),
-    (["rero-bound", "--thm3", "--eps", "nan", "--gamma", "0.5"], "eps must be nonnegative"),
+    (["rero-bound", "--thm3", "--eps", "nan", "--gamma", "0.5"],
+     "argument --eps: must be finite, got nan"),
     # sigma * clip_norm squares to 0.0, so rho would divide by zero
     (["dp-sweep", "--sigmas", "1e-170"], "squares to 0"),
     # the .csv names are files written by the test
@@ -677,9 +680,9 @@ def test_rero_bound_requires_mode():
      "released: dpgd requires a finite clip_norm > 0"),
     # rero-bound used one of two formulas, or --rho over --eps, silently
     (["rero-bound", "--cor1", "--thm3", "--eps", "1", "--kappa", "0.1", "--gamma", "0.5"],
-     "not --thm3 and --cor1"),
+     "argument --thm3: not allowed with argument --cor1"),
     (["rero-bound", "--prop1", "--d", "3", "--eps", "1", "--rho", "0.1"],
-     "give --eps or --rho, not both"),
+     "argument --rho: not allowed with argument --eps"),
     # a label a hair below a class was truncated to the class below
     (["gen-shadows", "--ood-pool", "OOD_FRACTIONAL_CSV"], "must hold integer classes"),
     # a --theta of the wrong length ended in numpy's matmul message
@@ -698,7 +701,7 @@ def test_rero_bound_requires_mode():
                  "--theta TMP/empty_theta.csv: no values",
                  marks=pytest.mark.filterwarnings("error")),
     # refused only inside the soundness grid, naming n_trials
-    (["rero-check", "--trials", "50"], "--trials must be >= 100"),
+    (["rero-check", "--trials", "50"], "argument --trials: must be >= 100, got 50"),
     # numpy named the value's data row counted from 0: "at row 0, column 1"
     (["glm-attack", "--fixed", "fixed.csv", "--theta", "a1_theta.csv"],
      "--theta TMP/a1_theta.csv: could not convert string 'a' to float64 at line 1, column 1"),
@@ -714,13 +717,17 @@ def test_rero_bound_requires_mode():
      "--theta TMP/ragged_theta.csv: the number of columns changed from 2 to 1 at line 3"),
     # an infinite alpha or eps made NaN, which the clamp turned into gamma or delta 0
     (["rero-bound", "--thm2", "--alpha", "inf", "--eps", "1", "--kappa", "0.1"],
-     "--alpha must be finite, got inf"),
+     "argument --alpha: must be finite, got inf"),
     (["rero-bound", "--thm2", "--alpha", "2", "--eps", "inf", "--kappa", "0.1"],
-     "--eps must be finite, got inf"),
-    (["rero-bound", "--thm3", "--eps", "inf", "--gamma", "1"], "--eps must be finite, got inf"),
-    (["rero-bound", "--cor1", "--eps", "inf", "--kappa", "0.1"], "--eps must be finite, got inf"),
-    (["rero-bound", "--prop1", "--d", "100000", "--eps", "inf"], "--eps must be finite, got inf"),
-    (["rero-bound", "--cor1", "--eps=-inf", "--kappa", "0.1"], "--eps must be finite, got -inf"),
+     "argument --eps: must be finite, got inf"),
+    (["rero-bound", "--thm3", "--eps", "inf", "--gamma", "1"],
+     "argument --eps: must be finite, got inf"),
+    (["rero-bound", "--cor1", "--eps", "inf", "--kappa", "0.1"],
+     "argument --eps: must be finite, got inf"),
+    (["rero-bound", "--prop1", "--d", "100000", "--eps", "inf"],
+     "argument --eps: must be finite, got inf"),
+    (["rero-bound", "--cor1", "--eps=-inf", "--kappa", "0.1"],
+     "argument --eps: must be finite, got -inf"),
     # --no-intercept ran the unregularised linear attack whatever --family and --lam said
     (["glm-attack", "--fixed", "fixed.csv", "--theta", "theta.csv", "--no-intercept",
       "--target-label", "1", "--family", "logistic"], "--no-intercept attacks a linear model"),
@@ -729,6 +736,8 @@ def test_rero_bound_requires_mode():
     (["glm-attack", "--fixed", "fixed.csv", "--theta", "theta.csv", "--no-intercept",
       "--target-label", "1", "--family", "ridge", "--lam", "0.5"],
      "--no-intercept attacks a linear model"),
+    # numpy refused the seed inside the soundness grid, naming no flag
+    (["rero-check", "--seed", "-1"], "--seed"),
 ])
 def test_bad_input_exits_2_naming_it(argv, named, cfg_path, tmp_path, capsys, monkeypatch):
     from reconlab import data
@@ -782,19 +791,47 @@ def test_bad_input_exits_2_naming_it(argv, named, cfg_path, tmp_path, capsys, mo
 def test_bad_count_is_refused_before_the_config_is_read(argv, tmp_path, capsys):
     # the config file does not exist, so reading it first would name the file
     assert main(argv + ["--config", str(tmp_path / "missing.cfg"), "--out", str(tmp_path)]) == 2
-    assert f"error: {argv[1]} must be" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: argument {argv[1]}: must be >= 1, got 0\n"
 
 
-@pytest.mark.parametrize("probe_size", ["0", "-3"])
-def test_config_probe_size_below_one_is_refused_before_the_data_are_read(
-        probe_size, tmp_path, capsys, monkeypatch):
-    cfg_path = tmp_path / "probe.cfg"
-    cfg_path.write_text(TINY_CONFIG + f"[featurizer]\nmode=blackbox\nprobe_size={probe_size}\n")
+@pytest.mark.parametrize("key,value,message", [
+    ("featurizer.probe_size", "0", "must be >= 1, got 0"),
+    ("featurizer.probe_size", "-3", "must be >= 1, got -3"),
+    ("dp.clip_norm", "0", "must be > 0, got 0"),
+    ("dp.clip_norm", "nan", "must be finite, got nan"),
+    ("dp.clip_norm", "inf", "must be finite, got inf"),
+])
+def test_config_key_range_is_refused_before_the_data_are_read(
+        key, value, message, tmp_path, capsys, monkeypatch):
+    section, name = key.split(".")
+    cfg_path = tmp_path / "range.cfg"
+    cfg_path.write_text(TINY_CONFIG + f"[{section}]\n{name}={value}\n")
     calls = []
     monkeypatch.setattr(cli, "load_profile", lambda cfg: calls.append(cfg))
-    assert main(["gen-shadows", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err == "error: featurizer.probe_size must be >= 1\n"
+    # refused by its SCHEMA cast, also by a command that does not use the key
+    for command in ("gen-shadows", "train-released"):
+        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {key}: {message}\n"
     assert calls == []
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["no-such-command"], "argument command: invalid choice: 'no-such-command'"),
+    (["train-released", "--out", "out"], "the following arguments are required: --config"),
+    (["rero-bound", "--thm2", "--cor1", "--eps", "1", "--kappa", "0.1"],
+     "argument --cor1: not allowed with argument --thm2"),
+])
+def test_parser_error_returns_2(argv, message, capsys):
+    # argparse's own exit 2 would raise SystemExit out of main
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_help_still_exits_0():
+    with pytest.raises(SystemExit) as exit:
+        main(["dp-sweep", "--help"])
+    assert exit.value.code == 0
 
 
 def test_rero_check_small_grid_sound(capsys):

@@ -151,7 +151,8 @@ def test_csv_roundtrip(tmp_path):
     p = tmp_path / "round.csv"
     data.save_csv(ds, str(p))
     back = data.load_csv(str(p), "label")
-    assert back == ds
+    assert np.array_equal(back.X, ds.X) and np.array_equal(back.y, ds.y)
+    assert back.num_classes == ds.num_classes
 
 
 def test_save_csv_bytes_match_csv_writer(tmp_path):
@@ -187,8 +188,9 @@ def test_split_disjoint_and_deterministic():
     assert not rows(fixed) & rows(targets)
     assert not rows(shadow) & rows(targets)
 
-    f2, s2, t2 = data.split(ds, spec)
-    assert f2 == fixed and s2 == shadow and t2 == targets
+    for again, first in zip(data.split(ds, spec), (fixed, shadow, targets)):
+        assert np.array_equal(again.X, first.X) and np.array_equal(again.y, first.y)
+        assert again.num_classes == first.num_classes
 
 
 def test_split_empty_fixed_ok():
@@ -208,7 +210,7 @@ def test_split_too_large():
 def test_synth_deterministic_and_bounded():
     a = data.synth_classification(8, 4, 50, 0.2, seed=3)
     b = data.synth_classification(8, 4, 50, 0.2, seed=3)
-    assert a == b
+    assert np.array_equal(a.X, b.X) and np.array_equal(a.y, b.y)
     assert a.X.min() >= 0.0 and a.X.max() <= 1.0
     assert a.num_classes == 4
 

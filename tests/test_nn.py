@@ -1,5 +1,4 @@
 import math
-import pickle
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -90,14 +89,6 @@ def test_model_params_views_write_through(lead):
     want[[1 * 3 + 2, 12 + 1, 15 + 2 * 2 + 0, 21 + 1]] = [1.0, 2.0, 3.0, 4.0]
     assert np.array_equal(p.flat, np.broadcast_to(want, p.flat.shape))
     assert np.array_equal(p.flatten(), p.flat)
-
-
-def test_model_params_pickle_keeps_views():
-    p = nn.init_params(nn.MlpArchitecture((4, 3, 2)), 1)
-    q = pickle.loads(pickle.dumps(p))
-    assert np.array_equal(q.flat, p.flat)
-    q.weights[1][0, 0] = 7.0
-    assert q.flat[15] == 7.0
 
 
 # --------------------------------------------------------------- forward

@@ -588,7 +588,7 @@ def test_attack_outputs_deterministic_and_bounded():
     phi = shadow.train_reconn(s, shadow.RecoNNConfig(epochs=10, batch_size=16, seed=3))
     release = nn.train(fixed.with_point(targets[0]), arch, cfg)
     a = shadow.attack(phi, release)
-    b = phi(release)
+    b = shadow.attack(phi, release)
     assert np.array_equal(a, b)
     assert np.array_equal(a, phi.predict(s.stats.apply(shadow.featurize(release, feat))))
     assert a.shape == (fixed.dim,)
@@ -601,7 +601,8 @@ def test_attack_errors_match_the_per_target_loop():
     phi = shadow.train_reconn(s, shadow.RecoNNConfig(epochs=10, batch_size=16, seed=3))
     configs = [cfg] * len(targets)
     released = list(shadow.train_many(fixed, targets, arch, configs))
-    loop = np.array([metrics.mse(targets.X[i], phi(m)) for i, m in enumerate(released)])
+    loop = np.array([metrics.mse(targets.X[i], shadow.attack(phi, m))
+                     for i, m in enumerate(released)])
     errors = shadow.attack_errors(phi, released, targets.X)
     assert errors.dtype == np.float64 and errors.tobytes() == loop.tobytes()
     lazy = shadow.train_many(fixed, targets, arch, configs)  # a generator, consumed once
