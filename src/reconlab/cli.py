@@ -15,15 +15,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import warnings
 from functools import partial
 
 import numpy as np
 
 from . import accounting, rero
 from .persist import header_field, int_tuple, load_model, save_model, write_csv
-from .profile import (ConfigError, at_least, build_featurizer, finite, load_profile, named,
-                      nonnegatives, parse_config, reconn_config, run_config)
+from .profile import (ConfigError, at_least, build_featurizer, finite, load_profile,
+                      nonnegative, nonnegatives, parse_config, reconn_config, run_config,
+                      unit_interval)
 from .rng import _derive
 
 EXIT_OK = 0
@@ -140,31 +140,13 @@ def cmd_glm_attack(args) -> int:
     X, Y = data.read_table(args.fixed, args.label_column)
     if not args.no_intercept:
         X = glm.add_intercept(X)
-    with named(f"--theta {args.theta}"), warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        try:
-            theta = np.loadtxt(args.theta, delimiter=",", ndmin=1)
-        except ValueError:
-            # numpy names a data row, counted past blank and comment lines,
-            # not the file's line; parsing each line alone finds that line
-            columns = None
-            with open(args.theta) as f:
-                for number, line in enumerate(f, 1):
-                    try:
-                        row = np.loadtxt([line], delimiter=",", ndmin=1)
-                    except ValueError as e:
-                        raise ValueError(str(e).replace("row 0,", f"line {number},")) from None
-                    if not row.size:
-                        continue
-                    if columns not in (None, row.size):
-                        raise ValueError(f"the number of columns changed from {columns} "
-                                         f"to {row.size} at line {number}") from None
-                    columns = row.size
-            raise
+    try:
+        table = data.read_floats(args.theta)
+    except data.FormatError as e:
+        raise ConfigError(f"--theta {e}") from None
+    theta = np.atleast_1d(table.squeeze())  # a column or a single row, as np.loadtxt(ndmin=1)
     if not theta.size:
         raise ConfigError(f"--theta {args.theta}: no values")
-    if not np.isfinite(theta).all():
-        raise ConfigError(f"--theta {args.theta}: every value must be finite")
     if theta.shape != X.shape[1:]:
         with_intercept = "" if args.no_intercept else ", the intercept included"
         raise ConfigError(f"--theta holds {theta.size} values, but the model of --fixed has "
@@ -325,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--label-column", default="label")
     p.add_argument("--theta", required=True)
     p.add_argument("--family", default="linear", choices=["linear", "ridge", "logistic"])
-    p.add_argument("--lam", type=float, default=0.0)
+    p.add_argument("--lam", type=nonnegative, default=0.0)
     p.add_argument("--no-intercept", action="store_true")
     p.add_argument("--target-label", type=finite)
 
@@ -344,11 +326,12 @@ def build_parser() -> argparse.ArgumentParser:
         formula.add_argument("--" + flag, dest="formula", action="store_const", const=flag)
     privacy = p.add_mutually_exclusive_group()
     privacy.add_argument("--eps", type=finite)
-    privacy.add_argument("--rho", type=float)
-    for name, cast in (("kappa", float), ("alpha", finite), ("gamma", float), ("sigma", finite)):
+    privacy.add_argument("--rho", type=nonnegative)
+    for name, cast in (("kappa", unit_interval), ("alpha", finite), ("gamma", unit_interval),
+                       ("sigma", finite)):
         p.add_argument("--" + name, type=cast)
     p.add_argument("--eta", type=finite, default=0.5)
-    p.add_argument("--d", type=int)
+    p.add_argument("--d", type=at_least(1))
 
     p = command(cmd_rero_check, "empirical soundness suite for the ReRo bounds", config=False)
     p.add_argument("--trials", type=at_least(100), default=500)

@@ -21,6 +21,7 @@ __all__ = [
     "SplitSpec",
     "FormatError",
     "load_idx",
+    "read_floats",
     "read_table",
     "load_csv",
     "save_csv",
@@ -120,6 +121,43 @@ def load_idx(images_path: str, labels_path: str) -> LabeledDataset:
     return LabeledDataset(X, labels.astype(np.int64))
 
 
+def _float_rows(path: str, reader, width: int | None = None) -> np.ndarray:
+    """The float64 table of the rows left in a csv reader, empty lines
+    skipped: each row width values wide, or as wide as the first. A ragged
+    row or a value that is not a number raises a FormatError naming its file
+    line, a value that is not finite one naming the file."""
+    rows = []
+    for row in reader:
+        if not row:
+            continue
+        if width is None:
+            width = len(row)
+        if len(row) != width:
+            raise FormatError(f"{path}: the number of columns changed from {width} to "
+                              f"{len(row)} at line {reader.line_num}")
+        try:
+            rows.append([float(v) for v in row])
+        except ValueError:
+            for column, text in enumerate(row, 1):  # find the value that is not a number
+                try:
+                    float(text)
+                except ValueError:
+                    raise FormatError(f"{path}: could not convert string {text!r} to float64 "
+                                      f"at line {reader.line_num}, column {column}") from None
+    table = np.array(rows)
+    if not np.isfinite(table).all():
+        raise FormatError(f"{path}: every value must be finite")
+    return table
+
+
+def read_floats(path: str) -> np.ndarray:
+    """The float64 table of a numeric CSV file with no header row, as
+    np.savetxt(path, a, delimiter=",") writes it; no rows give an empty
+    table. A malformed file raises a FormatError naming it."""
+    with open(path, newline="") as f:
+        return _float_rows(path, csv.reader(f))
+
+
 def read_table(path: str, label_column: str):
     """The (X, y) float64 arrays of a numeric CSV file: one header row naming
     the columns, then one row per point; empty lines are skipped. y is the
@@ -132,21 +170,9 @@ def read_table(path: str, label_column: str):
             raise FormatError(f"{path}: empty file")
         if label_column not in header:
             raise FormatError(f"{path}: label column {label_column!r} not in header")
-        rows = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise FormatError(f"{path}: ragged row on line {reader.line_num}")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError:
-                raise FormatError(f"{path}: non-numeric row on line {reader.line_num}") from None
-    if not rows:
+        table = _float_rows(path, reader, len(header))
+    if not table.size:
         raise FormatError(f"{path}: no data rows")
-    table = np.array(rows)
-    if not np.isfinite(table).all():
-        raise FormatError(f"{path}: every value must be finite")
     li = header.index(label_column)
     return np.delete(table, li, axis=1), table[:, li]
 

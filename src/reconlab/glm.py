@@ -120,15 +120,17 @@ def reconstruct_glm(theta: np.ndarray, X_fixed: np.ndarray, Y_fixed: np.ndarray,
 
     Requires the intercept convention (first feature coordinate equals 1).
     With B = g^{-1}(X theta) - Y over the fixed set, the optimality condition
-    gives x = (X'B + lam*theta) / denom, denom = sum(B) + lam*theta_1, and its
-    intercept row gives the label y = g^{-1}(<x, theta>) + denom. The result
-    is back-substituted into the optimality condition as a check: GlmError
-    unless the gradient norm is at most 10*tol.
+    gives x = num / denom with num = X'B + lam*theta and denom = sum(B) +
+    lam*theta_1, and its intercept row gives the label y = g^{-1}(<x, theta>)
+    + denom. The check is the gradient at theta over the fixed set plus
+    (x, y), num + x * (g^{-1}(<x, theta>) - y), formed from those same sums:
+    GlmError unless its norm is at most 10*tol.
 
-    That check holds by construction, so it cannot see the fit's own error:
-    theta is only optimal up to a gradient of norm tol, which x carries
-    divided by denom. GlmError unless |denom| >= 100*tol, which bounds that
-    error by about 1e-2.
+    That check holds by construction, up to rounding, so it catches only a
+    reconstruction that is not finite (a numerator or link that overflows)
+    and cannot see the fit's own error: theta is only optimal up to a
+    gradient of norm tol, which x carries divided by denom. GlmError unless
+    |denom| >= 100*tol, which bounds that error by about 1e-2.
     """
     theta = np.asarray(theta, dtype=np.float64)
     X_fixed = np.atleast_2d(np.asarray(X_fixed, dtype=np.float64))
@@ -142,13 +144,14 @@ def reconstruct_glm(theta: np.ndarray, X_fixed: np.ndarray, Y_fixed: np.ndarray,
         raise GlmError(f"near-zero denominator {denom:.3e}: a fit to gradient norm "
                        f"{tol:.1e} does not pin the point")
 
-    x = (X_fixed.T @ B + spec.lam * theta) / denom
+    num = X_fixed.T @ B + spec.lam * theta
+    x = num / denom
     x[0] = 1.0
-    y = float(spec.inverse_link(x @ theta)) + denom
+    link = float(spec.inverse_link(x @ theta))
+    y = link + denom
 
-    Xf = np.vstack([X_fixed, x[None, :]])
-    Yf = np.concatenate([Y_fixed, [y]])
-    gnorm = np.linalg.norm(glm_gradient(theta, Xf, Yf, spec))
+    # the gradient at theta over the fixed set plus (x, y)
+    gnorm = np.linalg.norm(num + x * (link - y))
     if not gnorm <= 10 * tol:
         raise GlmError(f"reconstruction fails the optimality check: |grad| = {gnorm:.3e}")
     return x, y

@@ -45,12 +45,13 @@ def at_least(low: int):
 
 finite = _ranged(float, math.isfinite, "finite")
 positive = _ranged(finite, lambda value: value > 0, "> 0")
-_nonnegative = _ranged(finite, lambda value: value >= 0, ">= 0")
+nonnegative = _ranged(finite, lambda value: value >= 0, ">= 0")
+unit_interval = _ranged(finite, lambda value: 0 <= value <= 1, "in [0, 1]")
 
 
 def nonnegatives(text: str) -> list:
     """Comma-separated finite floats, each >= 0."""
-    return [_nonnegative(t) for t in text.split(",")]
+    return [nonnegative(t) for t in text.split(",")]
 
 
 # "section.key": (cast, default), every key a config file may set. A default

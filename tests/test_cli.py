@@ -386,6 +386,24 @@ def test_glm_attack_recovers_planted_point(tmp_path, capsys):
     assert abs(y_hat - y_true) <= 1e-6
 
 
+def test_glm_attack_reads_theta_as_a_column_or_one_row(tmp_path, capsys):
+    # np.savetxt writes a vector as a column; one comma row is the same theta
+    X = np.array([[1.0, -2.0], [1.0, -1.0], [1.0, 1.0], [1.0, 2.0], [1.0, 0.5]])
+    Y = np.array([0.5, 0.1, 1.2, 0.9, 0.3])
+    theta = glm.fit_glm(X, Y, glm.GlmSpec("linear", 0.1))
+    fixed_csv = tmp_path / "fixed.csv"
+    fixed_csv.write_text("x1,label\n-2,0.5\n-1,0.1\n1,1.2\n2,0.9\n")
+    outputs = []
+    for name, layout in (("column.csv", theta), ("row.csv", theta[None, :])):
+        np.savetxt(tmp_path / name, layout, delimiter=",")
+        assert main(["glm-attack", "--fixed", str(fixed_csv), "--theta", str(tmp_path / name),
+                     "--lam", "0.1"]) == 0
+        outputs.append(capsys.readouterr().out)
+    x, y = glm.reconstruct_glm(theta, X[:-1], Y[:-1], glm.GlmSpec("linear", 0.1))
+    assert outputs[0] == outputs[1] == \
+        "x=" + ",".join(repr(float(v)) for v in x) + f"\ny={float(y)!r}\n"
+
+
 @pytest.mark.parametrize("lam", ["0", "1e-8", "1e-6", "1e-4"])
 def test_glm_attack_refuses_a_point_the_fit_cannot_pin(lam, tmp_path, capsys):
     # separable: x1 < 0 has label 0, x1 > 0 label 1; the target is x1 = 3, y = 1
@@ -603,7 +621,8 @@ def test_rero_bound_requires_mode():
      "argument --eps: must be finite, got nan"),
     (["rero-bound", "--thm2", "--alpha", "nan", "--eps", "1", "--kappa", "0.1"],
      "argument --alpha: must be finite, got nan"),
-    (["rero-bound", "--cor2", "--rho", "nan", "--kappa", "0.1"], "rho must be nonnegative"),
+    (["rero-bound", "--cor2", "--rho", "nan", "--kappa", "0.1"],
+     "argument --rho: must be finite, got nan"),
     (["rero-bound", "--thm3", "--eps", "nan", "--gamma", "0.5"],
      "argument --eps: must be finite, got nan"),
     # sigma * clip_norm squares to 0.0, so rho would divide by zero
@@ -611,7 +630,7 @@ def test_rero_bound_requires_mode():
     # the .csv names are files written by the test
     (["glm-attack", "--fixed", "fixed.csv", "--theta", "nan_theta.csv"], "nan_theta.csv"),
     (["glm-attack", "--fixed", "fixed.csv", "--theta", "theta.csv", "--lam", "nan"],
-     "lam must be finite"),
+     "argument --lam: must be finite, got nan"),
     (["glm-attack", "--fixed", "nan_fixed.csv", "--theta", "theta.csv"], "nan_fixed.csv"),
     (["glm-attack", "--fixed", "fixed.csv", "--theta", "theta.csv", "--no-intercept",
       "--target-label", "nan"], "--target-label"),
@@ -627,8 +646,10 @@ def test_rero_bound_requires_mode():
     (["rero-bound", "--prop2", "--d", "16", "--rho", "0.1", "--sigma", "nan"], "--sigma"),
     (["rero-bound", "--prop2", "--d", "16", "--eps", "1", "--sigma", "inf"], "--sigma"),
     # sqrt(d) divided the sigma check by zero before d was checked
-    (["rero-bound", "--prop2", "--d", "0", "--eps", "1", "--sigma", "1"], "d must be >= 1"),
-    (["rero-bound", "--prop2", "--d", "-1", "--eps", "1", "--sigma", "1"], "d must be >= 1"),
+    (["rero-bound", "--prop2", "--d", "0", "--eps", "1", "--sigma", "1"],
+     "argument --d: must be >= 1, got 0"),
+    (["rero-bound", "--prop2", "--d", "-1", "--eps", "1", "--sigma", "1"],
+     "argument --d: must be >= 1, got -1"),
     # a negative epoch count trained nothing and exited 0; a NaN rate failed
     # only after training, with exit 3
     (["train-released", "[released]\nepochs=-3"], "epochs must be >= 0"),
@@ -709,10 +730,11 @@ def test_rero_bound_requires_mode():
      "--theta TMP/1a_theta.csv: could not convert string 'a' to float64 at line 1, column 2"),
     (["glm-attack", "--fixed", "fixed.csv", "--theta", "1na_theta.csv"],
      "--theta TMP/1na_theta.csv: could not convert string 'a' to float64 at line 2, column 1"),
-    # a comment and a blank line are lines of the file, not data rows
+    # --theta holds float rows only: a "#" line is not a comment
     (["glm-attack", "--fixed", "fixed.csv", "--theta", "comment_theta.csv"],
-     "--theta TMP/comment_theta.csv: could not convert string 'a' to float64 at line 4, column 1"),
-    # numpy named the short row by its data row, past the comment: "at row 2"
+     "--theta TMP/comment_theta.csv: could not convert string '# theta' to float64 at line 1, "
+     "column 1"),
+    # numpy named the short row by its data row, past the blank line: "at row 2"
     (["glm-attack", "--fixed", "fixed.csv", "--theta", "ragged_theta.csv"],
      "--theta TMP/ragged_theta.csv: the number of columns changed from 2 to 1 at line 3"),
     # an infinite alpha or eps made NaN, which the clamp turned into gamma or delta 0
@@ -738,6 +760,26 @@ def test_rero_bound_requires_mode():
      "--no-intercept attacks a linear model"),
     # numpy refused the seed inside the soundness grid, naming no flag
     (["rero-check", "--seed", "-1"], "--seed"),
+    # refused inside the formula, naming kappa, gamma or rho but not the flag;
+    # an infinite rho printed gamma=1.0
+    (["rero-bound", "--cor1", "--eps", "1", "--kappa", "nan"],
+     "argument --kappa: must be finite, got nan"),
+    (["rero-bound", "--cor1", "--eps", "1", "--kappa", "1.5"],
+     "argument --kappa: must be in [0, 1], got 1.5"),
+    (["rero-bound", "--thm3", "--eps", "1", "--gamma", "nan"],
+     "argument --gamma: must be finite, got nan"),
+    (["rero-bound", "--thm3", "--eps", "1", "--gamma=-0.5"],
+     "argument --gamma: must be in [0, 1], got -0.5"),
+    (["rero-bound", "--cor2", "--rho", "inf", "--kappa", "0.5"],
+     "argument --rho: must be finite, got inf"),
+    (["rero-bound", "--cor2", "--rho=-1", "--kappa", "0.5"], "argument --rho: must be >= 0, got -1"),
+    (["rero-bound", "--prop1", "--d", "0", "--eps", "1"], "argument --d: must be >= 1, got 0"),
+    # GlmSpec refused --lam only after --fixed and --theta were read; the
+    # missing --fixed file would be reported first
+    (["glm-attack", "--fixed", "missing.csv", "--theta", "theta.csv", "--lam", "nan"],
+     "argument --lam: must be finite, got nan"),
+    (["glm-attack", "--fixed", "missing.csv", "--theta", "theta.csv", "--lam=-1"],
+     "argument --lam: must be >= 0, got -1"),
 ])
 def test_bad_input_exits_2_naming_it(argv, named, cfg_path, tmp_path, capsys, monkeypatch):
     from reconlab import data
@@ -774,7 +816,7 @@ def test_bad_input_exits_2_naming_it(argv, named, cfg_path, tmp_path, capsys, mo
         (tmp_path / "1a_theta.csv").write_text("1,a\n")
         (tmp_path / "1na_theta.csv").write_text("1\na\n")
         (tmp_path / "comment_theta.csv").write_text("# theta\n\n1\na\n")
-        (tmp_path / "ragged_theta.csv").write_text("# c\n1,2\n3\n")
+        (tmp_path / "ragged_theta.csv").write_text("1,2\n\n3\n")
         argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
         named = named.replace("TMP", str(tmp_path))
     elif argv[0] not in ("rero-bound", "rero-check"):

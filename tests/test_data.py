@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reconlab import data
 
@@ -89,8 +90,8 @@ def test_read_table_splits_off_the_label_column_and_skips_empty_lines(tmp_path):
     ("a,label\n", "no data rows"),
     ("a,label\n\n", "no data rows"),
     ("a,b\n1,2\n", "label column 'label' not in header"),
-    ("a,b,label\n1,2,0\n\n1,0\n", "ragged row on line 4"),
-    ("a,label\n1,0\nfoo,0\n", "non-numeric row on line 3"),
+    ("a,b,label\n1,2,0\n\n1,0\n", "the number of columns changed from 3 to 2 at line 4"),
+    ("a,label\n1,0\nfoo,0\n", "could not convert string 'foo' to float64 at line 3, column 1"),
     ("a,label\n1,nan\n", "every value must be finite"),
     ("a,label\n-inf,0\n", "every value must be finite"),
 ])
@@ -99,6 +100,30 @@ def test_read_table_errors_name_the_file(tmp_path, text, error):
     p.write_text(text)
     with pytest.raises(data.FormatError, match=re.escape(f"{p}: {error}")):
         data.read_table(str(p), "label")
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.integers(1, 6), columns=st.integers(1, 4), vector=st.booleans(),
+       values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=24,
+                       max_size=24))
+def test_read_floats_gives_the_bits_loadtxt_gives_for_savetxt_files(
+        tmp_path_factory, rows, columns, vector, values):
+    # glm-attack --theta was read by np.loadtxt; a vector is written as a column
+    table = np.array(values[:rows * columns]).reshape(rows, columns)
+    if vector:
+        table = table[:, 0]
+    p = tmp_path_factory.mktemp("floats") / "t.csv"
+    np.savetxt(p, table, delimiter=",")
+    got, want = data.read_floats(str(p)), np.loadtxt(p, delimiter=",", ndmin=2)
+    assert got.dtype == want.dtype == np.float64
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("text", ["", "\n", "\n\n"])
+def test_read_floats_of_no_rows_is_empty(tmp_path, text):
+    p = tmp_path / "t.csv"
+    p.write_text(text)
+    assert data.read_floats(str(p)).size == 0
 
 
 def test_load_csv_basic(tmp_path):

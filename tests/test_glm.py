@@ -115,15 +115,12 @@ def test_reconstruct_recovers_planted_point(family, lam):
         assert abs(y_hat - y_true) <= 1e-6
 
 
-@settings(max_examples=200, deadline=None)
-@given(family=st.sampled_from(["linear", "ridge", "logistic"]), d=st.integers(1, 20),
-       extra=st.integers(0, 200), lam=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1))
-def test_fit_then_reconstruct_round_trip(family, d, extra, lam, seed):
-    # n fixed points and one planted point. Linear draws have n >= d + 10 and
-    # logistic ones n >= 8d as A1 has them, plus 16: at n = 8d about 3% of
-    # d = 1 draws are nearly separable, where Newton meets fit_glm's gradient
-    # tolerance with a diverging theta and the planted point's residual, which
-    # the attack divides by, vanishes
+def a1_draw(family, d, extra, lam, seed):
+    """An A1-style instance, (spec, X, Y) with the planted point last. Linear
+    draws have n >= d + 10 fixed points and logistic ones n >= 8d as A1 has
+    them, plus 16: at n = 8d about 3% of d = 1 draws are nearly separable,
+    where Newton meets fit_glm's gradient tolerance with a diverging theta and
+    the planted point's residual, which the attack divides by, vanishes."""
     if family == "linear":
         lam = 0.0
     logistic = family == "logistic"
@@ -131,7 +128,18 @@ def test_fit_then_reconstruct_round_trip(family, d, extra, lam, seed):
     g = np.random.default_rng(seed)
     X = np.hstack([np.ones((n + 1, 1)), g.normal(size=(n + 1, d))])
     Y = g.integers(0, 2, size=n + 1).astype(float) if logistic else g.normal(size=n + 1)
-    spec = glm.GlmSpec(family, lam)
+    return glm.GlmSpec(family, lam), X, Y
+
+
+a1_draws = dict(family=st.sampled_from(["linear", "ridge", "logistic"]), d=st.integers(1, 20),
+                extra=st.integers(0, 200), lam=st.floats(0.0, 1.0),
+                seed=st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(**a1_draws)
+def test_fit_then_reconstruct_round_trip(family, d, extra, lam, seed):
+    spec, X, Y = a1_draw(family, d, extra, lam, seed)
     try:
         theta = glm.fit_glm(X, Y, spec)
     except glm.GlmError:
@@ -139,6 +147,33 @@ def test_fit_then_reconstruct_round_trip(family, d, extra, lam, seed):
     x_hat, y_hat = glm.reconstruct_glm(theta, X[:-1], Y[:-1], spec)
     assert np.max(np.abs(x_hat - X[-1])) <= 1e-6
     assert abs(y_hat - Y[-1]) <= 1e-6
+
+
+@settings(max_examples=200, deadline=None)
+@given(**a1_draws)
+def test_reconstruction_is_optimal_with_the_fixed_set(family, d, extra, lam, seed):
+    # reconstruct_glm checks this from the sums it holds; here the gradient is
+    # recomputed over the fixed set with the point appended
+    spec, X, Y = a1_draw(family, d, extra, lam, seed)
+    try:
+        theta = glm.fit_glm(X, Y, spec)
+        x, y = glm.reconstruct_glm(theta, X[:-1], Y[:-1], spec)
+    except glm.GlmError:
+        assume(False)
+    gradient = glm.glm_gradient(theta, np.vstack([X[:-1], x]), np.append(Y[:-1], y), spec)
+    assert np.linalg.norm(gradient) <= 10 * glm.DEFAULT_TOL
+
+
+def test_reconstruct_refuses_an_overflowing_point():
+    # features near 1e300 times residuals of 1e9 overflow the numerator X'B:
+    # x holds inf, so <x, theta>, y and the optimality check are NaN
+    X = np.array([[1.0, 1e300], [1.0, 2e300]])
+    Y = np.array([-1e9, -1e9])
+    theta = np.zeros(2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isinf(X.T @ (X @ theta - Y))[1]
+        with pytest.raises(glm.GlmError, match="fails the optimality check"):
+            glm.reconstruct_glm(theta, X, Y, glm.GlmSpec("linear"))
 
 
 # intercept plus one feature; the last row, x1 = 3 with label 1, is the
