@@ -151,13 +151,16 @@ def cmd_glm_attack(args) -> int:
         with_intercept = "" if args.no_intercept else ", the intercept included"
         raise ConfigError(f"--theta holds {theta.size} values, but the model of --fixed has "
                           f"{X.shape[1]}{with_intercept}")
-    if args.no_intercept:
-        c1, c2 = glm.reconstruct_linreg_no_intercept(theta, X, Y, args.target_label)
-        print("candidate_1=" + ",".join(repr(float(v)) for v in c1))
-        print("candidate_2=" + ",".join(repr(float(v)) for v in c2))
-        return EXIT_OK
-    spec = glm.GlmSpec(args.family, args.lam)
-    x, y = glm.reconstruct_glm(theta, X, Y, spec)
+    # input near the float range overflows inside the attack, which refuses
+    # the non-finite result with exit 3; numpy's warnings would come first
+    with np.errstate(over="ignore", invalid="ignore"):
+        if args.no_intercept:
+            c1, c2 = glm.reconstruct_linreg_no_intercept(theta, X, Y, args.target_label)
+            print("candidate_1=" + ",".join(repr(float(v)) for v in c1))
+            print("candidate_2=" + ",".join(repr(float(v)) for v in c2))
+            return EXIT_OK
+        spec = glm.GlmSpec(args.family, args.lam)
+        x, y = glm.reconstruct_glm(theta, X, Y, spec)
     print("x=" + ",".join(repr(float(v)) for v in x))
     print(f"y={float(y)!r}")
     return EXIT_OK

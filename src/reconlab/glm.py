@@ -162,7 +162,8 @@ def reconstruct_linreg_no_intercept(theta: np.ndarray, X_fixed: np.ndarray,
     """Quadratic-root attack on intercept-free least squares given the known label.
 
     Returns both candidate feature vectors; at least one reproduces the target
-    when the model was trained to exact optimality.
+    when the model was trained to exact optimality. GlmError unless both are
+    finite.
     """
     theta = np.asarray(theta, dtype=np.float64)
     X_fixed = np.atleast_2d(np.asarray(X_fixed, dtype=np.float64))
@@ -180,7 +181,12 @@ def reconstruct_linreg_no_intercept(theta: np.ndarray, X_fixed: np.ndarray,
         # Quadratic degenerates to -alpha*y + 1 = 0.
         if abs(y) < DENOM_EPS:
             raise GlmError("degenerate case: both quadratic coefficients vanish")
-        alpha = 1.0 / y
-        return v * alpha, v * alpha
-    root = np.sqrt(disc)
-    return v * ((y + root) / (2.0 * c)), v * ((y - root) / (2.0 * c))
+        a1 = a2 = 1.0 / y
+    else:
+        root = np.sqrt(disc)
+        a1, a2 = (y + root) / (2.0 * c), (y - root) / (2.0 * c)
+    c1, c2 = v * a1, v * a2
+    # an overflowing X'r or c makes the roots inf or NaN
+    if not (np.isfinite(c1).all() and np.isfinite(c2).all()):
+        raise GlmError("the candidates are not finite: the fixed set or theta overflows")
+    return c1, c2

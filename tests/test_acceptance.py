@@ -2,14 +2,11 @@
 
 Each test prints a single PASS/FAIL line for its criterion. The heavy
 shadow-model block (criteria A2, A5, A6) shares one set of 2000 shadow
-trainings through a module-scoped fixture; expect a few minutes total.
-The A2 shadow feature matrix is pinned in ``tests/golden/`` like the other
-golden references; re-record it only for a change that alters it on purpose:
-``PYTHONPATH=src python tests/test_acceptance.py``.
+trainings, made once per process by ``desk_models``; expect a few minutes
+total. ``tests/test_golden.py`` pins their A2 feature matrix.
 """
 
-import hashlib
-import json
+import functools
 import math
 import sys
 import time
@@ -22,7 +19,6 @@ from reconlab import accounting, glm, metrics, mia, nn, rero, shadow
 from reconlab.rero import rero_soundness_grid
 from reconlab.data import SplitSpec, synth_classification, split
 from reconlab.rng import Rng, _derive
-from test_golden import GOLDEN, assert_matches, build, summary
 
 
 def report(name: str, ok: bool, detail: str = ""):
@@ -124,14 +120,21 @@ def desk_profile():
     return desk_setup()
 
 
-@pytest.fixture(scope="module")
-def desk_shadow_models(desk_profile):
-    fixed, shadow_pool, _, _, _ = desk_profile
+@functools.cache
+def desk_models() -> list:
+    """The desk shadow models, trained once per process: A2, A5 and A6 attack
+    them, and the A2 golden pins their features."""
+    fixed, shadow_pool, _, _, _ = desk_setup()
     t0 = time.time()
     models = shadow.gen_shadow_models(fixed, shadow_pool, DESK_ARCH, DESK_CFG)
     print(f"\n[desk fixture] {len(models)} shadow trainings in {time.time() - t0:.0f}s",
           file=sys.stderr, flush=True)
     return models
+
+
+@pytest.fixture(scope="module")
+def desk_shadow_models():
+    return desk_models()
 
 
 @pytest.fixture(scope="module")
@@ -152,24 +155,6 @@ def test_a2_shadow_attack_beats_oracle(desk_profile, desk_shadow_models, desk_re
                                shadow.Featurizer("whitebox"), desk_released, targets)
     report("A2 shadow attack beats NN oracle", mean_mse < oracle.mean_nn_distance,
            f"attack {mean_mse:.4f} vs oracle {oracle.mean_nn_distance:.4f}")
-
-
-def a2_feature_pin(models) -> dict:
-    """Shape, sha256 and summary of the A2 (white-box) shadow feature matrix."""
-    features = np.stack([shadow.featurize(m, shadow.Featurizer("whitebox")) for m in models])
-    return {"shape": list(features.shape),
-            "sha256": hashlib.sha256(features.astype("<f8").tobytes()).hexdigest(),
-            "summary": summary(features)}
-
-
-def test_a2_shadow_features_match_golden(desk_shadow_models):
-    with open(GOLDEN / "a2_shadow_features.json") as f:
-        golden = json.load(f)
-    got = a2_feature_pin(desk_shadow_models)
-    assert got["shape"] == golden["shape"]
-    if golden["build"] == build():
-        assert got["sha256"] == golden["sha256"]
-    assert_matches(golden["build"], np.array(got["summary"]), np.array(golden["summary"]))
 
 
 def test_a5_blackbox_parity(desk_profile, desk_shadow_models, desk_released):
@@ -365,11 +350,3 @@ def test_a10_numerical_hygiene():
 
     report("A10 numerical hygiene", grad_ok and det_ok and cal_ok,
            f"grad rel err {rel:.2e}")
-
-
-if __name__ == "__main__":
-    fixed, shadow_pool, _, _, _ = desk_setup()
-    models = shadow.gen_shadow_models(fixed, shadow_pool, DESK_ARCH, DESK_CFG)
-    with open(GOLDEN / "a2_shadow_features.json", "w") as f:
-        json.dump({"build": build(), **a2_feature_pin(models)}, f, indent=1)
-        f.write("\n")

@@ -3,6 +3,7 @@ import os
 import re
 import shutil
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -879,3 +880,22 @@ def test_help_still_exits_0():
 def test_rero_check_small_grid_sound(capsys):
     assert main(["rero-check", "--trials", "120", "--seed", "0"]) == 0
     assert "all cells sound" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("fixed,theta,flags", [
+    # x1 near 1e300 times a residual of 1e9 overflows X'B: numpy warned
+    # before exit 3, and ended in a traceback when warnings are errors
+    ("x1,label\n1e300,-1e9\n2e300,-1e9\n", "0\n0\n", []),
+    # the no-intercept roots overflowed to NaN, printed with exit 0
+    ("x1,label\n1e200,1e300\n1e300,0\n", "1\n", ["--no-intercept", "--target-label", "1"]),
+], ids=["intercept", "no-intercept"])
+def test_glm_attack_overflow_exits_3_without_a_warning(fixed, theta, flags, tmp_path, capsys):
+    (tmp_path / "fixed.csv").write_text(fixed)
+    (tmp_path / "theta.csv").write_text(theta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["glm-attack", "--fixed", str(tmp_path / "fixed.csv"),
+                   "--theta", str(tmp_path / "theta.csv"), *flags])
+    assert rc == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err

@@ -275,6 +275,15 @@ def test_no_intercept_candidates_rescale_with_features():
     assert np.max(np.abs(d2 - s * c2)) < 1e-6
 
 
+def test_no_intercept_refuses_non_finite_candidates():
+    # X'r and c each add -inf to inf, so they and both candidates are NaN
+    X = np.array([[1e200], [1e300]])
+    Y = np.array([1e300, 0.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(glm.GlmError, match="not finite"):
+            glm.reconstruct_linreg_no_intercept(np.ones(1), X, Y, 1.0)
+
+
 def test_no_intercept_degenerate_residual_raises():
     # fixed set fit exactly by theta: residual vanishes, attack is impossible
     g = np.random.default_rng(10)
