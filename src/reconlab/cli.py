@@ -88,11 +88,11 @@ def cmd_gen_shadows(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    from . import data, metrics, shadow
+    from . import metrics, shadow
 
     cfg = parse_config(args.config)
-    fixed, shadow_pool, _, _, _ = load_profile(cfg)
-    targets = data.load_csv(os.path.join(args.released, "targets.csv"), "label")
+    # the config's targets: train-released writes targets.csv for people only
+    fixed, shadow_pool, targets, _, _ = load_profile(cfg)
     released = []
     for i in range(len(targets)):
         path = os.path.join(args.released, f"target_{i:04d}.model")
@@ -201,6 +201,9 @@ def cmd_dp_sweep(args) -> int:
     from . import metrics, shadow
 
     cfg = parse_config(args.config)
+    if cfg["released.optimizer"] == "dpgd":
+        # each row sets its own noise, and sigma 0 trains as the release does
+        raise ConfigError("released.optimizer must not be dpgd: dp-sweep sets the noise")
     fixed, shadow_pool, targets, arch, base_cfg = load_profile(cfg)
     sigmas, delta, clip = args.sigmas, cfg["dp.delta"], cfg["dp.clip_norm"]
     epsilons = [np.inf if sigma == 0.0 else accounting.zcdp_to_approx_dp(

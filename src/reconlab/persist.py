@@ -1,14 +1,18 @@
-"""On-disk formats: model parameters and CSV result tables.
+"""On-disk formats: binary artifacts and CSV result tables.
 
-Model files are a text header (architecture, seeds, free-form metadata)
-terminated by a blank line, followed by the flattened parameters as
-little-endian 64-bit floats. Model and shadow-set headers are the same
-``key=value`` lines, written by ``format_header``, read by ``parse_header``.
+A binary artifact is a header of ``key=value`` lines, written by
+``format_header``, whose first line is ``format=<kind>``, and little-endian
+float64 arrays whose shapes the header gives. A model file (``MODEL``) holds
+its header, a blank line and the flattened parameters; a shadow set
+(``SHADOWS``) holds its header in one file and its arrays in another (see
+``shadow.ShadowSet``). Both are read through ``read_header`` and
+``f8_arrays``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -17,21 +21,26 @@ if TYPE_CHECKING:
     from . import nn
 
 __all__ = [
+    "MODEL",
+    "SHADOWS",
     "save_model",
     "load_model",
     "format_header",
-    "parse_header",
+    "read_header",
     "header_field",
     "int_tuple",
-    "f8_array",
+    "f8_arrays",
     "config_hash",
     "write_csv",
 ]
 
+MODEL = "reconlab-model-v1"
+SHADOWS = "reconlab-shadows-v1"
+
 
 def save_model(path: str, params: nn.ModelParams, metadata: dict = None) -> None:
     header = format_header({
-        "format": "reconlab-model-v1",
+        "format": MODEL,
         "layer_widths": ",".join(str(w) for w in params.arch.layer_widths),
         "activation": params.arch.activation,
         **(metadata or {}),
@@ -45,12 +54,7 @@ def load_model(path: str):
     """Returns (params, metadata). A corrupt file raises ValueError naming it."""
     from . import nn
 
-    with open(path, "rb") as f:
-        blob = f.read()
-    head, _, body = blob.partition(b"\n\n")
-    fields = parse_header(head.decode(errors="replace"))
-    if fields.pop("format", None) != "reconlab-model-v1":
-        raise ValueError(f"not a reconlab model file: {path}")
+    fields, body = read_header(path, MODEL)
     widths = header_field(fields, "layer_widths", path, int_tuple)
     activation = header_field(fields, "activation", path)
     try:
@@ -58,7 +62,7 @@ def load_model(path: str):
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
     del fields["layer_widths"], fields["activation"]
-    vec = f8_array(body, (arch.parameter_count,), path)
+    (vec,) = f8_arrays(body, [(arch.parameter_count,)], path)
     return nn.ModelParams.unflatten(arch, vec), fields
 
 
@@ -67,13 +71,22 @@ def format_header(fields: dict) -> str:
     return "".join(f"{key}={val}\n" for key, val in fields.items())
 
 
-def parse_header(text: str) -> dict:
-    """The fields of ``key=value`` lines, as format_header writes them."""
+def read_header(path: str, kind: str):
+    """(fields, rest) of the file at path: the ``key=value`` fields of the
+    header it opens with, but its format line, and the bytes after the blank
+    line that ends the header (none in a file of header only). A file whose
+    first line is not ``format=kind`` raises a ValueError naming the file and
+    that line."""
+    with open(path, "rb") as f:
+        head, _, rest = f.read().partition(b"\n\n")
+    first, _, text = head.decode(errors="replace").partition("\n")
+    if first != f"format={kind}":
+        raise ValueError(f"{path}: not a {kind} file: its first line is {first[:80]!r}")
     fields = {}
     for line in text.splitlines():
         key, _, val = line.partition("=")
         fields[key] = val
-    return fields
+    return fields, rest
 
 
 def header_field(fields: dict, key: str, path: str, parse=str):
@@ -92,15 +105,16 @@ def int_tuple(text: str) -> tuple:
     return tuple(int(v) for v in text.split(",") if v)
 
 
-def f8_array(blob: bytes, shape: tuple, path: str) -> np.ndarray:
-    """Little-endian float64 bytes as a read-only array of ``shape``, or a
-    ValueError naming the file and the expected and actual sizes."""
-    want = 8 * int(np.prod(shape))
+def f8_arrays(blob: bytes, shapes, path: str) -> list:
+    """Little-endian float64 bytes as read-only arrays of each of shapes, in
+    order, or a ValueError naming the file and the expected and actual sizes."""
+    sizes = [math.prod(shape) for shape in shapes]
+    want = 8 * sum(sizes)
     if len(blob) != want:
-        raise ValueError(
-            f"{path}: expected {want} bytes (float64 {shape}), found {len(blob)}"
-        )
-    return np.frombuffer(blob, dtype="<f8").reshape(shape)
+        raise ValueError(f"{path}: expected {want} bytes (float64 "
+                         f"{', '.join(map(str, shapes))}), found {len(blob)}")
+    parts = np.split(np.frombuffer(blob, dtype="<f8"), np.cumsum(sizes)[:-1])
+    return [part.reshape(shape) for part, shape in zip(parts, shapes)]
 
 
 def config_hash(text: str) -> str:

@@ -56,22 +56,8 @@ class UniformBallPrior:
         """n points from the stream rng, which the draws spend."""
         g = rng.once()
         x = g.normal(size=(n, self.d))
-        return self._to_ball(x, g.uniform(size=(n, 1)))
-
-    def sample_each(self, rngs) -> np.ndarray:
-        """(len(rngs), d): row t is the point ``sample(rngs[t], 1)`` draws."""
-        x = np.empty((len(rngs), self.d))
-        u = np.empty((len(rngs), 1))
-        for t, rng in enumerate(rngs):
-            g = rng.once()
-            x[t] = g.normal(size=self.d)
-            u[t] = g.uniform()
-        return self._to_ball(x, u)
-
-    def _to_ball(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Normal rows x (n, d) and uniforms u (n, 1) as points of the ball."""
         x /= np.linalg.norm(x, axis=1, keepdims=True)
-        return x * u ** (1.0 / self.d)
+        return x * g.uniform(size=(n, 1)) ** (1.0 / self.d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,10 +85,6 @@ class FiniteDiscretePrior:
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "masses", m)
         object.__setattr__(self, "_cdf", cdf)
-
-    @property
-    def d(self) -> int:
-        return self.points.shape[1]
 
     def sample(self, rng: Rng, n: int) -> np.ndarray:
         """The draws of ``Generator.choice(m, size=n, p=masses)`` from the
@@ -352,7 +334,8 @@ def map_attack_finite(prior: FiniteDiscretePrior, likelihood_fn, theta,
 
 def empirical_rero(mechanism, prior, attack_fn, fixed: np.ndarray, error_fn,
                    eta: float, n_trials: int = 2000, seed: int = 0):
-    """Monte-Carlo estimate of Pr[l(Z, R(theta)) <= eta] with per-trial seeds.
+    """Monte-Carlo estimate of Pr[l(Z, R(theta)) <= eta] with per-trial seeds,
+    for a FiniteDiscretePrior.
 
     Trial i draws its target z_i from the stream ``Rng(seed).child(("trial",
     i)).child("z")`` and gets the mechanism stream ``.child("mech")`` of the

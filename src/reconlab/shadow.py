@@ -61,9 +61,10 @@ class Featurizer:
     mode: str = "whitebox"
     layers: tuple = ()
     probe: np.ndarray = None
+    MODES = ("whitebox", "layers", "blackbox")
 
     def __post_init__(self):
-        if self.mode not in ("whitebox", "layers", "blackbox"):
+        if self.mode not in self.MODES:
             raise ValueError(f"unknown featurizer mode {self.mode!r}")
         if self.mode == "layers" and not self.layers:
             raise ValueError("layers mode needs at least one layer index")
@@ -116,63 +117,56 @@ class ShadowSet:
     features: np.ndarray   # (k, F)
     targets: np.ndarray    # (k, d), entries in [0, 1]
     featurizer: Featurizer
-    stats: NormStats
 
     def __len__(self) -> int:
         return self.features.shape[0]
 
     def save(self, prefix: str, metadata: dict = None) -> None:
-        """Text header (descriptor, dims, NormStats, metadata) + little-endian float64 matrix."""
+        """prefix.header: the format line, dims, featurizer and metadata;
+        prefix.bin: the (k, F + d) matrix of features and targets, then a
+        black-box featurizer's probe rows, as little-endian float64."""
         k, flen = self.features.shape
         fields = {
+            "format": persist.SHADOWS,
             "k": k,
             "feature_len": flen,
             "target_len": self.targets.shape[1],
             "mode": self.featurizer.mode,
             "layers": ",".join(str(i) for i in self.featurizer.layers),
-            "norm_mean": ",".join(repr(float(v)) for v in self.stats.mean),
-            "norm_std": ",".join(repr(float(v)) for v in self.stats.std),
         }
+        arrays = [np.hstack([self.features, self.targets])]
         if self.featurizer.mode == "blackbox":
-            p = self.featurizer.probe
-            fields["probe_shape"] = f"{p.shape[0]},{p.shape[1]}"
-            p.astype("<f8").tofile(prefix + ".probe.bin")
+            arrays.append(self.featurizer.probe)
+            fields["probe_shape"] = ",".join(map(str, self.featurizer.probe.shape))
         with open(prefix + ".header", "w") as f:
             f.write(persist.format_header({**fields, **(metadata or {})}))
-        np.hstack([self.features, self.targets]).astype("<f8").tofile(prefix + ".bin")
+        with open(prefix + ".bin", "wb") as f:
+            for a in arrays:
+                a.astype("<f8").tofile(f)
 
     @staticmethod
     def load(prefix: str):
         """Returns (shadow set, header fields). Missing file: OSError; corrupt: ValueError."""
         path = prefix + ".header"
-        with open(path) as f:
-            fields = persist.parse_header(f.read())
+        fields, _ = persist.read_header(path, persist.SHADOWS)
 
         def field(key, parse=str):
             return persist.header_field(fields, key, path, parse)
 
-        def floats(text):
-            return np.array([float(v) for v in text.split(",")])
-
-        def matrix(suffix, shape):
-            with open(prefix + suffix, "rb") as f:
-                return persist.f8_array(f.read(), shape, prefix + suffix)
-
-        k = field("k", int)
-        flen = field("feature_len", int)
-        tlen = field("target_len", int)
-        mode = field("mode")
-        layers = field("layers", persist.int_tuple)
-        probe = None
+        k, flen, tlen = (field(key, int) for key in ("k", "feature_len", "target_len"))
+        mode, layers = field("mode"), field("layers", persist.int_tuple)
+        if mode not in Featurizer.MODES:  # before shapes that depend on it
+            raise ValueError(f"{path}: unknown featurizer mode {mode!r}")
+        shapes = [(k, flen + tlen)]
         if mode == "blackbox":
-            probe = matrix(".probe.bin", field("probe_shape", persist.int_tuple))
+            shapes.append(field("probe_shape", persist.int_tuple))
+        with open(prefix + ".bin", "rb") as f:
+            mat, *probe = persist.f8_arrays(f.read(), shapes, prefix + ".bin")
         try:
-            featurizer = Featurizer(mode, layers, probe)
+            featurizer = Featurizer(mode, layers, *probe)
         except ValueError as e:
             raise ValueError(f"{path}: {e}") from None
-        mat = matrix(".bin", (k, flen + tlen))
-        stats = NormStats(field("norm_mean", floats), field("norm_std", floats))
-        return ShadowSet(mat[:, :flen].copy(), mat[:, flen:].copy(), featurizer, stats), fields
+        return ShadowSet(mat[:, :flen].copy(), mat[:, flen:].copy(), featurizer), fields
 
 
 def default_workers() -> int:
@@ -321,10 +315,9 @@ def gen_shadow_models(fixed: LabeledDataset, shadow_pool: LabeledDataset,
 
 def build_shadow_set(models: list, shadow_pool: LabeledDataset,
                      featurizer: Featurizer) -> ShadowSet:
-    """Featurize trained shadow models and fit normalization statistics."""
+    """Featurize trained shadow models, paired with their targets."""
     features = np.stack([featurize(m, featurizer) for m in models])
-    targets = shadow_pool.X.copy()
-    return ShadowSet(features, targets, featurizer, NormStats.fit(features))
+    return ShadowSet(features, shadow_pool.X.copy(), featurizer)
 
 
 def gen_shadows(fixed: LabeledDataset, shadow_pool: LabeledDataset,
@@ -365,8 +358,9 @@ class RecoNNConfig:
 
 @dataclass
 class RecoNN:
-    """A trained reconstructor with its shadow set's featurizer and stats;
-    attack(phi, released) returns the candidate reconstruction."""
+    """A trained reconstructor with its shadow set's featurizer and the
+    NormStats fitted to its features; attack(phi, released) returns the
+    candidate reconstruction."""
 
     params: nn.ModelParams
     featurizer: Featurizer
@@ -405,14 +399,16 @@ def _reconn_loss_grad(params: nn.ModelParams, F: np.ndarray, T: np.ndarray,
 
 
 def train_reconn(shadow_set: ShadowSet, config: RecoNNConfig = RecoNNConfig()) -> RecoNN:
-    """Fit the reconstructor on normalized features; deterministic given the seed.
-    The result is the attack: call it on a released model."""
+    """Fit NormStats to the shadow features, then the reconstructor on the
+    normalized features; deterministic given the seed. The result is the
+    attack: call it on a released model."""
     k, flen = shadow_set.features.shape
     if k < config.batch_size:
         raise ValueError(f"shadow set size {k} < batch size {config.batch_size}")
     d_out = shadow_set.targets.shape[1]
     arch = nn.MlpArchitecture((flen, *config.resolve_widths(flen), d_out), activation="relu")
-    F = shadow_set.stats.apply(shadow_set.features)
+    stats = NormStats.fit(shadow_set.features)
+    F = stats.apply(shadow_set.features)
     T = shadow_set.targets
 
     params = nn.init_params(arch, _derive(config.seed, "reconn-init"))
@@ -446,7 +442,7 @@ def train_reconn(shadow_set: ShadowSet, config: RecoNNConfig = RecoNNConfig()) -
             gv *= lr
             gv /= denom
             theta -= gv
-    return RecoNN(params, shadow_set.featurizer, shadow_set.stats)
+    return RecoNN(params, shadow_set.featurizer, stats)
 
 
 def attack(phi: RecoNN, released) -> np.ndarray:

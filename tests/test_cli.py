@@ -295,8 +295,40 @@ def test_attack_truncated_model_exits_2(cfg_path, artifacts, tmp_path, capsys):
 
 def test_attack_shadow_header_missing_field_exits_2(cfg_path, artifacts, tmp_path, capsys):
     rc, err = _attack_with(cfg_path, artifacts, tmp_path, capsys,
-                           lambda r, s: _drop_header_line(s / "shadows.header", b"norm_std="))
-    assert rc == 2 and "shadows.header" in err and "'norm_std'" in err
+                           lambda r, s: _drop_header_line(s / "shadows.header", b"feature_len="))
+    assert rc == 2 and "shadows.header" in err and "'feature_len'" in err
+
+
+def test_attack_model_over_shadows_header_exits_2_naming_the_file_and_its_format(
+        cfg_path, artifacts, tmp_path, capsys):
+    rc, err = _attack_with(cfg_path, artifacts, tmp_path, capsys, lambda r, s: shutil.copy(
+        r / "target_0000.model", s / "shadows.header"))
+    assert rc == 2 and "shadows.header" in err and "format=reconlab-model-v1" in err
+
+
+@pytest.mark.parametrize("targets_csv", ["deleted", "stale"])
+def test_attack_takes_its_targets_from_the_config(targets_csv, cfg_path, artifacts, tmp_path,
+                                                  capsys):
+    # a targets.csv of another split (split_seed=6) once gave a mean MSE of
+    # 0.1299 for 0.0151, with an oracle distance of 0.0: the target lies in this
+    # config's pool
+    other = tmp_path / "other.cfg"
+    other.write_text(TINY_CONFIG.replace("split_seed=5", "split_seed=6"))
+    assert main(["train-released", "--config", str(other), "--out", str(tmp_path / "o")]) == 0
+
+    def edit(released, shadows):
+        if targets_csv == "deleted":
+            (released / "targets.csv").unlink()
+        else:
+            shutil.copy(tmp_path / "o" / "targets.csv", released / "targets.csv")
+
+    rc, _ = _attack_with(cfg_path, artifacts, tmp_path, capsys, edit)
+    assert rc == 0
+    plain = tmp_path / "plain"
+    assert main(["attack", "--config", cfg_path, "--shadows", artifacts[1],
+                 "--released", artifacts[0], "--out", str(plain)]) == 0
+    for name in ("attack_results.csv", "summary.txt"):
+        assert (tmp_path / "results" / name).read_bytes() == (plain / name).read_bytes()
 
 
 def test_attack_model_header_missing_field_exits_2(cfg_path, artifacts, tmp_path, capsys):
@@ -781,6 +813,9 @@ def test_rero_bound_requires_mode():
      "argument --lam: must be finite, got nan"),
     (["glm-attack", "--fixed", "missing.csv", "--theta", "theta.csv", "--lam=-1"],
      "argument --lam: must be >= 0, got -1"),
+    # every row trained DP-GD at the release's sigma, the sigma 0 row reading epsilon inf
+    (["dp-sweep", "--sigmas", "0", "--repeats", "2",
+      "[released]\noptimizer=dpgd\nclip_norm=1\nnoise_multiplier=4"], "released.optimizer"),
 ])
 def test_bad_input_exits_2_naming_it(argv, named, cfg_path, tmp_path, capsys, monkeypatch):
     from reconlab import data

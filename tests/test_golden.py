@@ -49,7 +49,7 @@ import numpy as np
 import pytest
 
 from reconlab import cli, data, glm, nn, shadow
-from reconlab.persist import load_model
+from reconlab.persist import SHADOWS, int_tuple, load_model, read_header
 from reconlab.rero import rero_soundness_grid
 from test_acceptance import desk_models
 
@@ -194,9 +194,11 @@ def _artifact_values(path: Path) -> np.ndarray:
         return load_model(str(path))[0].flatten()
     if path.suffix == ".bin":
         return np.fromfile(path, dtype="<f8")
-    if path.suffix == ".header":
-        return np.array([float(v) for line in path.read_text().splitlines()
-                         if line.startswith("norm_") for v in line.partition("=")[2].split(",")])
+    if path.suffix == ".header":  # the numeric fields: sizes and shapes
+        fields, _ = read_header(str(path), SHADOWS)
+        numeric = [text for key, text in fields.items()
+                   if key != "config_hash" and re.fullmatch("[0-9,]*", text)]
+        return np.array([v for text in numeric for v in int_tuple(text)], float)
     return np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2)
 
 

@@ -76,16 +76,16 @@ def test_model_header_missing_or_bad_field_names_it(tmp_path, field, line, named
 
 
 def _saved_shadow_set(tmp_path):
+    """A black-box shadow set of k = 6, F = 5 and T = 2, with a (3, 4) probe."""
     g = np.random.default_rng(0)
-    feats = g.normal(size=(6, 5))
     featurizer = shadow.Featurizer("blackbox", probe=g.normal(size=(3, 4)))
-    ss = shadow.ShadowSet(feats, g.uniform(size=(6, 2)), featurizer, shadow.NormStats.fit(feats))
+    ss = shadow.ShadowSet(g.normal(size=(6, 5)), g.uniform(size=(6, 2)), featurizer)
     prefix = str(tmp_path / "shadows")
     ss.save(prefix)
     return prefix
 
 
-@pytest.mark.parametrize("suffix", [".bin", ".probe.bin"])
+@pytest.mark.parametrize("suffix", [".bin"])
 def test_truncated_shadow_matrix_names_file_and_sizes(tmp_path, suffix):
     prefix = _saved_shadow_set(tmp_path)
     path = prefix + suffix
@@ -97,9 +97,31 @@ def test_truncated_shadow_matrix_names_file_and_sizes(tmp_path, suffix):
     assert path in msg and str(len(blob)) in msg and str(len(blob) - 9) in msg
 
 
+def test_blackbox_shadows_bin_without_its_probe_rows_names_file_and_both_sizes(tmp_path):
+    # the probe's rows follow the (k, F + T) matrix in shadows.bin; no other file holds them
+    prefix = _saved_shadow_set(tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["shadows.bin", "shadows.header"]
+    path = prefix + ".bin"
+    matrix = 8 * 6 * (5 + 2)
+    Path(path).write_bytes(Path(path).read_bytes()[:matrix])
+    with pytest.raises(ValueError) as e:
+        shadow.ShadowSet.load(prefix)
+    msg = str(e.value)
+    assert path in msg and f"expected {matrix + 8 * 3 * 4} bytes" in msg
+    assert f"found {matrix}" in msg
+
+
+def test_shadow_set_read_as_a_model_names_file_and_format(tmp_path):
+    prefix = _saved_shadow_set(tmp_path)
+    path = prefix + ".header"
+    with pytest.raises(ValueError) as e:
+        persist.load_model(path)
+    assert path in str(e.value) and "format=reconlab-shadows-v1" in str(e.value)
+
+
 @pytest.mark.parametrize("field,line,named", [
     ("k", "", "'k'"),
-    ("norm_std", "", "'norm_std'"),
+    ("feature_len", "", "'feature_len'"),
     ("k", "k=six", "'k'"),
     ("mode", "mode=greybox", "'greybox'"),
 ])

@@ -76,7 +76,7 @@ def test_gen_shadows_deterministic_and_finite():
     assert np.array_equal(a.targets, b.targets)
     assert np.isfinite(a.features).all()
     assert len(a) == len(pool)
-    normed = a.stats.apply(a.features)
+    normed = shadow.NormStats.fit(a.features).apply(a.features)
     assert np.max(np.abs(normed.mean(axis=0))) <= 1e-9
 
 
@@ -486,10 +486,15 @@ def test_shadow_set_roundtrip(tmp_path, mode):
     assert np.array_equal(back.features, s.features)
     assert np.array_equal(back.targets, s.targets)
     assert back.featurizer.mode == mode
-    assert np.allclose(back.stats.mean, s.stats.mean)
-    assert np.allclose(back.stats.std, s.stats.std)
     if mode == "blackbox":
         assert np.array_equal(back.featurizer.probe, feat.probe)
+    # the stats are fitted to the features, not stored: the reconstructor of
+    # the loaded set has the bits of the one trained in memory
+    rc = shadow.RecoNNConfig(epochs=2, batch_size=4, seed=3)
+    phi, back_phi = shadow.train_reconn(s, rc), shadow.train_reconn(back, rc)
+    assert back_phi.params.flat.tobytes() == phi.params.flat.tobytes()
+    assert back_phi.stats.mean.tobytes() == phi.stats.mean.tobytes()
+    assert back_phi.stats.std.tobytes() == phi.stats.std.tobytes()
 
 
 def test_shadow_set_metadata_follows_its_own_header_fields(tmp_path):
@@ -574,7 +579,7 @@ def test_reconn_memorizes_training_pairs():
     fixed, pool, _, arch, cfg = tiny_setup(d=8, pool_n=60)
     s = shadow.gen_shadows(fixed, pool, arch, cfg, shadow.Featurizer("whitebox"))
     phi = shadow.train_reconn(s, shadow.RecoNNConfig(epochs=200, batch_size=32, seed=3))
-    preds = phi.predict(s.stats.apply(s.features))
+    preds = phi.predict(phi.stats.apply(s.features))
     train_mse = float(np.mean((preds - s.targets) ** 2))
     pair_dists = [metrics.mse(s.targets[i], s.targets[j])
                   for i in range(0, 60, 6) for j in range(i + 1, 60, 7)]
@@ -590,7 +595,7 @@ def test_attack_outputs_deterministic_and_bounded():
     a = shadow.attack(phi, release)
     b = shadow.attack(phi, release)
     assert np.array_equal(a, b)
-    assert np.array_equal(a, phi.predict(s.stats.apply(shadow.featurize(release, feat))))
+    assert np.array_equal(a, phi.predict(phi.stats.apply(shadow.featurize(release, feat))))
     assert a.shape == (fixed.dim,)
     assert a.min() >= 0.0 and a.max() <= 1.0
 
