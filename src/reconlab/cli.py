@@ -20,7 +20,7 @@ from functools import partial
 import numpy as np
 
 from . import accounting, rero
-from .persist import header_field, int_tuple, load_model, save_model, write_csv
+from .persist import header_field, load_model, save_model, write_csv
 from .profile import (ConfigError, at_least, build_featurizer, finite, load_profile,
                       nonnegative, nonnegatives, parse_config, reconn_config, run_config,
                       unit_interval)
@@ -68,7 +68,7 @@ def cmd_gen_shadows(args) -> int:
         if ood.dim != fixed.dim:
             raise ConfigError(f"--ood-pool has {ood.dim} features, the fixed set {fixed.dim}")
         shadow_pool = data.relabel_random(ood, fixed.num_classes, seed=cfg["profile.seed"])
-    featurizer, shadow_pool = build_featurizer(cfg, shadow_pool, arch, args)
+    featurizer, shadow_pool = build_featurizer(cfg, shadow_pool, arch)
     if args.k is not None:
         # checked against the final pool: after --ood-pool and the black-box probe
         if args.k > len(shadow_pool):
@@ -92,7 +92,8 @@ def cmd_attack(args) -> int:
 
     cfg = parse_config(args.config)
     # the config's targets: train-released writes targets.csv for people only
-    fixed, shadow_pool, targets, _, _ = load_profile(cfg)
+    fixed, shadow_pool, targets, arch, _ = load_profile(cfg)
+    featurizer, _ = build_featurizer(cfg, shadow_pool, arch)
     released = []
     for i in range(len(targets)):
         path = os.path.join(args.released, f"target_{i:04d}.model")
@@ -100,7 +101,7 @@ def cmd_attack(args) -> int:
         _check_config_hash(meta, path, cfg)
         released.append(theta)
     prefix = os.path.join(args.shadows, "shadows")
-    shadow_set, fields = shadow.ShadowSet.load(prefix)
+    shadow_set, fields = shadow.ShadowSet.load(prefix, featurizer, arch)
     _check_config_hash(fields, prefix + ".header", cfg)
 
     phi = shadow.train_reconn(shadow_set, reconn_config(cfg))
@@ -205,6 +206,10 @@ def cmd_dp_sweep(args) -> int:
         # each row sets its own noise, and sigma 0 trains as the release does
         raise ConfigError("released.optimizer must not be dpgd: dp-sweep sets the noise")
     fixed, shadow_pool, targets, arch, base_cfg = load_profile(cfg)
+    if cfg["reconn.batch_size"] > len(shadow_pool):
+        # train_reconn refuses it too, but only once a sigma's models have trained
+        raise ConfigError(f"reconn.batch_size {cfg['reconn.batch_size']} exceeds the "
+                          f"{len(shadow_pool)} shadow models the reconstructor trains on")
     sigmas, delta, clip = args.sigmas, cfg["dp.delta"], cfg["dp.clip_norm"]
     epsilons = [np.inf if sigma == 0.0 else accounting.zcdp_to_approx_dp(
         accounting.account_dpgd(base_cfg.epochs, clip, sigma), delta) for sigma in sigmas]
@@ -300,9 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ood-pool")
     p.add_argument("--ood-label-column", default="label")
     p.add_argument("--random-init", action="store_true")
-    p.add_argument("--featurizer", choices=["whitebox", "layers", "blackbox"])
-    p.add_argument("--layers", type=int_tuple)
-    p.add_argument("--probe-size", type=at_least(1))
 
     p = command(cmd_attack, "train the reconstructor and attack released models")
     p.add_argument("--shadows", required=True)

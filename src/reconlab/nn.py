@@ -315,7 +315,7 @@ def forward(params: ModelParams, x: np.ndarray) -> np.ndarray:
     return logits[0] if single else logits
 
 
-def _log_softmax(logits: np.ndarray, out=None, tmp=None, row=None, cols=None) -> np.ndarray:
+def _log_softmax(logits: np.ndarray, out, tmp, row, cols) -> np.ndarray:
     """Row-wise log-softmax of (..., n, k) logits, written into out; tmp
     (..., n, k), row (..., n) and cols (..., k, n) are scratch. The row max is
     a running maximum over the columns, one reduction over the rows of the
@@ -323,8 +323,6 @@ def _log_softmax(logits: np.ndarray, out=None, tmp=None, row=None, cols=None) ->
     logits.max(axis=-1) bit for bit without a reduction along each short row.
     Every row sum runs along the last axis, so a leading axis keeps each
     row's bits."""
-    if cols is None:
-        cols = np.empty(logits.shape[:-2] + logits.shape[:-3:-1])
     np.copyto(cols, logits.mT)
     m = np.maximum.reduce(cols, axis=-2, out=row)
     s = np.subtract(logits, m[..., None], out=out)
@@ -425,33 +423,30 @@ def per_example_grads(params: ModelParams, X: np.ndarray, y: np.ndarray,
                       out: np.ndarray = None, _work: _Workspace = None,
                       _each=None) -> np.ndarray:
     """Per-example gradients of the summed cross-entropy, flattened: (n, P)
-    for one model, (K, n, P) for a stack of K (X and y shaped as for
-    loss_and_grad).
+    for one model, whose X is (n, d) and y (n,).
 
-    If out is given (a float64 array of that shape), the gradients are
-    written into it and it is returned, so a training loop can reuse one
-    buffer. Given _each, the models' gradients instead pass in turn through
-    one (n, P) out, and _each(k, out) is called once model k's are in it:
-    the forward and backward passes run on the stack, and each model's
-    gradients are used while they are in cache.
+    If out is given (a float64 (n, P) array), the gradients are written into
+    it and it is returned, so a training loop can reuse one buffer. A stack
+    of K models (X and y shaped as for loss_and_grad) needs _each: the
+    models' gradients pass in turn through out, and _each(k, out) is called
+    once model k's are in it. The forward and backward passes run on the
+    stack, and each model's gradients are used while they are in cache.
     """
     X, y = _as_batch(X, y)
     stacked = X.ndim == 3
+    if stacked and _each is None:
+        raise ValueError("a stack's per-example gradients pass through _each")
     if out is None:
-        out = np.empty((X.shape[:-1] if _each is None else X.shape[-2:-1])
-                       + (params.arch.parameter_count,))
+        out = np.empty(X.shape[-2:-1] + (params.arch.parameter_count,))
     work = _Workspace(params.arch, X.shape[-2], X.shape[:-2]) if _work is None else _work
     activations, pre, _, _, delta = _cross_entropy_delta(params, X, y, work)
     deltas = _deltas(params, pre, delta, work)
     rows = ModelParams(params.arch, out)
-    shared = _each is not None or not stacked  # every model's gradients go to out itself
     for k in range(len(X) if stacked else 1):
         for i, delta in enumerate(deltas):
             a, d = (activations[i][k], delta[k]) if stacked else (activations[i], delta)
-            w, b = (rows.weights[i], rows.biases[i]) if shared else \
-                (rows.weights[i][k], rows.biases[i][k])
-            np.einsum("ni,nj->nij", a, d, out=w)
-            b[...] = d
+            np.einsum("ni,nj->nij", a, d, out=rows.weights[i])
+            rows.biases[i][...] = d
         if _each is not None:
             _each(k, out)
     return out

@@ -99,7 +99,7 @@ SCHEMA = {
 @contextlib.contextmanager
 def named(key):
     """Turn a ValueError raised in the block into a ConfigError naming key (a
-    config key or section, or a flag); a ConfigError passes unchanged."""
+    config key or section); a ConfigError passes unchanged."""
     try:
         yield
     except ConfigError:
@@ -210,29 +210,26 @@ def reconn_config(cfg: Config) -> shadow.RecoNNConfig:
         return replace(config, hidden_widths=cfg["reconn.hidden_widths"])
 
 
-def build_featurizer(cfg: Config, shadow_pool, arch: nn.MlpArchitecture, args):
-    """Featurizer from config and the --featurizer/--layers/--probe-size flags.
-    Layers mode defaults to the last layer. Blackbox probes are the first P
-    shadow-pool points, which are then excluded from shadow targets. Returns
-    (featurizer, remaining shadow pool)."""
+def build_featurizer(cfg: Config, shadow_pool, arch: nn.MlpArchitecture):
+    """The featurizer of the config's featurizer.* keys. Layers mode defaults
+    to the last layer. Blackbox probes are the first P shadow-pool points,
+    which are then excluded from shadow targets. Returns (featurizer,
+    remaining shadow pool)."""
     from . import shadow
 
-    mode = args.featurizer or cfg["featurizer.mode"]
+    mode = cfg["featurizer.mode"]
     if mode == "whitebox":
         return shadow.Featurizer("whitebox"), shadow_pool
     if mode == "layers":
-        key, idx = "featurizer.layers", cfg.get("featurizer.layers", (arch.num_layers - 1,))
-        if args.layers is not None:
-            key, idx = "--layers", args.layers
+        idx = cfg.get("featurizer.layers", (arch.num_layers - 1,))
         if not idx or not all(0 <= i < arch.num_layers for i in idx):
-            raise ConfigError(f"{key} must list layer indices in 0..{arch.num_layers - 1}")
+            raise ConfigError(f"featurizer.layers must list layer indices in "
+                              f"0..{arch.num_layers - 1}")
         return shadow.Featurizer("layers", layers=idx), shadow_pool
     if mode == "blackbox":
-        key, p = "featurizer.probe_size", cfg["featurizer.probe_size"]
-        if args.probe_size is not None:
-            key, p = "--probe-size", args.probe_size
+        p = cfg["featurizer.probe_size"]
         if p >= len(shadow_pool):
-            raise ConfigError(f"{key} must be smaller than the shadow pool")
+            raise ConfigError("featurizer.probe_size must be smaller than the shadow pool")
         probe = shadow_pool.subset(range(p))
         rest = shadow_pool.subset(range(p, len(shadow_pool)))
         return shadow.Featurizer("blackbox", probe=probe.X), rest

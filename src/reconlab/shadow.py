@@ -61,10 +61,9 @@ class Featurizer:
     mode: str = "whitebox"
     layers: tuple = ()
     probe: np.ndarray = None
-    MODES = ("whitebox", "layers", "blackbox")
 
     def __post_init__(self):
-        if self.mode not in self.MODES:
+        if self.mode not in ("whitebox", "layers", "blackbox"):
             raise ValueError(f"unknown featurizer mode {self.mode!r}")
         if self.mode == "layers" and not self.layers:
             raise ValueError("layers mode needs at least one layer index")
@@ -122,22 +121,16 @@ class ShadowSet:
         return self.features.shape[0]
 
     def save(self, prefix: str, metadata: dict = None) -> None:
-        """prefix.header: the format line, dims, featurizer and metadata;
-        prefix.bin: the (k, F + d) matrix of features and targets, then a
-        black-box featurizer's probe rows, as little-endian float64."""
+        """prefix.header: the format line, dims and metadata; prefix.bin: the
+        (k, F + d) matrix of features and targets, then a black-box
+        featurizer's probe rows, as little-endian float64. The featurizer
+        itself is not written: the caller's config names it."""
         k, flen = self.features.shape
-        fields = {
-            "format": persist.SHADOWS,
-            "k": k,
-            "feature_len": flen,
-            "target_len": self.targets.shape[1],
-            "mode": self.featurizer.mode,
-            "layers": ",".join(str(i) for i in self.featurizer.layers),
-        }
+        fields = {"format": persist.SHADOWS, "k": k, "feature_len": flen,
+                  "target_len": self.targets.shape[1]}
         arrays = [np.hstack([self.features, self.targets])]
         if self.featurizer.mode == "blackbox":
             arrays.append(self.featurizer.probe)
-            fields["probe_shape"] = ",".join(map(str, self.featurizer.probe.shape))
         with open(prefix + ".header", "w") as f:
             f.write(persist.format_header({**fields, **(metadata or {})}))
         with open(prefix + ".bin", "wb") as f:
@@ -145,27 +138,29 @@ class ShadowSet:
                 a.astype("<f8").tofile(f)
 
     @staticmethod
-    def load(prefix: str):
-        """Returns (shadow set, header fields). Missing file: OSError; corrupt: ValueError."""
+    def load(prefix: str, featurizer: Featurizer, arch: nn.MlpArchitecture):
+        """(shadow set, header fields) of a set saved with featurizer from
+        models of arch, which size it: a header whose feature_len or
+        target_len differs from theirs raises a ValueError naming the field.
+        A black-box set's stored probe rows replace featurizer's probe.
+        Missing file: OSError; corrupt: ValueError."""
         path = prefix + ".header"
         fields, _ = persist.read_header(path, persist.SHADOWS)
-
-        def field(key, parse=str):
-            return persist.header_field(fields, key, path, parse)
-
-        k, flen, tlen = (field(key, int) for key in ("k", "feature_len", "target_len"))
-        mode, layers = field("mode"), field("layers", persist.int_tuple)
-        if mode not in Featurizer.MODES:  # before shapes that depend on it
-            raise ValueError(f"{path}: unknown featurizer mode {mode!r}")
+        k, flen, tlen = (persist.header_field(fields, key, path, int)
+                         for key in ("k", "feature_len", "target_len"))
+        model = nn.ModelParams(arch, np.zeros(arch.parameter_count))  # any model of arch
+        for key, got, want in (("feature_len", flen, featurize(model, featurizer).size),
+                               ("target_len", tlen, arch.input_dim)):
+            if got != want:
+                raise ValueError(f"{path}: {key} {got} differs from {want}, that of the "
+                                 f"{featurizer.mode} featurizer of {arch.layer_widths} models")
         shapes = [(k, flen + tlen)]
-        if mode == "blackbox":
-            shapes.append(field("probe_shape", persist.int_tuple))
+        if featurizer.mode == "blackbox":
+            shapes.append(featurizer.probe.shape)
         with open(prefix + ".bin", "rb") as f:
             mat, *probe = persist.f8_arrays(f.read(), shapes, prefix + ".bin")
-        try:
-            featurizer = Featurizer(mode, layers, *probe)
-        except ValueError as e:
-            raise ValueError(f"{path}: {e}") from None
+        if probe:
+            featurizer = replace(featurizer, probe=probe[0])
         return ShadowSet(mat[:, :flen].copy(), mat[:, flen:].copy(), featurizer), fields
 
 

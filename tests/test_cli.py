@@ -186,24 +186,32 @@ def test_gen_shadows_k_validation(cfg_path, tmp_path):
     assert main(["gen-shadows", "--config", cfg_path, "--out", out, "--k", "99999"]) == 2
 
 
-def test_gen_shadows_layer_feature_length(cfg_path, tmp_path, capsys):
+def _with_sections(tmp_path, *sections):
+    """The path of a config file: the tiny config, then sections."""
+    p = tmp_path / "sections.cfg"
+    p.write_text(TINY_CONFIG + "".join(sections))
+    return str(p)
+
+
+def test_gen_shadows_layer_feature_length(tmp_path, capsys):
     out = str(tmp_path / "s")
-    rc = main(["gen-shadows", "--config", cfg_path, "--out", out, "--k", "20",
-               "--featurizer", "layers", "--layers", "1"])
-    assert rc == 0
+    cfg = _with_sections(tmp_path, "[featurizer]\nmode=layers\nlayers=1\n")
+    assert main(["gen-shadows", "--config", cfg, "--out", out, "--k", "20"]) == 0
     header = Path(out, "shadows.header").read_text()
     # hidden width 6, 3 classes: final layer holds 6*3+3 = 21 parameters
     assert "feature_len=21" in header
 
 
-def test_gen_shadows_layers_default_is_last_layer(cfg_path, tmp_path):
+def test_gen_shadows_layers_default_is_last_layer(tmp_path):
     out = str(tmp_path / "s")
-    rc = main(["gen-shadows", "--config", cfg_path, "--out", out, "--k", "20",
-               "--featurizer", "layers"])
-    assert rc == 0
+    cfg = _with_sections(tmp_path, "[featurizer]\nmode=layers\n")
+    assert main(["gen-shadows", "--config", cfg, "--out", out, "--k", "20"]) == 0
     header = Path(out, "shadows.header").read_text().splitlines()
-    # two layers (8-6-3): the default is layer 1, the same 21 parameters
-    assert "layers=1" in header and "feature_len=21" in header
+    # two layers (8-6-3): the default is layer 1, the same 21 parameters (layer 0 has 54)
+    assert "feature_len=21" in header
+    # the header holds sizes and provenance; the config names the featurizer
+    assert [line.partition("=")[0] for line in header] == \
+        ["format", "k", "feature_len", "target_len", "config_hash"]
 
 
 def test_gen_shadows_ood_pool_relabels(cfg_path, tmp_path):
@@ -218,6 +226,26 @@ def test_gen_shadows_ood_pool_relabels(cfg_path, tmp_path):
     relabeled = data.load_csv(os.path.join(out, "shadow_targets.csv"), "label")
     # labels drawn uniformly over the fixed set's 3 classes, not the OOD 2
     assert relabeled.y.max() == 2
+
+
+def test_blackbox_set_keeps_the_probe_rows_the_config_cannot_give(tmp_path):
+    # --ood-pool draws the probe from a file the config does not name: the
+    # rows follow the matrix in shadows.bin and replace the config's probe
+    from reconlab import data, shadow
+    ood = data.synth_classification(8, 2, 60, 0.2, seed=99)
+    ood_csv = str(tmp_path / "ood.csv")
+    data.save_csv(ood, ood_csv)
+    cfg_file = _with_sections(tmp_path, "[featurizer]\nmode=blackbox\nprobe_size=20\n")
+    out = tmp_path / "s"
+    assert main(["gen-shadows", "--config", cfg_file, "--out", str(out), "--ood-pool",
+                 ood_csv]) == 0
+    cfg = profile.parse_config(cfg_file)
+    _, pool, _, arch, _ = profile.load_profile(cfg)
+    featurizer, _ = profile.build_featurizer(cfg, pool, arch)
+    back, _ = shadow.ShadowSet.load(str(out / "shadows"), featurizer, arch)
+    assert np.array_equal(back.featurizer.probe, ood.X[:20])
+    assert not np.array_equal(featurizer.probe, ood.X[:20])
+    assert (out / "shadows.bin").stat().st_size == 8 * (40 * (20 * 3 + 8) + 20 * 8)
 
 
 def test_attack_end_to_end(cfg_path, tmp_path):
@@ -297,6 +325,26 @@ def test_attack_shadow_header_missing_field_exits_2(cfg_path, artifacts, tmp_pat
     rc, err = _attack_with(cfg_path, artifacts, tmp_path, capsys,
                            lambda r, s: _drop_header_line(s / "shadows.header", b"feature_len="))
     assert rc == 2 and "shadows.header" in err and "'feature_len'" in err
+
+
+def test_attack_refuses_a_shadow_header_that_does_not_fit_the_config_before_training(
+        cfg_path, artifacts, tmp_path, capsys, monkeypatch):
+    # 75 features and 8 target coordinates written as 80 and 3: shadows.bin
+    # keeps its size, and the reconstructor trained before attack failed
+    def edit(released, shadows):
+        header = shadows / "shadows.header"
+        text = header.read_text()
+        assert "feature_len=75\ntarget_len=8\n" in text
+        header.write_text(text.replace("feature_len=75\ntarget_len=8\n",
+                                       "feature_len=80\ntarget_len=3\n"))
+
+    def untrainable(*args):
+        raise AssertionError("a header that does not fit must be refused before training")
+
+    from reconlab import shadow
+    monkeypatch.setattr(shadow, "train_reconn", untrainable)
+    rc, err = _attack_with(cfg_path, artifacts, tmp_path, capsys, edit)
+    assert rc == 2 and "shadows.header" in err and "feature_len 80 differs from 75" in err
 
 
 def test_attack_model_over_shadows_header_exits_2_naming_the_file_and_its_format(
@@ -625,11 +673,11 @@ def test_rero_bound_requires_mode():
     (["rero-bound", "--thm2", "--eps", "1", "--kappa", "0.1"], "--thm2 requires --alpha"),
     (["rero-bound", "--prop1", "--eta", "0.5"], "--prop1 requires --d, --eps"),
     (["rero-bound", "--cor2", "--kappa", "0.1"], "--cor2 requires --rho"),
-    (["gen-shadows", "--featurizer", "blackbox", "--probe-size", "0", "--k", "10"],
-     "--probe-size"),
-    (["gen-shadows", "--featurizer", "blackbox", "--probe-size", "-1"], "--probe-size"),
+    (["gen-shadows", "--k", "10", "[featurizer]\nmode=blackbox\nprobe_size=0"],
+     "featurizer.probe_size"),
+    (["gen-shadows", "[featurizer]\nmode=blackbox\nprobe_size=-1"], "featurizer.probe_size"),
     # --k fits the 130-point pool, but not what the probe or the OOD pool leave
-    (["gen-shadows", "--featurizer", "blackbox", "--probe-size", "10", "--k", "125"],
+    (["gen-shadows", "--k", "125", "[featurizer]\nmode=blackbox\nprobe_size=10"],
      "--k exceeds shadow pool size"),
     (["gen-shadows", "--ood-pool", "OOD_CSV", "--k", "100"], "--k exceeds shadow pool size"),
     (["rero-bound", "--cor1", "--eps", "-1", "--kappa", "0.1"], "eps must be nonnegative"),
@@ -643,9 +691,9 @@ def test_rero_bound_requires_mode():
     (["dp-sweep", "--sigmas", "2", "[dp]\nclip_norm=0"], "dp.clip_norm"),
     (["dp-sweep", "--sigmas", "2", "[dp]\nclip_norm=nan"], "dp.clip_norm"),
     (["dp-sweep", "--sigmas", "0,2", "[dp]\ndelta=0"], "delta must be in (0, 1)"),
-    (["gen-shadows", "--featurizer", "layers", "--layers", "5"], "--layers"),
-    (["gen-shadows", "--featurizer", "layers", "--layers", "-1"], "--layers"),
-    (["gen-shadows", "--featurizer", "layers", "[featurizer]\nlayers=2"], "featurizer.layers"),
+    (["gen-shadows", "[featurizer]\nmode=layers\nlayers=5"], "featurizer.layers"),
+    (["gen-shadows", "[featurizer]\nmode=layers\nlayers=-1"], "featurizer.layers"),
+    (["gen-shadows", "[featurizer]\nmode=layers\nlayers=2"], "featurizer.layers"),
     (["rero-bound", "--cor1", "--eps", "nan", "--kappa", "0.1"],
      "argument --eps: must be finite, got nan"),
     (["rero-bound", "--prop1", "--d", "10", "--eps", "nan"],
@@ -703,8 +751,8 @@ def test_rero_bound_requires_mode():
      "released.batch_size: "),
     (["train-released", "[released]\nnoise_multiplier=loud"], "released.noise_multiplier: "),
     (["dp-sweep", "--sigmas", "0", "[reconn]\nhidden_widths=8,y"], "reconn.hidden_widths: "),
-    (["gen-shadows", "--featurizer", "layers", "--layers", "x"], "--layers: "),
-    (["gen-shadows", "--featurizer", "layers", "[featurizer]\nlayers=0,a"], "featurizer.layers: "),
+    (["gen-shadows", "[featurizer]\nmode=layers\nlayers=x"], "featurizer.layers: "),
+    (["gen-shadows", "[featurizer]\nmode=layers\nlayers=0,a"], "featurizer.layers: "),
     (["dp-sweep", "--sigmas", ""], "--sigmas: "),
     # a reconstructor width below 1 was refused only after every shadow had
     # trained, and neither width error named its key
@@ -816,6 +864,11 @@ def test_rero_bound_requires_mode():
     # every row trained DP-GD at the release's sigma, the sigma 0 row reading epsilon inf
     (["dp-sweep", "--sigmas", "0", "--repeats", "2",
       "[released]\noptimizer=dpgd\nclip_norm=1\nnoise_multiplier=4"], "released.optimizer"),
+    # every shadow and target model trained before train_reconn refused the batch
+    (["dp-sweep", "--sigmas", "0,2", "--repeats", "1", "[reconn]\nbatch_size=200"],
+     "reconn.batch_size"),
+    # the config alone names the featurizer
+    (["gen-shadows", "--featurizer", "blackbox"], "--featurizer"),
 ])
 def test_bad_input_exits_2_naming_it(argv, named, cfg_path, tmp_path, capsys, monkeypatch):
     from reconlab import data
@@ -864,8 +917,7 @@ def test_bad_input_exits_2_naming_it(argv, named, cfg_path, tmp_path, capsys, mo
 
 
 @pytest.mark.parametrize("argv", [["dp-sweep", "--repeats", "0"], ["mia", "--trials", "0"],
-                                  ["gen-shadows", "--k", "0"],
-                                  ["gen-shadows", "--probe-size", "0", "--featurizer", "blackbox"]])
+                                  ["gen-shadows", "--k", "0"]])
 def test_bad_count_is_refused_before_the_config_is_read(argv, tmp_path, capsys):
     # the config file does not exist, so reading it first would name the file
     assert main(argv + ["--config", str(tmp_path / "missing.cfg"), "--out", str(tmp_path)]) == 2

@@ -105,7 +105,8 @@ seed=7
 CLI_RUNS = {
     "released": ["train-released"],
     "whitebox": ["gen-shadows"],
-    "blackbox": ["gen-shadows", "--featurizer", "blackbox", "--probe-size", "20"],
+    # an argument starting with "[" is appended to the config as a section
+    "blackbox": ["gen-shadows", "[featurizer]\nmode=blackbox\nprobe_size=20"],
     "dp": ["dp-sweep", "--sigmas", "0,2", "--repeats", "2"],
 }
 
@@ -208,9 +209,10 @@ def cli_artifacts() -> dict:
     table)."""
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         root = Path(tmp)
-        cfg = root / "toy.cfg"
-        cfg.write_text(CLI_CONFIG)
-        for name, (command, *flags) in CLI_RUNS.items():
+        for name, (command, *args) in CLI_RUNS.items():
+            cfg = root / f"{name}.cfg"
+            cfg.write_text(CLI_CONFIG + "".join(a + "\n" for a in args if a.startswith("[")))
+            flags = [a for a in args if not a.startswith("[")]
             assert cli.main([command, "--config", str(cfg), "--out", str(root / name), *flags]) == 0
         paths = [p for p in sorted(root.rglob("*"))
                  if p.suffix == ".model" or p.name in ("shadows.header", "shadows.bin", "dp_sweep.csv")]

@@ -172,7 +172,9 @@ def _per_example_grads_reference(params, X, y):
     out = np.empty((n, arch.parameter_count))
     activations, pre = nn._forward_cached(params, X)
     _, dact = nn.ACTIVATIONS[arch.activation]
-    delta = np.exp(nn._log_softmax(activations[-1]))
+    logits = activations[-1]
+    s = logits - logits.max(axis=1, keepdims=True)
+    delta = np.exp(s - np.log(np.exp(s).sum(axis=1, keepdims=True)))
     delta[np.arange(n), y] -= 1.0
     ends = np.cumsum([ws[i] * ws[i + 1] + ws[i + 1] for i in range(arch.num_layers)])
     for i in range(arch.num_layers - 1, -1, -1):
@@ -234,7 +236,10 @@ def test_log_softmax_row_max_over_columns():
     with np.errstate(invalid="ignore"):
         s = logits - logits.max(axis=1, keepdims=True)
         want = s - np.log(np.exp(s).sum(axis=1, keepdims=True))
-        assert nn._log_softmax(logits).tobytes() == want.tobytes()
+        out, tmp = np.empty_like(logits), np.empty_like(logits)
+        row, cols = np.empty(37), np.empty((10, 37))
+        assert nn._log_softmax(logits, out, tmp, row, cols) is out
+        assert out.tobytes() == want.tobytes()
 
 
 def test_workspace_short_batch_matches_fresh_call():
@@ -395,8 +400,12 @@ def test_stacked_step_gives_each_model_its_bits_alone():
     arch = nn.MlpArchitecture((8, 6, 3))
     params = nn.ModelParams(arch, np.stack([nn.init_params(arch, i).flat for i in range(3)]))
     loss, grad = nn.loss_and_grad(params, stack.X, stack.y)
-    per_example = nn.per_example_grads(params, stack.X, stack.y)
-    assert loss.shape == (3,) and per_example.shape == (3, 12, arch.parameter_count)
+    per_example = []
+    nn.per_example_grads(params, stack.X, stack.y,
+                         _each=lambda k, out: per_example.append(out.copy()))
+    assert loss.shape == (3,) and len(per_example) == 3
+    with pytest.raises(ValueError, match="_each"):
+        nn.per_example_grads(params, stack.X, stack.y)
     for i, ds in enumerate(alone):
         one = nn.init_params(arch, i)
         want_loss, want_grad = nn.loss_and_grad(one, ds.X, ds.y)

@@ -76,13 +76,20 @@ def test_model_header_missing_or_bad_field_names_it(tmp_path, field, line, named
 
 
 def _saved_shadow_set(tmp_path):
-    """A black-box shadow set of k = 6, F = 5 and T = 2, with a (3, 4) probe."""
+    """A black-box shadow set of k = 6 from (4, 2) models with a (3, 4) probe:
+    F = 3 * 2 = 6 and T = 4."""
     g = np.random.default_rng(0)
     featurizer = shadow.Featurizer("blackbox", probe=g.normal(size=(3, 4)))
-    ss = shadow.ShadowSet(g.normal(size=(6, 5)), g.uniform(size=(6, 2)), featurizer)
+    ss = shadow.ShadowSet(g.normal(size=(6, 6)), g.uniform(size=(6, 4)), featurizer)
     prefix = str(tmp_path / "shadows")
     ss.save(prefix)
     return prefix
+
+
+def _load_shadow_set(prefix):
+    """ShadowSet.load with a featurizer of the same probe size, as a config gives it."""
+    featurizer = shadow.Featurizer("blackbox", probe=np.zeros((3, 4)))
+    return shadow.ShadowSet.load(prefix, featurizer, nn.MlpArchitecture((4, 2)))
 
 
 @pytest.mark.parametrize("suffix", [".bin"])
@@ -92,7 +99,7 @@ def test_truncated_shadow_matrix_names_file_and_sizes(tmp_path, suffix):
     blob = Path(path).read_bytes()
     Path(path).write_bytes(blob[:-9])
     with pytest.raises(ValueError) as e:
-        shadow.ShadowSet.load(prefix)
+        _load_shadow_set(prefix)
     msg = str(e.value)
     assert path in msg and str(len(blob)) in msg and str(len(blob) - 9) in msg
 
@@ -102,10 +109,10 @@ def test_blackbox_shadows_bin_without_its_probe_rows_names_file_and_both_sizes(t
     prefix = _saved_shadow_set(tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["shadows.bin", "shadows.header"]
     path = prefix + ".bin"
-    matrix = 8 * 6 * (5 + 2)
+    matrix = 8 * 6 * (6 + 4)
     Path(path).write_bytes(Path(path).read_bytes()[:matrix])
     with pytest.raises(ValueError) as e:
-        shadow.ShadowSet.load(prefix)
+        _load_shadow_set(prefix)
     msg = str(e.value)
     assert path in msg and f"expected {matrix + 8 * 3 * 4} bytes" in msg
     assert f"found {matrix}" in msg
@@ -123,7 +130,9 @@ def test_shadow_set_read_as_a_model_names_file_and_format(tmp_path):
     ("k", "", "'k'"),
     ("feature_len", "", "'feature_len'"),
     ("k", "k=six", "'k'"),
-    ("mode", "mode=greybox", "'greybox'"),
+    # a header that does not fit the featurizer and architecture it is loaded with
+    ("feature_len", "feature_len=7", "feature_len 7 differs from 6"),
+    ("target_len", "target_len=3", "target_len 3 differs from 4"),
 ])
 def test_shadow_header_missing_or_bad_field_names_it(tmp_path, field, line, named):
     prefix = _saved_shadow_set(tmp_path)
@@ -132,5 +141,5 @@ def test_shadow_header_missing_or_bad_field_names_it(tmp_path, field, line, name
     kept = [ln for ln in lines if not ln.startswith(field + "=")]
     Path(path).write_text("\n".join(kept + [line] if line else kept) + "\n")
     with pytest.raises(ValueError) as e:
-        shadow.ShadowSet.load(prefix)
+        _load_shadow_set(prefix)
     assert path in str(e.value) and named in str(e.value)

@@ -482,7 +482,9 @@ def test_shadow_set_roundtrip(tmp_path, mode):
     s = shadow.gen_shadows(fixed, pool, arch, cfg, feat)
     prefix = str(tmp_path / "shadows")
     s.save(prefix)
-    back, _ = shadow.ShadowSet.load(prefix)
+    # loaded with another probe of the same size: the stored rows replace it
+    other = shadow.Featurizer("blackbox", probe=pool.X[:5]) if mode == "blackbox" else feat
+    back, _ = shadow.ShadowSet.load(prefix, other, arch)
     assert np.array_equal(back.features, s.features)
     assert np.array_equal(back.targets, s.targets)
     assert back.featurizer.mode == mode
@@ -507,11 +509,11 @@ def test_shadow_set_metadata_follows_its_own_header_fields(tmp_path):
     s.save(written, {"config_hash": "0123456789abcdef"})
     for suffix in (".header", ".bin"):
         assert Path(written + suffix).read_bytes() == Path(appended + suffix).read_bytes()
-    back, fields = shadow.ShadowSet.load(written)
+    back, fields = shadow.ShadowSet.load(written, shadow.Featurizer("whitebox"), arch)
     assert fields["config_hash"] == "0123456789abcdef"
     assert np.array_equal(back.features, s.features)
     s.save(str(tmp_path / "bare"))
-    _, bare = shadow.ShadowSet.load(str(tmp_path / "bare"))
+    _, bare = shadow.ShadowSet.load(str(tmp_path / "bare"), shadow.Featurizer("whitebox"), arch)
     assert "config_hash" not in bare
 
 
