@@ -39,6 +39,12 @@ def _check_config_hash(fields: dict, path: str, cfg: dict) -> None:
                           f"{cfg.hash}, the hash of --config")
 
 
+def _check_targets(targets) -> None:
+    """Refuse a config with no test targets to attack."""
+    if not len(targets):
+        raise ConfigError("split.test_target_size must be >= 1: the attack needs targets")
+
+
 # ------------------------------------------------------------- subcommands
 
 def cmd_train_released(args) -> int:
@@ -63,6 +69,8 @@ def cmd_gen_shadows(args) -> int:
 
     cfg = parse_config(args.config)
     fixed, shadow_pool, _, arch, train_cfg = load_profile(cfg)
+    if not (args.ood_pool or len(shadow_pool)):
+        raise ConfigError("split.shadow_size must be >= 1 unless --ood-pool gives the shadow pool")
     if args.ood_pool:
         ood = data.load_csv(args.ood_pool, args.ood_label_column)
         if ood.dim != fixed.dim:
@@ -93,6 +101,7 @@ def cmd_attack(args) -> int:
     cfg = parse_config(args.config)
     # the config's targets: train-released writes targets.csv for people only
     fixed, shadow_pool, targets, arch, _ = load_profile(cfg)
+    _check_targets(targets)
     featurizer, _ = build_featurizer(cfg, shadow_pool, arch)
     released = []
     for i in range(len(targets)):
@@ -206,13 +215,18 @@ def cmd_dp_sweep(args) -> int:
         # each row sets its own noise, and sigma 0 trains as the release does
         raise ConfigError("released.optimizer must not be dpgd: dp-sweep sets the noise")
     fixed, shadow_pool, targets, arch, base_cfg = load_profile(cfg)
+    _check_targets(targets)
     if cfg["reconn.batch_size"] > len(shadow_pool):
         # train_reconn refuses it too, but only once a sigma's models have trained
         raise ConfigError(f"reconn.batch_size {cfg['reconn.batch_size']} exceeds the "
                           f"{len(shadow_pool)} shadow models the reconstructor trains on")
     sigmas, delta, clip = args.sigmas, cfg["dp.delta"], cfg["dp.clip_norm"]
-    epsilons = [np.inf if sigma == 0.0 else accounting.zcdp_to_approx_dp(
-        accounting.account_dpgd(base_cfg.epochs, clip, sigma), delta) for sigma in sigmas]
+    try:
+        epsilons = [np.inf if sigma == 0.0 else accounting.zcdp_to_approx_dp(
+            accounting.account_dpgd(base_cfg.epochs, clip, sigma), delta) for sigma in sigmas]
+    except OverflowError:  # squaring the sensitivity or the noise std
+        raise ConfigError(f"dp.clip_norm {clip!r} at --sigmas {max(sigmas)!r} overflows "
+                          f"the privacy accounting") from None
     pool_X = np.vstack([fixed.X, shadow_pool.X])
     threshold = metrics.oracle_report(targets.X, pool_X).mean_nn_distance
 

@@ -421,7 +421,7 @@ def loss_and_grad(params: ModelParams, X: np.ndarray, y: np.ndarray,
 
 def per_example_grads(params: ModelParams, X: np.ndarray, y: np.ndarray,
                       out: np.ndarray = None, _work: _Workspace = None,
-                      _each=None) -> np.ndarray:
+                      _each=None, _shared: int = 0) -> np.ndarray:
     """Per-example gradients of the summed cross-entropy, flattened: (n, P)
     for one model, whose X is (n, d) and y (n,).
 
@@ -431,6 +431,11 @@ def per_example_grads(params: ModelParams, X: np.ndarray, y: np.ndarray,
     models' gradients pass in turn through out, and _each(k, out) is called
     once model k's are in it. The forward and backward passes run on the
     stack, and each model's gradients are used while they are in cache.
+
+    _shared is a count of leading rows whose gradients are the same, bit
+    for bit, in every model of the stack (equal parameters and equal rows
+    of X and y give them): only model 0 writes them, and out keeps them for
+    the models after it, which write only their rows from _shared on.
     """
     X, y = _as_batch(X, y)
     stacked = X.ndim == 3
@@ -443,10 +448,11 @@ def per_example_grads(params: ModelParams, X: np.ndarray, y: np.ndarray,
     deltas = _deltas(params, pre, delta, work)
     rows = ModelParams(params.arch, out)
     for k in range(len(X) if stacked else 1):
+        lo = _shared if k else 0
         for i, delta in enumerate(deltas):
             a, d = (activations[i][k], delta[k]) if stacked else (activations[i], delta)
-            np.einsum("ni,nj->nij", a, d, out=rows.weights[i])
-            rows.biases[i][...] = d
+            np.einsum("ni,nj->nij", a[lo:], d[lo:], out=rows.weights[i][lo:])
+            rows.biases[i][lo:] = d[lo:]
         if _each is not None:
             _each(k, out)
     return out
@@ -463,6 +469,19 @@ def clip_rows(grads: np.ndarray, clip_norm: float) -> np.ndarray:
     """Scale each row of grads in place to l2 norm <= clip_norm; returns grads."""
     grads *= _clip_scale(grads, clip_norm)[:, None]
     return grads
+
+
+def _shared_rows(X, y) -> int:
+    """How many leading rows every model of a stack, X (K, n, d) and y
+    (K, n), has bit for bit."""
+    X, y = _as_batch(X, y)
+    # compared as integers, rows match only bit for bit (-0.0 is not +0.0);
+    # one model at a time, as a (K, n, d) temporary raised dp-sweep's peak RSS
+    bits = np.ascontiguousarray(X).view(np.uint64)
+    differ = (y != y[:1]).any(axis=0)
+    for k in range(1, len(bits)):
+        differ |= (bits[k] != bits[0]).any(axis=-1)
+    return int(differ.argmax()) if differ.any() else len(differ)
 
 
 def _seedless(config: TrainConfig) -> dict:
@@ -489,7 +508,9 @@ def train(dataset, arch: MlpArchitecture, config: TrainConfig, *configs,
     of a stack, and the result's flat is that row, (P,). Each model gets
     the bits it gets alone: a stacked matmul calls the same gemm on each
     model's slice, every reduction runs along the same axis, and DP-GD
-    clips, sums and noises each model's gradients in turn.
+    clips, sums and noises each model's gradients in turn. At DP-GD's first
+    step, the per-example gradients of the leading rows that all models of
+    one init_seed share are formed once, by model 0, row by row as alone.
 
     A model that diverges stays in its stack; the loop stops early only at
     the end of an epoch in which model 0 has diverged. train then raises
@@ -533,18 +554,27 @@ def train(dataset, arch: MlpArchitecture, config: TrainConfig, *configs,
         C, sigma = float(config.clip_norm), config.noise_multiplier
         per_example = np.empty((n, arch.parameter_count))
         squares = np.empty_like(per_example)
+        scale = np.empty(n)
         noise_rngs = [Rng(c.noise_seed) for c in configs]
+        # models of one init_seed start from the same parameters, so at the
+        # first step the leading rows they all have give them all the same
+        # per-example gradients and clip factors: model 0 forms those alone
+        shared = _shared_rows(X, y) if len({c.init_seed for c in configs}) == 1 else 0
 
         def clipped_sum(k, rows):
-            """Model k's rows clipped to C, summed and noised, into g[k]."""
+            """Model k's rows clipped to C, summed and noised, into g[k]; a
+            model after the first keeps model 0's clip factors of the shared
+            rows."""
             # np.sum(clip_rows(rows, C), axis=0) without the in-place scaling:
             # the same products, added over the rows in the same order from
             # +0.0. Were a zero in g, and so in velocity, of the other sign,
             # theta could not see it: theta holds no -0.0 (biases start at
             # +0.0, and x - y is -0.0 only for x = -0.0), and +0.0 or a
             # nonzero value minus lr * (+-0.0) is the same.
+            lo = shared if k else 0
+            scale[lo:] = _clip_scale(rows[lo:], C, squares[lo:])
             gk = g[k]
-            np.einsum("n,np->p", _clip_scale(rows, C, squares), rows, out=gk)
+            np.einsum("n,np->p", scale, rows, out=gk)
             if sigma > 0:
                 noise = noise_rngs[k].child(("noise", epoch)).once()
                 gk += noise.normal(0.0, sigma * C, size=gk.shape)
@@ -564,7 +594,8 @@ def train(dataset, arch: MlpArchitecture, config: TrainConfig, *configs,
                 work = works[yb.shape[-1]]
                 if dp:
                     per_example_grads(params, Xb, yb, out=per_example, _work=work,
-                                      _each=clipped_sum)
+                                      _each=clipped_sum, _shared=shared)
+                    shared = 0  # the models' parameters part at the first step
                     g /= n
                 else:
                     loss, _ = loss_and_grad(params, Xb, yb, grad, _work=work)

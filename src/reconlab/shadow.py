@@ -362,8 +362,11 @@ class RecoNN:
     stats: NormStats
 
     def predict(self, normalized_features: np.ndarray) -> np.ndarray:
-        logits = nn.forward(self.params, normalized_features)
-        return 1.0 / (1.0 + np.exp(-logits))
+        # a logit below about -709 overflows exp, and the sigmoid is then 0.0
+        # as it should be: numpy's warning would be an error under -W error
+        with warnings.catch_warnings(action="ignore", category=RuntimeWarning):
+            logits = nn.forward(self.params, normalized_features)
+            return 1.0 / (1.0 + np.exp(-logits))
 
 
 def _reconn_loss_grad(params: nn.ModelParams, F: np.ndarray, T: np.ndarray,
@@ -418,25 +421,29 @@ def train_reconn(shadow_set: ShadowSet, config: RecoNNConfig = RecoNNConfig()) -
     shuffle = Rng(_derive(config.seed, "reconn-shuffle"))
     lr, rho, eps = config.learning_rate, RMS_DECAY, RMS_EPS
 
-    for epoch in range(config.epochs):
-        perm = shuffle.child(("epoch", epoch)).once().permutation(k)
-        for start in range(0, k, bs):
-            idx = perm[start : start + bs]
-            loss = _reconn_loss_grad(params, F[idx], T[idx], grad, works[len(idx)])
-            if not np.isfinite(loss):
-                raise nn.DivergenceError(f"reconstructor diverged at epoch {epoch}")
-            # RMSProp in place, in the operation order of
-            # cache = rho*cache + (1-rho)*gv*gv; theta -= lr*gv / (sqrt(cache) + eps).
-            # gv is scratch once cache is updated: the next backprop overwrites all of it
-            np.multiply(1.0 - rho, gv, out=denom)
-            denom *= gv
-            cache *= rho
-            cache += denom
-            np.sqrt(cache, out=denom)
-            denom += eps
-            gv *= lr
-            gv /= denom
-            theta -= gv
+    # the sigmoid's exp overflows to inf on a large negative logit, which a
+    # large learning rate reaches, and its output is then 0.0 as it should
+    # be; a non-finite loss is reported as a DivergenceError, not a warning
+    with warnings.catch_warnings(action="ignore", category=RuntimeWarning):
+        for epoch in range(config.epochs):
+            perm = shuffle.child(("epoch", epoch)).once().permutation(k)
+            for start in range(0, k, bs):
+                idx = perm[start : start + bs]
+                loss = _reconn_loss_grad(params, F[idx], T[idx], grad, works[len(idx)])
+                if not np.isfinite(loss):
+                    raise nn.DivergenceError(f"reconstructor diverged at epoch {epoch}")
+                # RMSProp in place, in the operation order of
+                # cache = rho*cache + (1-rho)*gv*gv; theta -= lr*gv / (sqrt(cache) + eps).
+                # gv is scratch once cache is updated: the next backprop overwrites all of it
+                np.multiply(1.0 - rho, gv, out=denom)
+                denom *= gv
+                cache *= rho
+                cache += denom
+                np.sqrt(cache, out=denom)
+                denom += eps
+                gv *= lr
+                gv /= denom
+                theta -= gv
     return RecoNN(params, shadow_set.featurizer, stats)
 
 

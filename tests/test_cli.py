@@ -642,6 +642,22 @@ def test_dp_sweep_outputs_table(cfg_path, tmp_path):
     assert float(sigma8[2]) > float(sigma0[2])
 
 
+def test_dp_sweep_reconstructor_overflow_is_silent_under_w_error(tmp_path):
+    # a learning rate of 2 drives reconstructor logits far enough below 0
+    # that the sigmoid's exp overflows, in training and in the attack
+    cfg = tmp_path / "lr2.cfg"
+    cfg.write_text(TINY_CONFIG + "[reconn]\nlearning_rate=2\n")
+    argv = ["dp-sweep", "--config", str(cfg), "--sigmas", "0,2", "--repeats", "1"]
+    tables = []
+    for action in ("always", "error"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            assert main(argv + ["--out", str(tmp_path / action)]) == 0
+        assert not caught
+        tables.append((tmp_path / action / "dp_sweep.csv").read_bytes())
+    assert tables[0] == tables[1]
+
+
 # ------------------------------------------------------------ rero-bound
 
 def test_rero_bound_cor1_example(capsys):
@@ -869,6 +885,16 @@ def test_rero_bound_requires_mode():
      "reconn.batch_size"),
     # the config alone names the featurizer
     (["gen-shadows", "--featurizer", "blackbox"], "--featurizer"),
+    # the oracle's percentiles of no targets ended in an IndexError traceback
+    (["dp-sweep", "--sigmas", "0,2", "--repeats", "1", "[split]\ntest_target_size=0"],
+     "split.test_target_size"),
+    (["attack", "--shadows", "missing", "--released", "missing",
+      "[split]\ntest_target_size=0"], "split.test_target_size"),
+    # numpy's "need at least one array to stack", naming no key
+    (["gen-shadows", "[split]\nshadow_size=0"], "split.shadow_size"),
+    # squaring the noise std in the privacy accounting raised OverflowError
+    (["dp-sweep", "--sigmas", "0,2", "--repeats", "1", "[dp]\nclip_norm=1e300"],
+     "dp.clip_norm"),
 ])
 def test_bad_input_exits_2_naming_it(argv, named, cfg_path, tmp_path, capsys, monkeypatch):
     from reconlab import data

@@ -548,6 +548,78 @@ def test_train_dp_matches_clip_rows_sum_bitwise(activation, sigma):
     assert nn.train(ds, arch, cfg).flat.tobytes() == want.tobytes()
 
 
+def spy_shared_rows(monkeypatch):
+    """The _shared count of each stacked per_example_grads call nn.train makes."""
+    seen = []
+    per_example_grads = nn.per_example_grads
+
+    def spy(params, X, y, *args, **kwargs):
+        if np.ndim(X) == 3:
+            seen.append(kwargs.get("_shared", 0))
+        return per_example_grads(params, X, y, *args, **kwargs)
+
+    monkeypatch.setattr(nn, "per_example_grads", spy)
+    return seen
+
+
+def median_first_step_norm(arch, ds, init_seed):
+    """A clip bound that half the first step's per-example gradients exceed."""
+    rows = nn.per_example_grads(nn.init_params(arch, init_seed), ds.X, ds.y)
+    return float(np.median(np.linalg.norm(rows, axis=1)))
+
+
+@pytest.mark.parametrize("K", [1, 2, 5])
+@pytest.mark.parametrize("sigma", [0.0, 1.5])
+@pytest.mark.parametrize("activation", sorted(nn.ACTIVATIONS))
+def test_dp_stack_of_one_init_gives_each_model_its_bits_alone(activation, sigma, K,
+                                                             monkeypatch):
+    # every model starts from init_seed 3 and has all rows but the last, so
+    # model 0 forms the first step's gradients of those rows for all of them
+    stack, alone = stack_of_datasets(K=K)
+    arch = nn.MlpArchitecture((8, 6, 5, 3), activation=activation)
+    cfg = nn.TrainConfig(optimizer="dpgd", epochs=4, learning_rate=0.5, noise_multiplier=sigma,
+                         clip_norm=median_first_step_norm(arch, alone[0], 3), init_seed=3)
+    configs = [replace(cfg, noise_seed=10 + i) for i in range(K)]
+    seen = spy_shared_rows(monkeypatch)
+    trained = nn.train(stack, arch, *configs)
+    n = stack.y.shape[1]
+    assert seen == [n if K == 1 else n - 1, 0, 0, 0]
+    for row, ds, c in zip(trained.flat, alone, configs):
+        assert row.tobytes() == nn.train(ds, arch, c).flat.tobytes()
+
+
+@pytest.mark.parametrize("case,shared", [
+    ("two_init_seeds", 0),
+    ("differing_row_not_last", 5),
+    ("one_model_differs_in_a_shared_row", 3),
+    ("one_label_differs", 1),
+    ("signed_zero", 2),
+])
+def test_dp_stack_shares_only_leading_rows_every_model_has(case, shared, monkeypatch):
+    stack, _ = stack_of_datasets(K=4)
+    arch = nn.MlpArchitecture((8, 6, 5, 3), activation="tanh")
+    cfg = nn.TrainConfig(optimizer="dpgd", epochs=3, learning_rate=0.5, noise_multiplier=1.5,
+                         clip_norm=0.5, init_seed=3)
+    configs = [replace(cfg, noise_seed=10 + i) for i in range(4)]
+    if case == "two_init_seeds":
+        configs[2] = replace(configs[2], init_seed=4)
+    elif case == "differing_row_not_last":
+        stack.X[:, [5, -1]], stack.y[:, [5, -1]] = stack.X[:, [-1, 5]], stack.y[:, [-1, 5]]
+    elif case == "one_model_differs_in_a_shared_row":
+        stack.X[2, 3, 0] += 0.25
+    elif case == "one_label_differs":
+        stack.y[3, 1] = (stack.y[3, 1] + 1) % 3
+    else:  # -0.0 equals +0.0, but its bits differ
+        stack.X[:, 2, 0] = 0.0
+        stack.X[1, 2, 0] = -0.0
+    alone = [LabeledDataset(stack.X[i], stack.y[i], 3) for i in range(4)]
+    seen = spy_shared_rows(monkeypatch)
+    trained = nn.train(stack, arch, *configs)
+    assert seen[0] == shared
+    for row, ds, c in zip(trained.flat, alone, configs):
+        assert row.tobytes() == nn.train(ds, arch, c).flat.tobytes()
+
+
 def test_dpgd_sigma_zero_large_clip_matches_gd():
     # with no noise and a clip bound above every per-example norm, DP-GD
     # reduces to full-batch GD on the mean gradient

@@ -239,6 +239,33 @@ def test_train_many_one_deep_stack_at_a4_shapes_matches_nn_train_bitwise(optimiz
 
 
 @pytest.mark.parametrize("workers", [1, 2])
+def test_train_many_dp_shadows_of_one_init_at_a4_shapes_match_nn_train_bitwise(workers,
+                                                                              monkeypatch):
+    # dp-sweep's shadows: one init_seed, so every stack's models have all
+    # rows but the last in common at the first step
+    ds = synth_classification(32, 10, 230, 0.15, seed=3)
+    fixed, pool, _ = split(ds, SplitSpec(200, 22, 0, split_seed=4))
+    arch = nn.MlpArchitecture((32, 8, 10))
+    cfg = replace(nn.TrainConfig(epochs=3, init_seed=5, noise_seed=6),
+                  **STACKED_OPTIMIZERS["dpgd_sigma_2"])
+    configs = [shadow.shadow_config(cfg, i, random_init=False) for i in range(len(pool))]
+    seen = []
+    per_example_grads = nn.per_example_grads
+
+    def spy(params, X, y, *args, **kwargs):
+        seen.append((len(X), kwargs["_shared"]))
+        return per_example_grads(params, X, y, *args, **kwargs)
+
+    monkeypatch.setattr(nn, "per_example_grads", spy)
+    monkeypatch.setenv("RECONLAB_THREADS", str(workers))
+    models = list(shadow.train_many(fixed, pool, arch, configs))
+    monkeypatch.undo()
+    depth = 22 // workers
+    assert sorted(seen) == sorted([(depth, 200), (depth, 0), (depth, 0)] * workers)
+    assert_models_match_nn_train(models, fixed, pool, arch, configs)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("points", [50, 300])
 def test_train_many_stacks_desk_models_eight_deep(points, workers, monkeypatch):
     # the desk shapes of train-released and gen-shadows in the desk_gd_attack
