@@ -15,9 +15,9 @@ from reconlab import accounting, rero
 
 kappa = 0.01  # prior baseline: best blind guess succeeds 1% of the time
 print("gamma from eps-DP, eps=ln(10):",
-      rero.puredp_to_rero(np.log(10.0), kappa, eta=0.1).gamma)
+      rero.puredp_to_rero(np.log(10.0), kappa))
 print("gamma from rho-zCDP, rho=0.5: ",
-      rero.zcdp_to_rero(0.5, kappa, eta=0.1).gamma)
+      rero.zcdp_to_rero(0.5, kappa))
 print("delta implied by (0, 0.75)-ReRo:", rero.rero_to_dp(0.0, 0.75))
 
 # ------------------------------------- empirical check on a noisy mean
@@ -31,7 +31,7 @@ n = fixed.shape[0] + 1
 diam = max(float(np.linalg.norm(a - b)) for a in prior.points for b in prior.points)
 rho = accounting.gaussian_mechanism_zcdp(diam / n, noise)
 kappa, _ = rero.kappa_monte_carlo(prior, rero.l2_error, eta, prior.points)
-gamma = rero.zcdp_to_rero(rho, kappa, eta).gamma
+gamma = rero.zcdp_to_rero(rho, kappa)
 
 
 def mechanism(fixed, zs, rngs):

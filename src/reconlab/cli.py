@@ -248,12 +248,12 @@ def cmd_dp_sweep(args) -> int:
 
 def cmd_rero_bound(args) -> int:
     privacy = "rho" if args.rho is not None else "eps"
-    formulas = {  # flag: (required inputs, bound)
+    formulas = {  # flag: (required inputs, delta for thm3 and (kappa, gamma) for the rest)
         "thm3": (("eps", "gamma"), lambda: rero.rero_to_dp(args.eps, args.gamma)),
         "thm2": (("alpha", "eps", "kappa"),
-                 lambda: rero.rdp_to_rero(args.alpha, args.eps, args.kappa, args.eta)),
-        "cor1": (("eps", "kappa"), lambda: rero.puredp_to_rero(args.eps, args.kappa, args.eta)),
-        "cor2": (("rho", "kappa"), lambda: rero.zcdp_to_rero(args.rho, args.kappa, args.eta)),
+                 lambda: (args.kappa, rero.rdp_to_rero(args.alpha, args.eps, args.kappa))),
+        "cor1": (("eps", "kappa"), lambda: (args.kappa, rero.puredp_to_rero(args.eps, args.kappa))),
+        "cor2": (("rho", "kappa"), lambda: (args.kappa, rero.zcdp_to_rero(args.rho, args.kappa))),
         "prop1": (("d", privacy), lambda: rero.prop_gamma(
             args.d, args.eta, {privacy: getattr(args, privacy)}, "uniform_ball")),
         "prop2": (("d", privacy, "sigma"), lambda: rero.prop_gamma(
@@ -266,10 +266,10 @@ def cmd_rero_bound(args) -> int:
     if args.formula == "thm3":
         print(f"delta={bound()!r}")
         return EXIT_OK
-    b = bound()
-    print(f"gamma={b.gamma!r}")
-    print(f"kappa={b.kappa!r}")
-    print(f"source={b.source}")
+    kappa, gamma = bound()
+    print(f"gamma={gamma!r}")
+    print(f"kappa={kappa!r}")
+    print(f"source={args.formula}")
     return EXIT_OK
 
 

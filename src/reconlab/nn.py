@@ -8,7 +8,6 @@ all randomness drawn from labeled child streams of the three seeds.
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -581,8 +580,8 @@ def train(dataset, arch: MlpArchitecture, config: TrainConfig, *configs,
 
     # a diverging model's inf and NaN are reported as a DivergenceError, not
     # as numpy's warnings, which -W error would raise before the models
-    # ahead of it in the stack finish (np.errstate would slow every ufunc)
-    with warnings.catch_warnings(action="ignore", category=RuntimeWarning):
+    # ahead of it in the stack finish
+    with np.errstate(all="ignore"):
         for epoch in range(config.epochs):
             if full_batch:
                 batches = (None,)

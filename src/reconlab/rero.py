@@ -23,7 +23,6 @@ __all__ = [
     "UniformBallPrior",
     "FiniteDiscretePrior",
     "l2_error",
-    "ReRoBound",
     "wilson_interval",
     "kappa_uniform_ball",
     "kappa_gaussian_bound",
@@ -123,17 +122,7 @@ def l2_error(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.norm(diff, axis=1)
 
 
-# ----------------------------------------------------------------- bound
-
-@dataclass(frozen=True)
-class ReRoBound:
-    eta: float
-    kappa: float
-    gamma: float
-    source: str            # thm2 | cor1 | cor2 | prop1 | prop2
-    privacy: dict = field(default_factory=dict)
-    degenerate: bool = False
-
+# ------------------------------------------------------------ estimates
 
 WILSON_Z = np.float64(2.5758293035489004)  # norm.ppf(0.995) bit for bit: 99% confidence
 KAPPA_SAMPLES = 100_000  # prior draws behind a sampled kappa_monte_carlo estimate
@@ -153,29 +142,33 @@ def wilson_interval(successes: int, trials: int):
 
 # ---------------------------------------------------------------- kappas
 
-def kappa_uniform_ball(eta: float, d: int):
+def kappa_uniform_ball(eta: float, d: int) -> float:
     """Baseline error of the unit-ball uniform prior under l2: eta^d.
 
     The sup over guesses is attained at the center, where the eta-ball is
-    fully contained. Returns (kappa, degenerate); eta >= 1 is vacuous.
+    fully contained; eta >= 1 gives the vacuous kappa = 1.
     """
     if not d >= 1:
         raise ValueError("d must be >= 1")
     if not eta > 0:
         raise ValueError("eta must be positive")
-    if eta >= 1:
-        return 1.0, True
-    return eta ** d, False
+    return 1.0 if eta >= 1 else eta ** d
 
 
 def kappa_gaussian_bound(eta: float, sigma: float, d: int) -> float:
     """Chi-squared tail upper bound exp((d/2)(1 - q + ln q)), q = eta^2/(sigma^2 d)."""
     if not (eta > 0 and sigma > 0 and d >= 1):
         raise ValueError("eta, sigma must be positive and d >= 1")
-    q = eta ** 2 / (sigma ** 2 * d)
+    try:
+        q = eta ** 2 / (sigma ** 2 * d)
+        log_q = math.log(q)
+    except (OverflowError, ZeroDivisionError, ValueError):
+        # eta^2 or sigma^2 left the float range, or q underflowed to 0
+        log_q = 2.0 * (math.log(eta) - math.log(sigma)) - math.log(d)
+        q = math.exp(min(0.0, log_q))
     if q >= 1:
         return 1.0
-    return math.exp(0.5 * d * (1.0 - q + math.log(q)))
+    return math.exp(0.5 * d * (1.0 - q + log_q))
 
 
 def kappa_two_point(p: float) -> float:
@@ -199,6 +192,7 @@ def kappa_monte_carlo(prior, error_fn, eta: float, candidates, seed: int = 0):
         for c in candidates:
             p = float(prior.masses[error_fn(prior.points, c) <= eta].sum())
             best = max(best, p)
+        best = min(1.0, best)  # a ball holding every mass can sum past 1 by an ulp
         return best, (best, best)
     samples = prior.sample(Rng(seed).child("kappa"), KAPPA_SAMPLES)
     best = max(int((error_fn(samples, c) <= eta).sum()) for c in candidates)
@@ -207,19 +201,15 @@ def kappa_monte_carlo(prior, error_fn, eta: float, candidates, seed: int = 0):
 
 # --------------------------------------------------------- bound calculus
 
-def _clamp(g: float) -> float:
-    return min(1.0, max(0.0, g))
-
-
 def _check_finite(**values) -> None:
-    """Refuse an infinite parameter: inf - inf and 0 * inf give NaN, which
-    _clamp maps to a bound of 0, the claim that no attack succeeds."""
+    """Refuse an infinite parameter: inf - inf and 0 * inf give NaN, which a
+    clamp to [0, 1] reads as a bound of 0, the claim that no attack succeeds."""
     for name, value in values.items():
         if math.isinf(value):
             raise ValueError(f"{name} must be finite, got {value}")
 
 
-def rdp_to_rero(alpha: float, eps: float, kappa: float, eta: float) -> ReRoBound:
+def rdp_to_rero(alpha: float, eps: float, kappa: float) -> float:
     """(alpha, eps)-RDP gives gamma = (kappa * e^eps)^((alpha-1)/alpha)."""
     if not alpha > 1:
         raise ValueError("alpha must be > 1")
@@ -228,33 +218,37 @@ def rdp_to_rero(alpha: float, eps: float, kappa: float, eta: float) -> ReRoBound
     _check_finite(alpha=alpha, eps=eps)
     if not 0 < kappa <= 1:
         raise ValueError("kappa must be in (0, 1]")
-    gamma = _clamp(math.exp((alpha - 1.0) / alpha * (math.log(kappa) + eps)))
-    return ReRoBound(eta, kappa, gamma, "thm2", {"alpha": alpha, "eps": eps})
+    # a positive exponent gives gamma >= 1, and e^x can overflow there
+    return math.exp(min(0.0, (alpha - 1.0) / alpha * (math.log(kappa) + eps)))
 
 
-def puredp_to_rero(eps: float, kappa: float, eta: float) -> ReRoBound:
+def puredp_to_rero(eps: float, kappa: float) -> float:
     """eps-DP gives gamma = kappa * e^eps."""
     if not eps >= 0:
         raise ValueError("eps must be nonnegative")
     _check_finite(eps=eps)
     if not 0 <= kappa <= 1:
         raise ValueError("kappa must be in [0, 1]")
-    gamma = _clamp(kappa * math.exp(eps))
-    return ReRoBound(eta, kappa, gamma, "cor1", {"eps": eps})
+    if kappa == 0:
+        return 0.0
+    try:
+        return min(1.0, kappa * math.exp(eps))
+    except OverflowError:  # e^eps past the float range; kappa may still be subnormal
+        return math.exp(min(0.0, math.log(kappa) + eps))
 
 
-def zcdp_to_rero(rho: float, kappa: float, eta: float) -> ReRoBound:
+def zcdp_to_rero(rho: float, kappa: float) -> float:
     """rho-zCDP gives gamma = exp(-(sqrt(ln(1/kappa)) - sqrt(rho))^2) when
-    rho < ln(1/kappa); otherwise the bound is vacuous (gamma = 1)."""
-    if not 0 < kappa < 1:
-        raise ValueError("kappa must be in (0, 1)")
+    rho < ln(1/kappa), and the vacuous gamma = 1 otherwise, as at kappa = 1;
+    kappa = 0 gives gamma = 0 for a finite rho."""
+    if not 0 <= kappa <= 1:
+        raise ValueError("kappa must be in [0, 1]")
     if not rho >= 0:
         raise ValueError("rho must be nonnegative")
-    log_inv = math.log(1.0 / kappa)
+    log_inv = math.log(1.0 / kappa) if kappa else math.inf
     if rho >= log_inv:
-        return ReRoBound(eta, kappa, 1.0, "cor2", {"rho": rho}, degenerate=True)
-    gamma = _clamp(math.exp(-(math.sqrt(log_inv) - math.sqrt(rho)) ** 2))
-    return ReRoBound(eta, kappa, gamma, "cor2", {"rho": rho})
+        return 1.0
+    return math.exp(-(math.sqrt(log_inv) - math.sqrt(rho)) ** 2)
 
 
 def rero_to_dp(eps: float, gamma: float) -> float:
@@ -265,44 +259,38 @@ def rero_to_dp(eps: float, gamma: float) -> float:
     _check_finite(eps=eps)
     if not 0 <= gamma <= 1:
         raise ValueError("gamma must be in [0, 1]")
-    return max(0.0, (math.exp(eps) + 1.0) * gamma - math.exp(eps))
+    try:
+        growth = math.exp(eps)
+    except OverflowError:  # the limit as eps grows: delta 1 at gamma = 1, else 0
+        return 1.0 if gamma == 1 else 0.0
+    return max(0.0, (growth + 1.0) * gamma - growth)
 
 
 def prop_gamma(d: int, eta: float, privacy: dict, prior_kind: str,
-               sigma: float = None) -> ReRoBound:
+               sigma: float = None):
     """High-dimensional prior bounds: compose the structured-prior kappa with
-    the pure-DP or zCDP conversion.
+    the pure-DP or zCDP conversion. Returns (kappa, gamma).
 
     privacy is {"eps": e} or {"rho": r}; prior_kind is "uniform_ball" or
     "gaussian" (the latter needs sigma >= 2*eta/sqrt(d))."""
     if not d >= 1:
         raise ValueError("d must be >= 1")
     if prior_kind == "uniform_ball":
-        kappa, degenerate = kappa_uniform_ball(eta, d)
-        source = "prop1"
+        kappa = kappa_uniform_ball(eta, d)
     elif prior_kind == "gaussian":
         if sigma is None:
             raise ValueError("gaussian prior needs sigma")
         if sigma < 2.0 * eta / math.sqrt(d):
             raise ValueError(f"sigma {sigma} < 2*eta/sqrt(d) = {2 * eta / math.sqrt(d)}")
         kappa = kappa_gaussian_bound(eta, sigma, d)
-        degenerate = kappa >= 1.0
-        source = "prop2"
     else:
         raise ValueError(f"unknown prior kind {prior_kind!r}")
 
     if "eps" in privacy:
-        gamma = puredp_to_rero(privacy["eps"], kappa, eta).gamma
-    elif "rho" in privacy:
-        if kappa >= 1.0:
-            gamma = 1.0
-        else:
-            inner = zcdp_to_rero(privacy["rho"], kappa, eta)
-            gamma = inner.gamma
-            degenerate = degenerate or inner.degenerate
-    else:
-        raise ValueError("privacy must contain 'eps' or 'rho'")
-    return ReRoBound(eta, kappa, gamma, source, dict(privacy), degenerate=degenerate)
+        return kappa, puredp_to_rero(privacy["eps"], kappa)
+    if "rho" in privacy:
+        return kappa, zcdp_to_rero(privacy["rho"], kappa)
+    raise ValueError("privacy must contain 'eps' or 'rho'")
 
 
 # ------------------------------------------------------- attacks / checks
@@ -400,7 +388,7 @@ def rero_soundness_grid(n_trials: int = 500, seed: int = 0):
             for pi, prior in enumerate(priors):
                 rho = gaussian_mechanism_zcdp(diams[pi] / n, noise)
                 kappa = kappas[pi, eta]
-                gamma = 1.0 if kappa >= 1.0 else zcdp_to_rero(rho, kappa, eta).gamma
+                gamma = zcdp_to_rero(rho, kappa)
 
                 def attack_fn(thetas, prior=prior, eta=eta, likelihood=likelihood):
                     return map_attack_finite(prior, likelihood, thetas, l2_error, eta)

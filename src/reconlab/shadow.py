@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-import warnings
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
@@ -281,12 +280,7 @@ def train_many(fixed: LabeledDataset, points, arch: nn.MlpArchitecture, configs,
                 stop = True
 
     slots, futures = [], []
-    # nn.train's own catch_warnings swaps the process-wide filter list, so
-    # threads entering and leaving it race: one may restore another's list,
-    # or read the caller's while numpy overflows. Under this guard every list
-    # they swap in ignores RuntimeWarning, and the caller's comes back last.
-    with warnings.catch_warnings(action="ignore", category=RuntimeWarning), \
-            ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         for _ in range(min(workers, len(stacks))):
             slots.append(_slot(fixed, arch, size))
             futures.append(pool.submit(drain, slots[-1]))
@@ -364,7 +358,7 @@ class RecoNN:
     def predict(self, normalized_features: np.ndarray) -> np.ndarray:
         # a logit below about -709 overflows exp, and the sigmoid is then 0.0
         # as it should be: numpy's warning would be an error under -W error
-        with warnings.catch_warnings(action="ignore", category=RuntimeWarning):
+        with np.errstate(all="ignore"):
             logits = nn.forward(self.params, normalized_features)
             return 1.0 / (1.0 + np.exp(-logits))
 
@@ -424,7 +418,7 @@ def train_reconn(shadow_set: ShadowSet, config: RecoNNConfig = RecoNNConfig()) -
     # the sigmoid's exp overflows to inf on a large negative logit, which a
     # large learning rate reaches, and its output is then 0.0 as it should
     # be; a non-finite loss is reported as a DivergenceError, not a warning
-    with warnings.catch_warnings(action="ignore", category=RuntimeWarning):
+    with np.errstate(all="ignore"):
         for epoch in range(config.epochs):
             perm = shuffle.child(("epoch", epoch)).once().permutation(k)
             for start in range(0, k, bs):

@@ -258,23 +258,23 @@ def test_a7_informed_mia_and_loss_overlap():
 def test_a8_rero_formula_suite():
     checks = []
     # plain arithmetic cases
-    checks.append(abs(rero.puredp_to_rero(math.log(10), 0.01, 0.3).gamma - 0.1) < 1e-12)
+    checks.append(abs(rero.puredp_to_rero(math.log(10), 0.01) - 0.1) < 1e-12)
     checks.append(rero.rero_to_dp(0.0, 0.75) == 0.5)
     checks.append(rero.kappa_two_point(0.5) == 0.5)
-    checks.append(rero.kappa_uniform_ball(0.5, 1)[0] == 0.5)
-    checks.append(abs(rero.kappa_uniform_ball(0.5, 10)[0] - 0.5 ** 10) < 1e-18)
+    checks.append(rero.kappa_uniform_ball(0.5, 1) == 0.5)
+    checks.append(abs(rero.kappa_uniform_ball(0.5, 10) - 0.5 ** 10) < 1e-18)
     checks.append(rero.kappa_gaussian_bound(1.0, 0.5, 4) == 1.0)
 
     # pure-DP bound as the large-alpha limit of the RDP bound
-    lim = rero.rdp_to_rero(1e9, 1.2, 0.03, 0.1).gamma
-    direct = rero.puredp_to_rero(1.2, 0.03, 0.1).gamma
+    lim = rero.rdp_to_rero(1e9, 1.2, 0.03)
+    direct = rero.puredp_to_rero(1.2, 0.03)
     checks.append(abs(lim - direct) / direct <= 1e-6)
 
     # zCDP bound as the alpha-minimized RDP bound
     for rho, kappa in ((0.1, 0.01), (0.5, 0.001)):
         alphas = 1.0 + np.logspace(-6, 6, 400_001)
         scan = math.exp(((alphas - 1) / alphas * (math.log(kappa) + alphas * rho)).min())
-        checks.append(abs(rero.zcdp_to_rero(rho, kappa, 0.1).gamma - scan) <= 1e-9)
+        checks.append(abs(rero.zcdp_to_rero(rho, kappa) - scan) <= 1e-9)
 
     # uniform-ball baseline vs Monte-Carlo, d <= 5
     mc_ok = True

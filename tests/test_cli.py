@@ -1,9 +1,11 @@
 import hashlib
+import io
 import os
 import re
 import shutil
 import struct
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -676,6 +678,110 @@ def test_rero_bound_thm3_example(capsys):
 
 def test_rero_bound_requires_mode():
     assert main(["rero-bound", "--kappa", "0.5", "--eps", "1.0"]) == 2
+
+
+@pytest.mark.parametrize("argv,stdout", [
+    (["--thm2", "--alpha", "2", "--eps", "1", "--kappa", "0.1"],
+     "gamma=0.5213714442179439\nkappa=0.1\nsource=thm2\n"),
+    (["--cor2", "--rho", "0.1", "--kappa", "0.01"],
+     "gamma=0.03515662849557054\nkappa=0.01\nsource=cor2\n"),
+    (["--cor2", "--rho", "5", "--kappa", "0.5"], "gamma=1.0\nkappa=0.5\nsource=cor2\n"),
+    (["--prop1", "--d", "10", "--eps", "1"],
+     "gamma=0.0026545720981045362\nkappa=0.0009765625\nsource=prop1\n"),
+    (["--prop1", "--d", "10", "--rho", "0.5"],
+     "gamma=0.0245222503863845\nkappa=0.0009765625\nsource=prop1\n"),
+    (["--prop1", "--d", "3", "--eta", "1.5", "--rho", "0.5"],
+     "gamma=1.0\nkappa=1.0\nsource=prop1\n"),
+    (["--prop2", "--d", "16", "--rho", "0.1", "--sigma", "1"],
+     "gamma=2.0483095000663944e-10\nkappa=9.346074812907344e-12\nsource=prop2\n"),
+    (["--prop2", "--d", "16", "--eps", "1", "--sigma", "0.3"],
+     "gamma=0.0016675685250246582\nkappa=0.0006134641771011576\nsource=prop2\n"),
+])
+def test_rero_bound_stdout(argv, stdout, capsys):
+    assert main(["rero-bound", *argv]) == 0
+    assert capsys.readouterr().out == stdout
+
+
+# each ended in a traceback or exited 2 before the limit was taken
+RERO_BOUND_LIMITS = [
+    # e^eps, or a float ** in kappa_gaussian_bound, raised OverflowError
+    (["--cor1", "--eps", "1000", "--kappa", "0.1"], "gamma=1.0\nkappa=0.1\nsource=cor1\n"),
+    (["--cor1", "--eps", "800", "--kappa", "0"], "gamma=0.0\nkappa=0.0\nsource=cor1\n"),
+    (["--thm3", "--eps", "1000", "--gamma", "0.5"], "delta=0.0\n"),
+    (["--thm3", "--eps", "1000", "--gamma", "1"], "delta=1.0\n"),
+    (["--prop1", "--d", "3", "--eps", "1000"], "gamma=1.0\nkappa=0.125\nsource=prop1\n"),
+    (["--prop2", "--d", "3", "--rho", "1", "--sigma", "1e300"],
+     "gamma=0.0\nkappa=0.0\nsource=prop2\n"),
+    (["--thm2", "--alpha", "2", "--eps", "1e300", "--kappa", "0.1"],
+     "gamma=1.0\nkappa=0.1\nsource=thm2\n"),
+    # q = eta^2 / (sigma^2 d) reached 0, and exit 2 said "math domain error"
+    (["--prop2", "--d", "3", "--eps", "1", "--sigma", "1e154"],
+     "gamma=0.0\nkappa=0.0\nsource=prop2\n"),
+    (["--prop2", "--d", "3", "--rho", "1", "--sigma", "1", "--eta", "1e-320"],
+     "gamma=0.0\nkappa=0.0\nsource=prop2\n"),
+    # kappa 0 or 1, refused by --cor2 as outside (0, 1); 0.5^2000 underflows to 0
+    (["--cor2", "--rho", "1", "--kappa", "1"], "gamma=1.0\nkappa=1.0\nsource=cor2\n"),
+    (["--cor2", "--rho", "1", "--kappa", "0"], "gamma=0.0\nkappa=0.0\nsource=cor2\n"),
+    (["--prop1", "--d", "2000", "--rho", "1", "--eta", "0.5"],
+     "gamma=0.0\nkappa=0.0\nsource=prop1\n"),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv,stdout", RERO_BOUND_LIMITS)
+def test_rero_bound_takes_the_limit(argv, stdout, capsys):
+    assert main(["rero-bound", *argv]) == 0
+    assert capsys.readouterr() == (stdout, "")
+
+
+RERO_BOUND_INPUTS = {"thm2": ("alpha", "eps", "kappa"), "cor1": ("eps", "kappa"),
+                     "cor2": ("rho", "kappa"), "thm3": ("eps", "gamma"),
+                     "prop1": ("d", "privacy"), "prop2": ("d", "privacy", "sigma")}
+RERO_BOUND_FLAGS = ("eps", "rho", "kappa", "alpha", "gamma", "sigma", "eta", "d")
+EDGE_VALUES = ("0", "1", "-1", "0.5", "1e-320", "1000", "1e300", "nan", "inf", "-inf")
+
+
+def _check_rero_bound(argv):
+    """main exits 0 or 2 without an exception or a warning; on 0 each printed
+    gamma, kappa or delta is in [0, 1], on 2 the message names a flag of argv."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(["rero-bound", *argv])
+    if code == 0:
+        values = [float(line.split("=", 1)[1]) for line in out.getvalue().splitlines()
+                  if line.split("=", 1)[0] in ("gamma", "kappa", "delta")]
+        assert values and all(0.0 <= v <= 1.0 for v in values), (argv, out.getvalue())
+    else:
+        assert code == 2, (argv, code)
+        names = {arg.split("=", 1)[0].lstrip("-") for arg in argv}
+        assert any(re.search(rf"\b{name}\b", err.getvalue()) for name in names), \
+            (argv, err.getvalue())
+
+
+def test_rero_bound_flags_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def argvs(draw):
+        formula = draw(st.sampled_from(sorted(RERO_BOUND_INPUTS)))
+        privacy = draw(st.sampled_from(("eps", "rho")))
+        names = [privacy if n == "privacy" else n for n in RERO_BOUND_INPUTS[formula]]
+        extra = draw(st.lists(st.sampled_from(RERO_BOUND_FLAGS), max_size=2, unique=True))
+        names += [n for n in extra if n not in names]
+        return ["--" + formula] + [f"--{n}={draw(st.sampled_from(EDGE_VALUES))}" for n in names]
+
+    limits = [argv for argv, _ in RERO_BOUND_LIMITS]
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(argv=argvs())
+    def check(argv):
+        _check_rero_bound(argv)
+
+    for argv in limits:
+        check = hypothesis.example(argv=argv)(check)
+    check()
 
 
 # ------------------------------------------------------------- bad input

@@ -74,12 +74,10 @@ def test_error_fns():
 # ---------------------------------------------------------------- kappas
 
 def test_kappa_uniform_ball_values():
-    kappa, degenerate = rero.kappa_uniform_ball(0.5, 1)
-    assert kappa == 0.5 and not degenerate
-    kappa, _ = rero.kappa_uniform_ball(0.5, 10)
+    assert rero.kappa_uniform_ball(0.5, 1) == 0.5
+    kappa = rero.kappa_uniform_ball(0.5, 10)
     assert abs(kappa - 0.5 ** 10) < 1e-15
-    kappa, degenerate = rero.kappa_uniform_ball(1.5, 3)
-    assert kappa == 1.0 and degenerate
+    assert rero.kappa_uniform_ball(1.5, 3) == 1.0
 
 
 def test_kappa_uniform_ball_matches_monte_carlo():
@@ -155,25 +153,50 @@ def test_kappa_monte_carlo_far_candidate_zero():
     assert kappa == 0.0
 
 
+def test_kappa_monte_carlo_stays_at_most_1():
+    # the masses sum to 1 + 2^-52 in float64; a ball holding all of them read
+    # kappa above 1, which zcdp_to_rero refuses
+    masses = np.array([0.2, 0.4, 0.3, 0.1])
+    assert masses.sum() > 1.0
+    prior = rero.FiniteDiscretePrior(np.arange(4.0)[:, None], masses)
+    kappa, (lo, hi) = rero.kappa_monte_carlo(prior, rero.l2_error, 10.0, prior.points)
+    assert kappa == lo == hi == 1.0
+
+
+def test_kappa_gaussian_bound_past_the_float_range():
+    # sigma^2 overflowed (OverflowError), sigma^2 * d reached inf or eta^2
+    # underflowed, so q = 0 (math domain error), or sigma^2 underflowed
+    # (ZeroDivisionError): q comes from logs instead
+    assert rero.kappa_gaussian_bound(0.5, 1e300, 3) == 0.0
+    assert rero.kappa_gaussian_bound(0.5, 1e154, 3) == 0.0
+    assert rero.kappa_gaussian_bound(1e-320, 1.0, 3) == 0.0
+    for eta, sigma in ((1e300, 1e300), (1e-320, 1e-320), (1e-160, 1e-160)):
+        assert rero.kappa_gaussian_bound(eta, sigma, 16) == pytest.approx(
+            rero.kappa_gaussian_bound(1.0, 1.0, 16), rel=1e-12)
+    assert rero.kappa_gaussian_bound(1e-320, 1e-300, 1) == pytest.approx(
+        math.exp(0.5 * (1.0 + 2 * math.log(1e-20))), rel=1e-12)
+    assert rero.kappa_gaussian_bound(1e300, 1.0, 3) == 1.0
+    assert rero.kappa_gaussian_bound(1.0, 1e-320, 3) == 1.0
+
+
 # --------------------------------------------------------- bound calculus
 
 def test_cor1_example():
-    b = rero.puredp_to_rero(math.log(10.0), 0.01, 0.3)
-    assert abs(b.gamma - 0.1) < 1e-12
-    assert rero.puredp_to_rero(0.0, 0.3, 0.1).gamma == 0.3
+    assert abs(rero.puredp_to_rero(math.log(10.0), 0.01) - 0.1) < 1e-12
+    assert rero.puredp_to_rero(0.0, 0.3) == 0.3
 
 
 def test_thm2_eps_zero_exceeds_kappa():
     for alpha in (1.5, 2.0, 8.0):
-        b = rero.rdp_to_rero(alpha, 0.0, 0.2, 0.1)
-        assert abs(b.gamma - 0.2 ** ((alpha - 1) / alpha)) < 1e-15
-        assert b.gamma >= 0.2
+        gamma = rero.rdp_to_rero(alpha, 0.0, 0.2)
+        assert abs(gamma - 0.2 ** ((alpha - 1) / alpha)) < 1e-15
+        assert gamma >= 0.2
 
 
 def test_cor1_is_large_alpha_limit_of_thm2():
     kappa, eps = 0.03, 1.2
-    lim = rero.rdp_to_rero(1e9, eps, kappa, 0.1).gamma
-    direct = rero.puredp_to_rero(eps, kappa, 0.1).gamma
+    lim = rero.rdp_to_rero(1e9, eps, kappa)
+    direct = rero.puredp_to_rero(eps, kappa)
     assert abs(lim - direct) / direct <= 1e-6
 
 
@@ -181,23 +204,48 @@ def test_cor2_is_alpha_minimized_thm2():
     # under rho-zCDP every alpha gives (alpha, alpha*rho)-RDP; Cor 2 is the
     # minimum of the Thm 2 bound over alpha
     for rho, kappa in ((0.1, 0.01), (0.5, 0.001), (1.0, 1e-6)):
-        direct = rero.zcdp_to_rero(rho, kappa, 0.1).gamma
+        direct = rero.zcdp_to_rero(rho, kappa)
         alphas = 1.0 + np.logspace(-6, 6, 400_001)
         scan = math.exp(((alphas - 1) / alphas * (math.log(kappa) + alphas * rho)).min())
         assert abs(direct - scan) <= 1e-9
 
 
 def test_cor2_vacuous_branch():
-    b = rero.zcdp_to_rero(5.0, 0.5, 0.1)
-    assert b.gamma == 1.0 and b.degenerate
+    assert rero.zcdp_to_rero(5.0, 0.5) == 1.0
+
+
+def test_cor2_kappa_ends():
+    # kappa = 1 is as vacuous as rho >= ln(1/kappa); kappa = 0 leaves nothing
+    # to reconstruct under a finite rho, and no privacy at all leaves gamma 1
+    for rho in (0.0, 0.5, 1e300):
+        assert rero.zcdp_to_rero(rho, 1.0) == 1.0
+        assert rero.zcdp_to_rero(rho, 0.0) == 0.0
+    assert rero.zcdp_to_rero(math.inf, 0.0) == 1.0
+    for kappa in (-0.1, 1.5, math.nan):
+        with pytest.raises(ValueError, match=r"kappa must be in \[0, 1\]"):
+            rero.zcdp_to_rero(0.5, kappa)
+
+
+def test_converters_take_the_limit_past_the_float_range():
+    # e^eps overflows past eps = 709.78, where each raised OverflowError
+    assert rero.puredp_to_rero(1000.0, 0.1) == 1.0
+    assert rero.puredp_to_rero(800.0, 0.0) == 0.0
+    # a subnormal kappa keeps kappa * e^eps below 1 a little past the overflow
+    assert rero.puredp_to_rero(710.0, 5e-324) == math.exp(math.log(5e-324) + 710.0)
+    assert rero.puredp_to_rero(710.0, 5e-324) < 1e-14
+    assert rero.rdp_to_rero(2.0, 1e300, 1e-6) == 1.0
+    assert rero.rdp_to_rero(10.0, 800.0, 0.1) == 1.0
+    assert rero.rero_to_dp(1000.0, 0.5) == 0.0
+    assert rero.rero_to_dp(1000.0, 0.0) == 0.0
+    assert rero.rero_to_dp(1000.0, 1.0) == 1.0
 
 
 def test_gamma_monotone_in_privacy_and_kappa():
-    gs = [rero.puredp_to_rero(e, 0.01, 0.1).gamma for e in (0.1, 0.5, 1.0, 2.0)]
+    gs = [rero.puredp_to_rero(e, 0.01) for e in (0.1, 0.5, 1.0, 2.0)]
     assert gs == sorted(gs)
-    gs = [rero.zcdp_to_rero(r, 0.01, 0.1).gamma for r in (0.01, 0.1, 0.5, 1.0)]
+    gs = [rero.zcdp_to_rero(r, 0.01) for r in (0.01, 0.1, 0.5, 1.0)]
     assert gs == sorted(gs)
-    gs = [rero.zcdp_to_rero(0.1, k, 0.1).gamma for k in (1e-6, 1e-4, 1e-2)]
+    gs = [rero.zcdp_to_rero(0.1, k) for k in (1e-6, 1e-4, 1e-2)]
     assert gs == sorted(gs)
 
 
@@ -213,15 +261,15 @@ def test_gamma_monotone_and_clamped_property():
     def check(k, e, alpha):
         (k0, k1), (e0, e1) = sorted(k), sorted(e)
         pairs = [
-            (rero.puredp_to_rero(e0, k0, 0.1), rero.puredp_to_rero(e1, k0, 0.1)),
-            (rero.puredp_to_rero(e0, k0, 0.1), rero.puredp_to_rero(e0, k1, 0.1)),
-            (rero.rdp_to_rero(alpha, e0, k0, 0.1), rero.rdp_to_rero(alpha, e1, k0, 0.1)),
-            (rero.rdp_to_rero(alpha, e0, k0, 0.1), rero.rdp_to_rero(alpha, e0, k1, 0.1)),
-            (rero.zcdp_to_rero(e0, k0, 0.1), rero.zcdp_to_rero(e1, k0, 0.1)),
-            (rero.zcdp_to_rero(e0, k0, 0.1), rero.zcdp_to_rero(e0, k1, 0.1)),
+            (rero.puredp_to_rero(e0, k0), rero.puredp_to_rero(e1, k0)),
+            (rero.puredp_to_rero(e0, k0), rero.puredp_to_rero(e0, k1)),
+            (rero.rdp_to_rero(alpha, e0, k0), rero.rdp_to_rero(alpha, e1, k0)),
+            (rero.rdp_to_rero(alpha, e0, k0), rero.rdp_to_rero(alpha, e0, k1)),
+            (rero.zcdp_to_rero(e0, k0), rero.zcdp_to_rero(e1, k0)),
+            (rero.zcdp_to_rero(e0, k0), rero.zcdp_to_rero(e0, k1)),
         ]
         for lo, hi in pairs:
-            assert 0.0 <= lo.gamma <= hi.gamma <= 1.0, (lo, hi)
+            assert 0.0 <= lo <= hi <= 1.0, (lo, hi)
 
     check()
 
@@ -233,8 +281,8 @@ def test_thm2_tends_to_cor1_property():
     @hypothesis.settings(max_examples=300, deadline=None)
     @hypothesis.given(kappa=st.floats(1e-6, 1.0), eps=st.floats(0.0, 10.0))
     def check(kappa, eps):
-        lim = rero.rdp_to_rero(1e8, eps, kappa, 0.1).gamma
-        direct = rero.puredp_to_rero(eps, kappa, 0.1).gamma
+        lim = rero.rdp_to_rero(1e8, eps, kappa)
+        direct = rero.puredp_to_rero(eps, kappa)
         assert abs(lim - direct) <= 1e-6 * direct
 
     check()
@@ -250,10 +298,10 @@ def test_thm3_examples():
 
 
 @pytest.mark.parametrize("convert", [
-    lambda nan: rero.rdp_to_rero(2.0, nan, 0.1, 0.5),
-    lambda nan: rero.rdp_to_rero(nan, 1.0, 0.1, 0.5),
-    lambda nan: rero.puredp_to_rero(nan, 0.1, 0.5),
-    lambda nan: rero.zcdp_to_rero(nan, 0.1, 0.5),
+    lambda nan: rero.rdp_to_rero(2.0, nan, 0.1),
+    lambda nan: rero.rdp_to_rero(nan, 1.0, 0.1),
+    lambda nan: rero.puredp_to_rero(nan, 0.1),
+    lambda nan: rero.zcdp_to_rero(nan, 0.1),
     lambda nan: rero.rero_to_dp(nan, 0.5),
     lambda nan: rero.prop_gamma(10, 0.5, {"eps": nan}, "uniform_ball"),
 ])
@@ -264,9 +312,9 @@ def test_converters_reject_nan_privacy(convert):
 
 
 @pytest.mark.parametrize("convert, name", [
-    (lambda inf: rero.rdp_to_rero(inf, 1.0, 0.1, 0.5), "alpha"),
-    (lambda inf: rero.rdp_to_rero(2.0, inf, 0.1, 0.5), "eps"),
-    (lambda inf: rero.puredp_to_rero(inf, 0.0, 0.5), "eps"),
+    (lambda inf: rero.rdp_to_rero(inf, 1.0, 0.1), "alpha"),
+    (lambda inf: rero.rdp_to_rero(2.0, inf, 0.1), "eps"),
+    (lambda inf: rero.puredp_to_rero(inf, 0.0), "eps"),
     (lambda inf: rero.rero_to_dp(inf, 1.0), "eps"),
     (lambda inf: rero.prop_gamma(100_000, 0.5, {"eps": inf}, "uniform_ball"), "eps"),
 ])
@@ -278,16 +326,25 @@ def test_converters_reject_infinite_privacy(convert, name):
 
 
 def test_prop_gamma_uniform_ball():
-    b = rero.prop_gamma(10, 0.5, {"eps": 1.0}, "uniform_ball")
-    assert abs(b.gamma - 0.5 ** 10 * math.e) < 1e-12
-    assert b.source == "prop1"
+    kappa, gamma = rero.prop_gamma(10, 0.5, {"eps": 1.0}, "uniform_ball")
+    assert kappa == 0.5 ** 10
+    assert abs(gamma - 0.5 ** 10 * math.e) < 1e-12
+
+
+def test_prop_gamma_kappa_ends():
+    # eta >= 1 is vacuous; 0.5^2000 underflows to kappa 0, which zcdp_to_rero
+    # refused as outside (0, 1)
+    assert rero.prop_gamma(3, 1.5, {"rho": 0.5}, "uniform_ball") == (1.0, 1.0)
+    assert rero.prop_gamma(2000, 0.5, {"rho": 1.0}, "uniform_ball") == (0.0, 0.0)
+    assert rero.prop_gamma(2000, 0.5, {"eps": 1.0}, "uniform_ball") == (0.0, 0.0)
+    assert rero.prop_gamma(3, 0.5, {"rho": 1.0}, "gaussian", sigma=1e300) == (0.0, 0.0)
 
 
 def test_prop_gamma_gaussian_sigma_check():
     d, eta = 16, 0.5
     sigma = 2 * eta / math.sqrt(d)
-    b = rero.prop_gamma(d, eta, {"rho": 0.0}, "gaussian", sigma=sigma)
-    assert abs(b.gamma - rero.kappa_gaussian_bound(eta, sigma, d)) < 1e-12
+    _, gamma = rero.prop_gamma(d, eta, {"rho": 0.0}, "gaussian", sigma=sigma)
+    assert abs(gamma - rero.kappa_gaussian_bound(eta, sigma, d)) < 1e-12
     with pytest.raises(ValueError):
         rero.prop_gamma(d, eta, {"rho": 0.0}, "gaussian", sigma=0.5 * sigma)
 
