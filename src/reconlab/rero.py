@@ -157,6 +157,10 @@ def kappa_uniform_ball(eta: float, d: int) -> float:
 
 def kappa_gaussian_bound(eta: float, sigma: float, d: int) -> float:
     """Chi-squared tail upper bound exp((d/2)(1 - q + ln q)), q = eta^2/(sigma^2 d)."""
+    return math.exp(_log_kappa_gaussian(eta, sigma, d))
+
+
+def _log_kappa_gaussian(eta: float, sigma: float, d: int) -> float:
     if not (eta > 0 and sigma > 0 and d >= 1):
         raise ValueError("eta, sigma must be positive and d >= 1")
     try:
@@ -167,8 +171,8 @@ def kappa_gaussian_bound(eta: float, sigma: float, d: int) -> float:
         log_q = 2.0 * (math.log(eta) - math.log(sigma)) - math.log(d)
         q = math.exp(min(0.0, log_q))
     if q >= 1:
-        return 1.0
-    return math.exp(0.5 * d * (1.0 - q + log_q))
+        return 0.0
+    return 0.5 * d * (1.0 - q + log_q)
 
 
 def kappa_two_point(p: float) -> float:
@@ -202,8 +206,7 @@ def kappa_monte_carlo(prior, error_fn, eta: float, candidates, seed: int = 0):
 # --------------------------------------------------------- bound calculus
 
 def _check_finite(**values) -> None:
-    """Refuse an infinite parameter: inf - inf and 0 * inf give NaN, which a
-    clamp to [0, 1] reads as a bound of 0, the claim that no attack succeeds."""
+    """Refuse an infinite parameter, whose NaN the min() forms below would read as a bound."""
     for name, value in values.items():
         if math.isinf(value):
             raise ValueError(f"{name} must be finite, got {value}")
@@ -245,7 +248,11 @@ def zcdp_to_rero(rho: float, kappa: float) -> float:
         raise ValueError("kappa must be in [0, 1]")
     if not rho >= 0:
         raise ValueError("rho must be nonnegative")
-    log_inv = math.log(1.0 / kappa) if kappa else math.inf
+    inv = 1.0 / kappa if kappa else math.inf  # a subnormal kappa overflows 1/kappa
+    return _zcdp_gamma(rho, -math.log(kappa) if kappa and inv == math.inf else math.log(inv))
+
+
+def _zcdp_gamma(rho: float, log_inv: float) -> float:
     if rho >= log_inv:
         return 1.0
     return math.exp(-(math.sqrt(log_inv) - math.sqrt(rho)) ** 2)
@@ -259,10 +266,12 @@ def rero_to_dp(eps: float, gamma: float) -> float:
     _check_finite(eps=eps)
     if not 0 <= gamma <= 1:
         raise ValueError("gamma must be in [0, 1]")
+    if gamma == 1:  # (e^eps + 1) - e^eps is 1, but rounds to 0 or 2 for a large eps
+        return 1.0
     try:
         growth = math.exp(eps)
-    except OverflowError:  # the limit as eps grows: delta 1 at gamma = 1, else 0
-        return 1.0 if gamma == 1 else 0.0
+    except OverflowError:  # the limit as eps grows, for gamma < 1
+        return 0.0
     return max(0.0, (growth + 1.0) * gamma - growth)
 
 
@@ -287,10 +296,19 @@ def prop_gamma(d: int, eta: float, privacy: dict, prior_kind: str,
         raise ValueError(f"unknown prior kind {prior_kind!r}")
 
     if "eps" in privacy:
-        return kappa, puredp_to_rero(privacy["eps"], kappa)
-    if "rho" in privacy:
-        return kappa, zcdp_to_rero(privacy["rho"], kappa)
-    raise ValueError("privacy must contain 'eps' or 'rho'")
+        gamma = puredp_to_rero(privacy["eps"], kappa)
+    elif "rho" in privacy:
+        gamma = zcdp_to_rero(privacy["rho"], kappa)
+    else:
+        raise ValueError("privacy must contain 'eps' or 'rho'")
+    if kappa == 0:
+        # both kappas are positive, so this one underflowed, and a gamma taken
+        # from kappa = 0 would claim that no attack succeeds: use ln kappa
+        log_kappa = (d * math.log(eta) if prior_kind == "uniform_ball"
+                     else _log_kappa_gaussian(eta, sigma, d))
+        gamma = (math.exp(min(0.0, log_kappa + privacy["eps"])) if "eps" in privacy
+                 else _zcdp_gamma(privacy["rho"], -log_kappa))
+    return kappa, gamma
 
 
 # ------------------------------------------------------- attacks / checks

@@ -724,6 +724,18 @@ RERO_BOUND_LIMITS = [
     (["--cor2", "--rho", "1", "--kappa", "0"], "gamma=0.0\nkappa=0.0\nsource=cor2\n"),
     (["--prop1", "--d", "2000", "--rho", "1", "--eta", "0.5"],
      "gamma=0.0\nkappa=0.0\nsource=prop1\n"),
+    # kappa underflowed to 0, so gamma comes from ln kappa: 2000 ln 0.5 = -1386.3
+    # and 1.5 (1 - ln(3e600)) = -2072.4, both past by eps, as rho >= ln(1/kappa)
+    (["--prop1", "--d", "2000", "--eta", "0.5", "--eps", "1500"],
+     "gamma=1.0\nkappa=0.0\nsource=prop1\n"),
+    (["--prop1", "--d", "2000", "--eta", "0.5", "--rho", "2000"],
+     "gamma=1.0\nkappa=0.0\nsource=prop1\n"),
+    (["--prop2", "--d", "3", "--sigma", "1e300", "--eps", "1e300"],
+     "gamma=1.0\nkappa=0.0\nsource=prop2\n"),
+    (["--cor2", "--rho", "800", "--kappa", "1e-320"], "gamma=1.0\nkappa=1e-320\nsource=cor2\n"),
+    # (e^eps + 1) - e^eps rounded to 0.0 or 2.0 at gamma = 1
+    (["--thm3", "--eps", "40", "--gamma", "1"], "delta=1.0\n"),
+    (["--thm3", "--eps", "36.8", "--gamma", "1"], "delta=1.0\n"),
 ]
 
 

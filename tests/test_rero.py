@@ -238,6 +238,13 @@ def test_converters_take_the_limit_past_the_float_range():
     assert rero.rero_to_dp(1000.0, 0.5) == 0.0
     assert rero.rero_to_dp(1000.0, 0.0) == 0.0
     assert rero.rero_to_dp(1000.0, 1.0) == 1.0
+    # at gamma = 1 the formula cancelled to 0.0, or rounded to 2.0 or 1 + 2 ulp
+    for eps in (0.2, 1.1, 36.8, 37.0, 40.0, 700.0):
+        assert rero.rero_to_dp(eps, 1.0) == 1.0
+    # 1/kappa overflows for a subnormal kappa, which ln kappa does not
+    assert rero.zcdp_to_rero(800.0, 1e-320) == 1.0
+    assert rero.zcdp_to_rero(1.0, 1e-320) == pytest.approx(
+        math.exp(-(math.sqrt(-math.log(1e-320)) - 1.0) ** 2), rel=1e-12)
 
 
 def test_gamma_monotone_in_privacy_and_kappa():
@@ -338,6 +345,16 @@ def test_prop_gamma_kappa_ends():
     assert rero.prop_gamma(2000, 0.5, {"rho": 1.0}, "uniform_ball") == (0.0, 0.0)
     assert rero.prop_gamma(2000, 0.5, {"eps": 1.0}, "uniform_ball") == (0.0, 0.0)
     assert rero.prop_gamma(3, 0.5, {"rho": 1.0}, "gaussian", sigma=1e300) == (0.0, 0.0)
+    # a kappa that underflowed is still positive: gamma comes from ln kappa
+    log_kappa = 2000 * math.log(0.5)
+    assert rero.prop_gamma(2000, 0.5, {"eps": 1500.0}, "uniform_ball") == (0.0, 1.0)
+    assert rero.prop_gamma(2000, 0.5, {"eps": 1380.0}, "uniform_ball") == (
+        0.0, pytest.approx(math.exp(log_kappa + 1380.0), rel=1e-9))
+    assert rero.prop_gamma(2000, 0.5, {"rho": 2000.0}, "uniform_ball") == (0.0, 1.0)
+    assert rero.prop_gamma(2000, 0.5, {"rho": 1300.0}, "uniform_ball") == (
+        0.0, pytest.approx(math.exp(-(math.sqrt(-log_kappa) - math.sqrt(1300.0)) ** 2),
+                           rel=1e-9))
+    assert rero.prop_gamma(3, 1.0, {"eps": 1e300}, "gaussian", sigma=1e300) == (0.0, 1.0)
 
 
 def test_prop_gamma_gaussian_sigma_check():
